@@ -124,7 +124,17 @@ def read_trace_csv(path: Path) -> Trace:
     times = data[:, 0]
     if len(times) < 2:
         raise ParseError(f"{path}: trace needs at least 2 samples")
-    f_s = 1.0 / (times[1] - times[0])
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise ParseError(f"{path}: non-finite value at line {row + 2}, column {col + 1}")
+    period = times[1] - times[0]
+    # Timestamps are written with %.17g, so a uniform grid deviates from its
+    # first period only by rounding.
+    tol = 1e-9 * period + 4.0 * np.spacing(np.abs(times).max())
+    if not period > 0 or np.any(np.abs(np.diff(times) - period) > tol):
+        raise ParseError(f"{path}: time column is not a uniform increasing grid")
+    f_s = 1.0 / period
     return Trace(times=times, x=data[:, 1 : n + 1], z=data[:, n + 1 :], f_s=f_s, segments=())
 
 
@@ -135,13 +145,7 @@ def _write_json(obj: dict, path: Path) -> None:
 def cmd_simulate(args) -> int:
     schedule = _load_schedule(args.schedule, args.t_end)
     t_end = args.t_end if args.t_end is not None else schedule.t_end
-    cfg = SimConfig(
-        t_end=t_end,
-        f_s=args.fs,
-        h=args.step,
-        seed=args.seed,
-        count_messages=True,
-    )
+    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step, seed=args.seed)
     x0, z0 = _initial_state(args.init, schedule.n, args.seed)
     trace, counter = simulate(schedule, cfg, (x0, z0))
 

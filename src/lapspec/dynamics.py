@@ -14,9 +14,10 @@ sum(x_i^2 + z_i^2) is conserved.
 Integration is classical fixed-step RK4 realized as four synchronous message
 rounds per step: in each stage every agent sends its current stage value to
 its neighbors, receives theirs, and evaluates the local rule. The dense
-system matrix is never used here — it exists only for the oracle. The
-vectorized stage evaluation accumulates neighbor differences in the same
-order as the per-agent loop, so both formulations agree bit for bit.
+system matrix is never used here — it exists only for the oracle. The state
+is one flat array w = [x, z], and a stage round is one np.bincount over the
+directed edges; it sums each agent's neighbor differences in the per-agent
+loop's sorted order, so both formulations agree bit for bit.
 """
 from __future__ import annotations
 
@@ -67,7 +68,6 @@ class SimConfig:
     f_s: float = DEFAULT_SAMPLE_RATE
     h: float | None = None
     seed: int | None = None
-    count_messages: bool = True
 
     def step_size(self) -> float:
         return self.h if self.h is not None else 1.0 / (self.f_s * 10.0)
@@ -195,8 +195,8 @@ def build_system_matrix(laplacian: np.ndarray) -> np.ndarray:
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed edge index arrays (src, dst) sorted by (src, dst), plus degrees.
 
-    The sort order makes np.add.at accumulate neighbor differences in exactly
-    the order local_derivative's per-agent loop does.
+    The sort order makes the bincount of a stage round accumulate neighbor
+    differences in exactly the order local_derivative's per-agent loop does.
     """
     pairs = sorted(
         [(i, j) for i, j in g.edges] + [(j, i) for i, j in g.edges]
@@ -209,39 +209,41 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src, dst, deg
 
 
-def _stage_rates(
-    x: np.ndarray, z: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _flat_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge arrays into the flat state [x, z]: s2 = [src, src + n],
+    d2 = [dst, dst + n], plus the degrees. Both halves stay (src, dst)-sorted."""
+    src, dst, deg = _edge_arrays(g)
+    return np.concatenate((src, src + g.n)), np.concatenate((dst, dst + g.n)), deg
+
+
+def _stage_rates(w: np.ndarray, s2: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """One synchronous message round: every agent evaluates the local rule."""
-    acc_z = np.zeros_like(z)
-    acc_x = np.zeros_like(x)
-    np.add.at(acc_z, src, z[src] - z[dst])
-    np.add.at(acc_x, src, x[src] - x[dst])
-    return z + acc_z, -x - acc_x
+    n = w.shape[0] // 2
+    acc = np.bincount(s2, w[s2] - w[d2], minlength=2 * n)
+    k = np.empty_like(w)
+    k[:n] = w[n:] + acc[n:]
+    k[n:] = (-w[:n]) - acc[:n]
+    return k
 
 
-def _rk4_core(
-    x: np.ndarray, z: np.ndarray, src: np.ndarray, dst: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 step via four stage rounds of neighbor exchange."""
-    k1x, k1z = _stage_rates(x, z, src, dst)
-    k2x, k2z = _stage_rates(x + 0.5 * h * k1x, z + 0.5 * h * k1z, src, dst)
-    k3x, k3z = _stage_rates(x + 0.5 * h * k2x, z + 0.5 * h * k2z, src, dst)
-    k4x, k4z = _stage_rates(x + h * k3x, z + h * k3z, src, dst)
-    x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    z_new = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return x_new, z_new
+def _rk4_core(w: np.ndarray, s2: np.ndarray, d2: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step on the flat state via four stage rounds."""
+    k1 = _stage_rates(w, s2, d2)
+    k2 = _stage_rates(w + 0.5 * h * k1, s2, d2)
+    k3 = _stage_rates(w + 0.5 * h * k2, s2, d2)
+    k4 = _stage_rates(w + h * k3, s2, d2)
+    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(state: NetworkState, g: Graph, h: float) -> NetworkState:
     """Advance one RK4 step over graph g; aborts on non-finite results."""
-    src, dst, _ = _edge_arrays(g)
-    x_new, z_new = _rk4_core(np.asarray(state.x, float), np.asarray(state.z, float), src, dst, h)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(z_new))):
+    s2, d2, _ = _flat_edges(g)
+    w = _rk4_core(np.concatenate((state.x, state.z), dtype=float), s2, d2, h)
+    if not np.all(np.isfinite(w)):
         raise SimulationError(
             f"non-finite state after step at t={state.t:g} (h={h:g})"
         )
-    return NetworkState(x=x_new, z=z_new, t=state.t + h)
+    return NetworkState(x=w[: g.n], z=w[g.n :], t=state.t + h)
 
 
 def simulate(
@@ -290,25 +292,25 @@ def simulate(
     xs = np.empty((num_samples, n))
     zs = np.empty((num_samples, n))
     xs[0], zs[0] = x, z
+    w = np.concatenate((x, z))
     sent = np.zeros(n, dtype=np.int64)
 
     step = 0
     sample = 1
     for k, seg in enumerate(schedule.segments):
-        src, dst, deg = _edge_arrays(seg.graph)
+        s2, d2, deg = _flat_edges(seg.graph)
         seg_end = bounds[k + 1]
+        sent += 4 * deg * (seg_end - step)  # one message per neighbor per stage round
         while step < seg_end:
-            x, z = _rk4_core(x, z, src, dst, h)
+            w = _rk4_core(w, s2, d2, h)
             step += 1
-            if cfg.count_messages:
-                sent += 4 * deg  # one message per neighbor per stage round
             if step % m == 0:
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+                if not np.all(np.isfinite(w)):
                     raise SimulationError(
                         f"non-finite state at t={step * h:g}; "
-                        f"max |x|={np.nanmax(np.abs(x)):g}"
+                        f"max |x|={np.nanmax(np.abs(w[:n])):g}"
                     )
-                xs[sample], zs[sample] = x, z
+                xs[sample], zs[sample] = w[:n], w[n:]
                 sample += 1
     if sample != num_samples:
         raise SimulationError(

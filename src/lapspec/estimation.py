@@ -42,6 +42,8 @@ class SampledSignal:
             raise EstimationError("signal needs at least 2 samples")
         if self.f_s <= 0:
             raise EstimationError(f"sample rate must be positive, got {self.f_s}")
+        if not np.all(np.isfinite(self.samples)):
+            raise EstimationError("signal has non-finite samples (nan or inf)")
 
     @property
     def ts(self) -> float:

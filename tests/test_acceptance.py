@@ -244,7 +244,7 @@ def test_criterion_07_energy_conservation():
         x0, z0 = random_init(g.n, int(rng.integers(0, 100)))
         trace, _ = simulate(
             TopologySchedule.single(g, 100.0),
-            SimConfig(t_end=100.0, f_s=10.0, h=1e-3, count_messages=False),
+            SimConfig(t_end=100.0, f_s=10.0, h=1e-3),
             (x0, z0),
         )
         energy = (trace.x**2 + trace.z**2).sum(axis=1)
@@ -290,7 +290,7 @@ def test_criterion_09_no_dc_component():
         x0, z0 = random_init(g.n, 50 + k)
         trace, _ = simulate(
             TopologySchedule.single(g, 4.0 * math.pi),
-            SimConfig(t_end=4.0 * math.pi, f_s=1000.0, h=1e-3, count_messages=False),
+            SimConfig(t_end=4.0 * math.pi, f_s=1000.0, h=1e-3),
             (x0, z0),
         )
         for win_end in (2.0 * math.pi, 4.0 * math.pi):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lapspec import serialize_edge_list, path_graph, star_graph, cycle_graph, complete_graph
+from lapspec import ParseError, serialize_edge_list, path_graph, star_graph, cycle_graph, complete_graph
 from lapspec.cli import main, read_trace_csv, write_trace_csv
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
 
@@ -72,6 +72,36 @@ def test_trace_csv_round_trip(p5_file, tmp_path):
     write_trace_csv(trace, again)
     assert (out / "trace.csv").read_bytes() == again.read_bytes()
     assert abs(trace.f_s - DEFAULT_SAMPLE_RATE) < 1e-9
+
+
+def _rewrite_cell(path, line, column, value):
+    lines = path.read_text().splitlines()
+    cells = lines[line].split(",")
+    cells[column] = value
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_trace_csv_rejects_non_uniform_grid(p5_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    run(["simulate", p5_file, "--seed", "3", "--out-dir", out])
+    path = out / "trace.csv"
+    t = float(path.read_text().splitlines()[300].split(",")[0])
+    _rewrite_cell(path, 300, 0, f"{t + 1e-6 / DEFAULT_SAMPLE_RATE:.17g}")
+    with pytest.raises(ParseError, match="uniform"):
+        read_trace_csv(path)
+    capsys.readouterr()
+    assert run(["estimate", path, "--agent", "0"]) == 1
+    assert "uniform" in capsys.readouterr().err
+
+
+def test_trace_csv_rejects_nan_cell(p5_file, tmp_path):
+    out = tmp_path / "out"
+    run(["simulate", p5_file, "--seed", "3", "--out-dir", out])
+    path = out / "trace.csv"
+    _rewrite_cell(path, 42, 7, "nan")
+    with pytest.raises(ParseError, match="non-finite value at line 43, column 8"):
+        read_trace_csv(path)
 
 
 def test_estimate_stationary_p5(p5_file, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Simulator checks: local rule, RK4 stages, sampling, energy, messages."""
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from lapspec import (
     complete_graph,
     eigendecompose,
     local_derivative,
+    parse_edge_list,
+    parse_schedule,
     path_graph,
     random_init,
     rk4_step,
@@ -28,11 +32,12 @@ from lapspec import (
     simulate,
     star_graph,
 )
-from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _edge_arrays, _stage_rates
+from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _flat_edges, _stage_rates
 from conftest import random_connected_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
 P5 = path_graph(5)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def matrix_rk4_reference(laplacian, x, z, h, steps):
@@ -95,22 +100,33 @@ def test_local_derivative_consensus_point():
     assert dx == -0.3 and dz == -0.7
 
 
+def _stage_test_states(rng, n):
+    """Random states, states built from exact zeros, -0.0 and +/-1 (so many
+    neighbor differences are exact zeros), and consensus points."""
+    for _ in range(50):
+        yield rng.standard_normal(n), rng.standard_normal(n)
+    values = np.array([0.0, -0.0, 1.0, -1.0])
+    for _ in range(50):
+        yield rng.choice(values, size=n), rng.choice(values, size=n)
+    for c, d in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.7, -0.3)):
+        yield np.full(n, c), np.full(n, d)
+
+
 def test_stage_rates_bitexact_with_local_rule():
     """The vectorized stage round must reproduce the per-agent loop bit for
-    bit (same accumulation order), for many random states."""
+    bit (same accumulation order, same signed zeros), for many states."""
     rng = np.random.default_rng(0)
     for g in (P5, star_graph(6), complete_graph(5)):
-        src, dst, _ = _edge_arrays(g)
+        s2, d2, _ = _flat_edges(g)
         neighbors = {i: g.neighbors(i) for i in range(g.n)}
-        for _ in range(50):
-            x = rng.standard_normal(g.n)
-            z = rng.standard_normal(g.n)
-            dx_vec, dz_vec = _stage_rates(x, z, src, dst)
+        for x, z in _stage_test_states(rng, g.n):
+            rates = _stage_rates(np.concatenate((x, z)), s2, d2)
+            expected = np.empty(2 * g.n)
             for i in range(g.n):
-                dx_i, dz_i = local_derivative(
+                expected[i], expected[g.n + i] = local_derivative(
                     i, x[i], z[i], [(x[j], z[j]) for j in neighbors[i]]
                 )
-                assert dx_vec[i] == dx_i and dz_vec[i] == dz_i
+            assert rates.tobytes() == expected.tobytes()
 
 
 # --- system matrix -----------------------------------------------------------------
@@ -245,6 +261,32 @@ def test_simulate_deterministic_bit_exact():
     t2, c2 = simulate(sched, cfg, init)
     assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.z, t2.z)
     assert c1.total == c2.total
+
+
+def _trace_digest(trace) -> str:
+    return hashlib.sha256(trace.x.tobytes() + trace.z.tobytes()).hexdigest()
+
+
+def test_simulate_golden_digest_p5():
+    """Pinned trace bits: any change to the integrator's floating-point
+    operations or their order shows up here."""
+    g = parse_edge_list((SCENARIOS / "p5.txt").read_text())
+    trace, counter = simulate(
+        TopologySchedule.single(g, 50.0), SimConfig(t_end=50.0), random_init(5, 12345)
+    )
+    assert _trace_digest(trace) == (
+        "3a9f99f8cf8a0dd89b82f6f9d0e938a03cc89c060c495399b65370b8ab285cbf"
+    )
+    assert counter.total == 254400
+
+
+def test_simulate_golden_digest_switching():
+    sched = parse_schedule((SCENARIOS / "switching.json").read_text(), base_dir=SCENARIOS)
+    trace, counter = simulate(sched, SimConfig(t_end=20.0), random_init(sched.n, 11))
+    assert _trace_digest(trace) == (
+        "88da66cbb21a4af3809499d8494a4bd0d9ee5d37cf8e1774f133dbe8e6209978"
+    )
+    assert counter.total == 159544
 
 
 def test_simulate_energy_conservation_short():

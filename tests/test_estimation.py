@@ -277,6 +277,15 @@ def test_estimate_zero_signal():
     assert est.n == 0 and not est.flag
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_signal_rejects_non_finite_samples(bad):
+    """A non-finite sample is an error, never an empty 'perfect' fit."""
+    samples = np.sin(np.arange(200) / FS)
+    samples[57] = bad
+    with pytest.raises(EstimationError, match="non-finite"):
+        SampledSignal(samples=samples, f_s=FS)
+
+
 def test_estimate_window_exceeds_signal():
     sig = tone(3.0, 10.0)
     with pytest.raises(EstimationError, match="window"):
