@@ -106,11 +106,12 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     """Trace CSV: header t,x_0..x_{n-1},z_0..z_{n-1}, full double precision."""
     n = trace.n
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"z_{i}" for i in range(n)])
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for k in range(trace.num_samples):
-            row = [trace.times[k], *trace.x[k], *trace.z[k]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        # Row by row, so a large trace is never held as Python floats at once.
+        for t, x, z in zip(trace.times.tolist(), trace.x, trace.z):
+            fh.write(row % (t, *x.tolist(), *z.tolist()))
 
 
 def read_trace_csv(path: Path) -> Trace:
@@ -124,6 +125,8 @@ def read_trace_csv(path: Path) -> Trace:
     times = data[:, 0]
     if len(times) < 2:
         raise ParseError(f"{path}: trace needs at least 2 samples")
+    if data.shape[1] != len(header):
+        raise ParseError(f"{path}: rows have {data.shape[1]} columns, header has {len(header)}")
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]

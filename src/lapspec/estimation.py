@@ -8,9 +8,10 @@ time, an upper bound on the number of frequencies, a reconstruction-error
 threshold (percent) that drives a success flag, and the window length.
 
 Detection pipeline: rectangular-window DFT of the current fit residual,
-local-maximum picking with 3-point quadratic interpolation on log magnitude,
-then joint Gauss-Newton refinement of all frequencies with the linear
-amplitude/phase subproblem solved by least squares at every iteration.
+vectorised local-maximum picking with 3-point quadratic interpolation on log
+magnitude, then joint Gauss-Newton refinement of all frequencies (gradient
+from the design matrix's own sin/cos columns) with the linear amplitude/phase
+subproblem solved by least squares at every iteration.
 Re-detecting on the residual rather than the raw spectrum keeps window
 sidelobes of strong peaks from masquerading as modes.
 """
@@ -262,25 +263,22 @@ def detect_peaks(
         min_separation = 2.0 * spec.resolution
     mag = spec.magnitude
     grid_step = spec.omega[1] - spec.omega[0] if len(spec.omega) > 1 else 0.0
-    found: list[tuple[float, float]] = []
-    for k in range(1, len(mag) - 1):
-        if not (mag[k] > mag[k - 1] and mag[k] >= mag[k + 1]):
-            continue
-        if mag[k] <= amplitude_threshold:
-            continue
-        if mag[k - 1] > 0.0 and mag[k + 1] > 0.0:
-            lo, mid, hi = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
-            denom = lo - 2.0 * mid + hi
-            shift = 0.5 * (lo - hi) / denom if denom != 0.0 else 0.0
-            shift = float(np.clip(shift, -0.5, 0.5))
-            peak_omega = spec.omega[k] + shift * grid_step
-            peak_amp = float(np.exp(mid - 0.25 * (lo - hi) * shift))
-        else:
-            peak_omega, peak_amp = float(spec.omega[k]), float(mag[k])
-        found.append((peak_omega, peak_amp))
+    mid_mag = mag[1:-1]
+    ks = np.flatnonzero(
+        (mid_mag > mag[:-2]) & (mid_mag >= mag[2:]) & (mid_mag > amplitude_threshold)
+    ) + 1
+    # Zero neighbours give log(0) = -inf; those peaks take the bin itself.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, mid, hi = np.log(mag[ks - 1]), np.log(mag[ks]), np.log(mag[ks + 1])
+        denom = lo - 2.0 * mid + hi
+        shift = np.where(denom != 0.0, 0.5 * (lo - hi) / denom, 0.0)
+        shift = np.clip(shift, -0.5, 0.5)
+        interp = (mag[ks - 1] > 0.0) & (mag[ks + 1] > 0.0)
+        peak_omega = np.where(interp, spec.omega[ks] + shift * grid_step, spec.omega[ks])
+        peak_amp = np.where(interp, np.exp(mid - 0.25 * (lo - hi) * shift), mag[ks])
 
     merged: list[tuple[float, float]] = []
-    for omega, amp in found:  # found is frequency-ascending by construction
+    for omega, amp in zip(peak_omega.tolist(), peak_amp.tolist()):  # ascending omega
         if merged and omega - merged[-1][0] < min_separation:
             if amp > merged[-1][1]:
                 merged[-1] = (omega, amp)
@@ -372,11 +370,9 @@ def refine_frequencies(
         design = _design_matrix(omegas, t)
         theta, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ theta
-        grad_cols = np.empty_like(design[:, : len(omegas)])
-        for k, w in enumerate(omegas):
-            alpha, beta = theta[2 * k], theta[2 * k + 1]
-            grad_cols[:, k] = t * (alpha * np.cos(w * t) - beta * np.sin(w * t))
-        joint = np.hstack([design, grad_cols])
+        # d/dw of alpha sin(w t) + beta cos(w t), from the design's own columns.
+        grad = t[:, None] * (theta[0::2] * design[:, 1::2] - theta[1::2] * design[:, 0::2])
+        joint = np.hstack([design, grad])
         step, *_ = np.linalg.lstsq(joint, resid, rcond=None)
         delta = np.clip(step[2 * len(omegas) :], -max_step, max_step)
         omegas = np.clip(np.abs(omegas + delta), omega_min, omega_max)

@@ -4,11 +4,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lapspec import ParseError, serialize_edge_list, path_graph, star_graph, cycle_graph, complete_graph
 from lapspec.cli import main, read_trace_csv, write_trace_csv
-from lapspec.dynamics import DEFAULT_SAMPLE_RATE
+from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace
 
 
 P5_LAMBDAS = [0.0, 0.3819660113, 1.3819660113, 2.6180339887, 3.6180339887]
@@ -72,6 +73,41 @@ def test_trace_csv_round_trip(p5_file, tmp_path):
     write_trace_csv(trace, again)
     assert (out / "trace.csv").read_bytes() == again.read_bytes()
     assert abs(trace.f_s - DEFAULT_SAMPLE_RATE) < 1e-9
+
+
+def _reference_write_trace_csv(trace, path):
+    """Per-cell f"{v:.17g}" writer that write_trace_csv must match byte for byte."""
+    n = trace.n
+    header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"z_{i}" for i in range(n)])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(trace.num_samples):
+            row = [trace.times[k], *trace.x[k], *trace.z[k]]
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def test_trace_csv_writer_matches_per_cell_format(tmp_path):
+    rng = np.random.default_rng(9)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1.2345678901234567e17, -9.87e300,
+               1.0 / 3.0, 2.0**-1074 * 3, 1e-5, -1.5]
+    x = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-320, 300, size=(6, 3))
+    z = rng.standard_normal((6, 3))
+    x.flat[: len(special)] = special
+    z.flat[-7:] = special[:7]
+    times = np.arange(6) * 0.0625
+    times[0] = -0.0
+    trace = Trace(times=times, x=x, z=z, f_s=16.0, segments=())
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trace_csv(trace, got)
+    _reference_write_trace_csv(trace, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_trace_csv_rejects_column_count_mismatch(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,x_0,z_0\n" + "".join(f"{k * 0.0625},1,2,3,4\n" for k in range(3)))
+    with pytest.raises(ParseError, match="rows have 5 columns, header has 3"):
+        read_trace_csv(path)
 
 
 def _rewrite_cell(path, line, column, value):

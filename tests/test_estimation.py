@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lapspec import (
     EstimationError,
@@ -27,11 +28,13 @@ from lapspec import (
     modal_coefficients,
     path_graph,
     random_init,
+    refine_frequencies,
     simulate,
     spectrogram,
     star_graph,
 )
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
+from lapspec.estimation import _design_matrix
 
 FS = DEFAULT_SAMPLE_RATE
 P5_LAMBDAS = np.array([0.0, 0.3819660113, 1.3819660113, 2.6180339887, 3.6180339887])
@@ -126,6 +129,117 @@ def test_peaks_merge_keeps_larger_and_lower_tie():
     peaks = detect_peaks(spec, 0.1, min_separation=0.5)
     assert [round(p[0], 1) for p in peaks] == [3.0, 7.0]
     assert peaks[0][1] == pytest.approx(1.0)
+
+
+def _reference_detect_peaks(spec, amplitude_threshold, min_separation=None):
+    """Scalar per-bin loop that the vectorised detect_peaks must reproduce."""
+    if min_separation is None:
+        min_separation = 2.0 * spec.resolution
+    mag = spec.magnitude
+    grid_step = spec.omega[1] - spec.omega[0] if len(spec.omega) > 1 else 0.0
+    found = []
+    for k in range(1, len(mag) - 1):
+        if not (mag[k] > mag[k - 1] and mag[k] >= mag[k + 1]):
+            continue
+        if mag[k] <= amplitude_threshold:
+            continue
+        if mag[k - 1] > 0.0 and mag[k + 1] > 0.0:
+            lo, mid, hi = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
+            denom = lo - 2.0 * mid + hi
+            shift = 0.5 * (lo - hi) / denom if denom != 0.0 else 0.0
+            shift = float(np.clip(shift, -0.5, 0.5))
+            peak_omega = spec.omega[k] + shift * grid_step
+            peak_amp = float(np.exp(mid - 0.25 * (lo - hi) * shift))
+        else:
+            peak_omega, peak_amp = float(spec.omega[k]), float(mag[k])
+        found.append((peak_omega, peak_amp))
+    merged = []
+    for omega, amp in found:
+        if merged and omega - merged[-1][0] < min_separation:
+            if amp > merged[-1][1]:
+                merged[-1] = (omega, amp)
+        else:
+            merged.append((omega, amp))
+    return merged
+
+
+THRESHOLD = 0.25
+# Few distinct levels make plateaus and ties common; zeros, the threshold
+# itself and subnormals exercise the log(0) fallback and the strict cut.
+_levels = st.sampled_from([0.0, 5e-324, 1e-300, 0.1, THRESHOLD, 0.5, 1.0])
+_magnitude = st.one_of(_levels, st.floats(min_value=0.0, max_value=10.0))
+
+
+@given(
+    st.lists(_magnitude, max_size=80),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=5.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_detect_peaks_matches_scalar_reference(mags, step, min_separation):
+    mag = np.array(mags, dtype=float)
+    spec = Spectrum(omega=np.arange(len(mag)) * step, magnitude=mag, resolution=2.0 * step)
+    got = detect_peaks(spec, THRESHOLD, min_separation)
+    want = _reference_detect_peaks(spec, THRESHOLD, min_separation)
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_detect_peaks_matches_scalar_reference_on_signal_spectra():
+    y = p5_trace().x[:, 0]
+    for spec in (dft_magnitude(SampledSignal(samples=y, f_s=FS), zero_pad_factor=8),
+                 dft_magnitude(tone(3.0, 20.0 * math.pi), zero_pad_factor=4)):
+        got = detect_peaks(spec, 0.005)
+        assert len(got) > 0
+        assert np.array(got).tobytes() == np.array(_reference_detect_peaks(spec, 0.005)).tobytes()
+
+
+# --- refine_frequencies -------------------------------------------------------------
+
+def _reference_refine(samples, ts, omegas, omega_min=1e-6, omega_max=None,
+                      max_iter=60, tol=1e-13):
+    """Gauss-Newton with the gradient recomputed per column by np.cos/np.sin."""
+    omegas = np.array(np.atleast_1d(omegas), dtype=float)
+    y = np.asarray(samples, dtype=float)
+    t = np.arange(len(y)) * ts
+    max_step = 0.5 * 2.0 * math.pi / (len(y) * ts)
+    if omega_max is None:
+        omega_max = math.pi / ts
+    for _ in range(max_iter):
+        design = _design_matrix(omegas, t)
+        theta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ theta
+        grad_cols = np.empty_like(design[:, : len(omegas)])
+        for k, w in enumerate(omegas):
+            alpha, beta = theta[2 * k], theta[2 * k + 1]
+            grad_cols[:, k] = t * (alpha * np.cos(w * t) - beta * np.sin(w * t))
+        step, *_ = np.linalg.lstsq(np.hstack([design, grad_cols]), resid, rcond=None)
+        delta = np.clip(step[2 * len(omegas) :], -max_step, max_step)
+        omegas = np.clip(np.abs(omegas + delta), omega_min, omega_max)
+        if np.max(np.abs(delta)) < tol:
+            break
+    return omegas
+
+
+@pytest.mark.parametrize("case", ["p5", "two_tone_noise", "single"])
+def test_refine_frequencies_matches_per_column_gradient(case):
+    rng = np.random.default_rng(4)
+    ts = 1.0 / FS
+    if case == "p5":
+        y = p5_trace().x[:, 0]
+        start = 1.0 + P5_LAMBDAS + rng.uniform(-0.03, 0.03, size=5)
+    elif case == "two_tone_noise":
+        t = np.arange(800) * ts
+        y = np.sin(1.3 * t + 0.2) + 0.4 * np.cos(2.9 * t) + 0.05 * rng.standard_normal(800)
+        start = np.array([1.25, 2.95])
+    else:
+        y = tone(2.2, 30.0).samples
+        start = np.array([2.1])
+    # Converged frequencies absorb last-bit gradient differences, so early
+    # iterates, whose steps are large, are compared too.
+    for max_iter in (1, 2, 3, 60):
+        kwargs = dict(omega_min=0.95, omega_max=0.999 * math.pi / ts, max_iter=max_iter)
+        got = refine_frequencies(y, ts, start, **kwargs)
+        assert got.tobytes() == _reference_refine(y, ts, start, **kwargs).tobytes()
 
 
 # --- ls_fit -----------------------------------------------------------------------
