@@ -30,14 +30,12 @@ from .graph import (
 from .dynamics import (
     ConfigError,
     MessageCounter,
-    NetworkState,
     SimConfig,
     SimulationError,
     Trace,
     build_system_matrix,
     local_derivative,
     random_init,
-    rk4_step,
     round_bound,
     simulate,
 )

@@ -38,11 +38,9 @@ from .estimation import (
     spectrogram,
 )
 from .graph import (
-    Graph,
     ParseError,
     ScheduleError,
     TopologySchedule,
-    build_laplacian,
     parse_edge_list,
     parse_schedule,
 )
@@ -148,7 +146,7 @@ def _write_json(obj: dict, path: Path) -> None:
 def cmd_simulate(args) -> int:
     schedule = _load_schedule(args.schedule, args.t_end)
     t_end = args.t_end if args.t_end is not None else schedule.t_end
-    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step, seed=args.seed)
+    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
     x0, z0 = _initial_state(args.init, schedule.n, args.seed)
     trace, counter = simulate(schedule, cfg, (x0, z0))
 
@@ -235,34 +233,15 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _validate_segment(
-    graph: Graph,
-    trace: Trace,
-    seg_start: float,
-    seg_end: float,
-    agent: int,
-    x0: np.ndarray,
-    z0: np.ndarray,
-    args,
-) -> tuple[dict, list[str]]:
-    warnings: list[str] = []
-    dec = oracle.eigendecompose(graph, cluster_tol=args.cluster_tol)
-    coef = oracle.modal_coefficients(dec, x0, z0, agent)
-    estimable = oracle.check_estimability(dec, x0, z0, agent)
-    out_row = np.zeros((1, graph.n))
-    out_row[0, agent] = 1.0
-    report = oracle.verify_rank_relation(
-        build_laplacian(graph), out_row, rank_tol=args.rank_tol
-    )
-
-    duration = seg_end - seg_start
+def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, args) -> None:
+    """Add the agent's estimate over [t_start, t_end] to the segment's oracle
+    report, matching each eigenvalue to the nearest estimated one."""
+    duration = t_end - t_start
     window = args.window if args.window is not None else duration
-    est_entry: dict
-    matched_err = None
     lam_hat: list[float] = []
     amp_hat: list[float] = []
     try:
-        sig = SampledSignal.from_trace(trace, agent, t_start=seg_start, t_end=seg_end)
+        sig = SampledSignal.from_trace(trace, args.agent, t_start=t_start, t_end=t_end)
         est = estimate_frequencies(
             sig,
             FreqEstimatorConfig(
@@ -271,72 +250,28 @@ def _validate_segment(
         )
         lam_hat = [float(v) for v in est.lambdas]
         amp_hat = [float(a) for a in est.amplitudes]
-        est_entry = est.to_dict()
-        errs = []
-        for lam in dec.values[estimable]:
-            if lam_hat:
-                errs.append(min(abs(lam - lh) for lh in lam_hat))
-        matched_err = max(errs) if errs else None
+        seg["estimate"] = est.to_dict()
     except EstimationError as exc:
-        est_entry = {"error": str(exc)}
+        seg["estimate"] = {"error": str(exc)}
 
-    per_eig = []
-    for j, lam in enumerate(dec.values):
-        matched = None
+    errs = []
+    for entry in seg["per_eigenvalue"]:
+        k = None
         if lam_hat:
-            k = min(range(len(lam_hat)), key=lambda idx: abs(lam_hat[idx] - lam))
-            matched = k
-        per_eig.append(
-            {
-                "lambda": float(lam),
-                "multiplicity": int(dec.multiplicities[j]),
-                "coefficient": float(coef.line_amplitudes()[j]),
-                "estimable": bool(estimable[j]),
-                "estimated": lam_hat[matched] if matched is not None else None,
-                "estimated_amplitude": amp_hat[matched] if matched is not None else None,
-            }
-        )
-    if not report.full_rank:
-        warnings.append(
-            f"rank deficiency observing agent {agent}: rank {report.rank_laplacian} "
-            f"< {report.n}; some eigenvalues are invisible from this agent"
-        )
-    missing = int(np.sum(~estimable))
-    if missing:
-        warnings.append(
-            f"agent {agent} cannot estimate {missing} eigenvalue(s): vanishing "
-            "spectral-line coefficients"
-        )
-    positive = dec.values > 0
-    if np.any(positive) and not np.any(estimable[positive]):
-        warnings.append(
-            f"all coefficients for lambda > 0 vanish at agent {agent}; only the "
-            "average mode is visible (degenerate initialization)"
-        )
-
-    seg_report = {
-        "t_start": seg_start,
-        "t_end": seg_end,
-        "eigenvalues": [float(v) for v in dec.values],
-        "multiplicities": [int(m) for m in dec.multiplicities],
-        "estimate": est_entry,
-        "max_abs_error_estimable": matched_err,
-        "per_eigenvalue": per_eig,
-        "rank": {
-            "L": report.rank_laplacian,
-            "A": report.rank_system,
-            "n": report.n,
-            "full": report.full_rank,
-            "relation_holds": report.relation_holds,
-        },
-    }
-    return seg_report, warnings
+            k = min(range(len(lam_hat)), key=lambda idx: abs(lam_hat[idx] - entry["lambda"]))
+            if entry["estimable"]:
+                errs.append(abs(entry["lambda"] - lam_hat[k]))
+        entry["estimated"] = lam_hat[k] if k is not None else None
+        entry["estimated_amplitude"] = amp_hat[k] if k is not None else None
+    seg["max_abs_error_estimable"] = max(errs) if errs else None
+    seg["t_start"] = t_start
+    seg["t_end"] = t_end
 
 
 def cmd_validate(args) -> int:
     schedule = _load_schedule(args.schedule, args.t_end)
     t_end = args.t_end if args.t_end is not None else schedule.t_end
-    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step, seed=args.seed)
+    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
     x0, z0 = _initial_state(args.init, schedule.n, args.seed)
     trace, _ = simulate(schedule, cfg, (x0, z0))
 
@@ -347,11 +282,16 @@ def cmd_validate(args) -> int:
     segments = []
     warnings: list[str] = []
     for span in trace.segments:
-        seg_report, seg_warn = _validate_segment(
-            span.graph, trace, span.t_start, span.t_end, args.agent, x0, z0, args
+        # Lines over the segment start from the state at its first sample,
+        # the same sample the segment's estimate starts from.
+        lo, _ = trace.sample_range(span.t_start, span.t_end)
+        seg = oracle.oracle_report(
+            span.graph, trace.x[lo], trace.z[lo], args.agent,
+            cluster_tol=args.cluster_tol, rank_tol=args.rank_tol,
         )
-        segments.append(seg_report)
-        warnings.extend(seg_warn)
+        warnings.extend(seg.pop("warnings"))
+        _validate_segment(seg, trace, span.t_start, span.t_end, args)
+        segments.append(seg)
 
     payload = {
         "agent": args.agent,
@@ -450,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--se", type=float, default=1.0,
                         help="reconstruction-error threshold, percent")
     common.add_argument("--rank-tol", type=float, default=1e-9,
-                        help="relative SVD threshold for rank decisions")
+                        help="SVD threshold for rank decisions, relative to ||C||_2")
     common.add_argument("--cluster-tol", type=float, default=1e-8,
                         help="eigenvalue multiplicity clustering tolerance")
 

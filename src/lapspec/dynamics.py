@@ -42,19 +42,6 @@ DEFAULT_SAMPLE_RATE = 100.0 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class NetworkState:
-    """Paired state vectors at one instant."""
-
-    x: np.ndarray
-    z: np.ndarray
-    t: float
-
-    def energy(self) -> float:
-        """Conserved quadratic invariant sum(x_i^2 + z_i^2)."""
-        return float(np.dot(self.x, self.x) + np.dot(self.z, self.z))
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Integration and sampling parameters.
 
@@ -67,7 +54,6 @@ class SimConfig:
     t_end: float
     f_s: float = DEFAULT_SAMPLE_RATE
     h: float | None = None
-    seed: int | None = None
 
     def step_size(self) -> float:
         return self.h if self.h is not None else 1.0 / (self.f_s * 10.0)
@@ -233,17 +219,6 @@ def _rk4_core(w: np.ndarray, s2: np.ndarray, d2: np.ndarray, h: float) -> np.nda
     k3 = _stage_rates(w + 0.5 * h * k2, s2, d2)
     k4 = _stage_rates(w + h * k3, s2, d2)
     return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_step(state: NetworkState, g: Graph, h: float) -> NetworkState:
-    """Advance one RK4 step over graph g; aborts on non-finite results."""
-    s2, d2, _ = _flat_edges(g)
-    w = _rk4_core(np.concatenate((state.x, state.z), dtype=float), s2, d2, h)
-    if not np.all(np.isfinite(w)):
-        raise SimulationError(
-            f"non-finite state after step at t={state.t:g} (h={h:g})"
-        )
-    return NetworkState(x=w[: g.n], z=w[g.n :], t=state.t + h)
 
 
 def simulate(

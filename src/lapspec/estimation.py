@@ -182,12 +182,13 @@ def _window_values(name: str, length: int) -> np.ndarray:
 def _amplitude_spectrum(
     samples: np.ndarray, ts: float, zero_pad_factor: int, window: str
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One-sided amplitude-calibrated DFT magnitude.
+    """One-sided amplitude-calibrated DFT magnitude along the last axis.
 
+    samples is one window or a (frames, window_len) stack of them.
     Normalized by the window's coherent gain so a unit-amplitude sinusoid at
     a bin center reads ~1; the zero and Nyquist bins carry no doubling.
     """
-    n = len(samples)
+    n = samples.shape[-1]
     w = _window_values(window, n)
     gain = w.sum()
     nfft = n * int(zero_pad_factor)
@@ -195,8 +196,8 @@ def _amplitude_spectrum(
         nfft += 1
     spec = np.abs(np.fft.rfft(samples * w, nfft))
     mag = spec * (2.0 / gain)
-    mag[0] = spec[0] / gain
-    mag[-1] = spec[-1] / gain  # Nyquist bin (nfft even)
+    mag[..., 0] = spec[..., 0] / gain
+    mag[..., -1] = spec[..., -1] / gain  # Nyquist bin (nfft even)
     omega = 2.0 * math.pi * np.fft.rfftfreq(nfft, d=ts)
     return omega, mag, 2.0 * math.pi / (n * ts)
 
@@ -227,19 +228,14 @@ def spectrogram(
         raise EstimationError(f"window_len must be at least 4, got {window_len}")
     if hop < 1:
         raise EstimationError(f"hop must be at least 1, got {hop}")
-    starts = range(0, n - window_len + 1, hop)
-    rows = []
-    omega = None
-    res = 2.0 * math.pi / (window_len * sig.ts)
-    for start in starts:
-        chunk = sig.samples[start : start + window_len]
-        omega, mag, _ = _amplitude_spectrum(chunk, sig.ts, zero_pad_factor, window)
-        rows.append(mag)
-    centers = sig.t0 + (np.array(starts) + (window_len - 1) / 2.0) * sig.ts
+    starts = np.arange(0, n - window_len + 1, hop)
+    frames = sig.samples[starts[:, None] + np.arange(window_len)]
+    omega, mag, res = _amplitude_spectrum(frames, sig.ts, zero_pad_factor, window)
+    centers = sig.t0 + (starts + (window_len - 1) / 2.0) * sig.ts
     return SpectrogramData(
         time_centers=centers,
         omega=omega,
-        magnitude=np.vstack(rows),
+        magnitude=mag,
         window_len=window_len,
         hop=hop,
         threshold=threshold,

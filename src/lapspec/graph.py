@@ -51,14 +51,6 @@ class Graph:
             canon.add((min(i, j), max(i, j)))
         return cls(n=n, edges=frozenset(canon))
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Sorted neighbor ids of agent i."""
-        out = [j for a, j in self.edges if a == i] + [a for a, j in self.edges if j == i]
-        return tuple(sorted(out))
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
 
 def path_graph(n: int) -> Graph:
     """Chain 0-1-2-...-(n-1)."""

@@ -9,8 +9,11 @@ validate what the decentralized side produces. The building blocks:
   eigenvalues sit at +/- j(1 + lambda) on the imaginary axis;
 - closed-form trajectories x_i(t), z_i(t) as finite sums of sinusoids, and
   the per-agent line amplitudes (modal coefficients) of those sinusoids;
-- observability-rank analysis linking what a single agent's output can
-  reconstruct to which eigenvalues it can estimate.
+- observability ranks by the per-eigenspace PBH (Hautus) test: the rank
+  of [C; CM; ...] is the sum over eigenspaces V_j of rank(C V_j), computed
+  in the eigenbasis without matrix powers, so it stays right at any n;
+- oracle_report, the one ground-truth report validate prints per segment,
+  taken from the state at that segment's start.
 
 All functions are pure over immutable inputs.
 """
@@ -105,11 +108,15 @@ def eig_sym(laplacian: np.ndarray, cluster_tol: float = 1e-8) -> EigenDecomposit
     sorted spectrum) merge into one distinct eigenvalue whose multiplicity is
     the cluster size; the cluster value is the mean. Cluster bases are
     re-orthonormalized for safety. Integer-entry Laplacians at desk scale
-    separate distinct eigenvalues far above the default tolerance.
+    separate distinct eigenvalues far above the default tolerance. A
+    non-symmetric matrix raises ValueError (eigh would read only its lower
+    triangle).
     """
     lap = np.asarray(laplacian, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {lap.shape}")
+    if not np.array_equal(lap, lap.T):
+        raise ValueError("expected a symmetric matrix")
     try:
         vals, vecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:  # practically unreachable at desk scale
@@ -156,9 +163,10 @@ def system_eigenpairs(
 
     Each Laplacian eigenpair (lambda, v) yields the conjugate pair
     +/- j(1 + lambda) with unit-norm eigenvectors [v; +/- j v] / sqrt(2).
-    When verify is set, each pair's residual is checked against the system
-    matrix assembled from the given Laplacian (or, lacking one, from the
-    decomposition's own reconstruction, which only catches basis defects).
+    When verify is set, all residuals are checked in one product against the
+    system matrix assembled from the given Laplacian (or, lacking one, from
+    the decomposition's own reconstruction, which only catches basis
+    defects); the error names the worst eigenvalue.
     """
     basis = dec.full_basis()
     lap_vals = dec.full_values()
@@ -166,20 +174,18 @@ def system_eigenpairs(
         laplacian = (basis * lap_vals) @ basis.T
     sys_mat = build_system_matrix(laplacian)
 
-    pairs: list[tuple[complex, np.ndarray]] = []
-    for lam, col in zip(lap_vals, basis.T):
-        for sign in (+1.0, -1.0):
-            eig = sign * 1j * (1.0 + lam)
-            vec = np.concatenate([col, sign * 1j * col]) / np.sqrt(2.0)
-            pairs.append((eig, vec))
+    signs = np.tile([1.0, -1.0], len(lap_vals))
+    cols = np.repeat(basis, 2, axis=1)
+    eigs = signs * 1j * (1.0 + np.repeat(lap_vals, 2))
+    vecs = np.vstack([cols, signs * 1j * cols]) / np.sqrt(2.0)
     if verify:
-        for eig, vec in pairs:
-            resid = np.max(np.abs(sys_mat @ vec - eig * vec))
-            if resid > tol:
-                raise OracleError(
-                    f"eigenpair residual {resid:.3e} exceeds {tol:.1e} for {eig}"
-                )
-    return pairs
+        resid = np.max(np.abs(sys_mat @ vecs - vecs * eigs), axis=0)
+        worst = int(np.argmax(resid))
+        if resid[worst] > tol:
+            raise OracleError(
+                f"eigenpair residual {resid[worst]:.3e} exceeds {tol:.1e} for {eigs[worst]}"
+            )
+    return list(zip(eigs, vecs.T))
 
 
 def analytic_trajectory(
@@ -258,31 +264,39 @@ def check_estimability(
     return coef.line_amplitudes() > flag_tol
 
 
-def observability_rank(mat: np.ndarray, out_mat: np.ndarray, rank_tol: float = 1e-9) -> int:
-    """Numerical rank of the observability matrix [C; CM; ...; CM^(d-1)].
-
-    Rank is decided by singular values against rank_tol * sigma_max. Each
-    power block's rows are normalized first — a diagonal scaling, which
-    preserves rank but keeps the huge dynamic range of high matrix powers
-    from swamping the threshold.
-    """
-    mat = np.asarray(mat, dtype=float)
+def _output_matrix(out_mat: np.ndarray, n: int) -> np.ndarray:
     out = np.atleast_2d(np.asarray(out_mat, dtype=float))
-    dim = mat.shape[0]
-    if out.shape[1] != dim:
-        raise ValueError(f"output matrix has {out.shape[1]} columns, expected {dim}")
-    blocks = []
-    block = out
-    for _ in range(dim):
-        blocks.append(block)
-        block = block @ mat
-    stacked = np.vstack(blocks)
-    norms = np.linalg.norm(stacked, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    sv = np.linalg.svd(stacked / norms, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rank_tol * sv[0]))
+    if out.shape[1] != n:
+        raise ValueError(f"output matrix has {out.shape[1]} columns, expected {n}")
+    return out
+
+
+def _eigenspace_ranks(out: np.ndarray, bases, rank_tol: float) -> np.ndarray:
+    """rank(C V_j) for each eigenspace basis V_j: the PBH (Hautus) test.
+
+    Singular values of C V_j count above rank_tol * ||C||_2, an absolute
+    scale, so an eigenspace that C does not see (C V_j at rounding level)
+    counts zero rather than one.
+    """
+    floor = rank_tol * np.linalg.norm(out, 2)
+    return np.array(
+        [int(np.sum(np.linalg.svd(out @ b, compute_uv=False) > floor)) for b in bases],
+        dtype=int,
+    )
+
+
+def observability_rank(mat: np.ndarray, out_mat: np.ndarray, rank_tol: float = 1e-9) -> int:
+    """Rank of the observability matrix [C; CM; ...; CM^(d-1)] of symmetric M.
+
+    Computed in M's eigenbasis as the sum over eigenspaces V_j of
+    rank(C V_j), which equals the rank of the power stack without forming
+    matrix powers (whose dynamic range swamps an SVD from about n = 10).
+    Eigenvalues closer than eig_sym's cluster tolerance count as one
+    eigenspace. A non-symmetric M raises ValueError.
+    """
+    dec = eig_sym(mat)
+    out = _output_matrix(out_mat, dec.n)
+    return int(_eigenspace_ranks(out, dec.vectors, rank_tol).sum())
 
 
 def verify_rank_relation(
@@ -290,77 +304,99 @@ def verify_rank_relation(
 ) -> ObservabilityReport:
     """Compare Laplacian-side and paired-system observability ranks.
 
-    Builds the block-diagonal output [C 0; 0 C] for the 2n-state system and
-    computes both ranks; the system rank equals twice the Laplacian rank
-    (flagged, not raised, if the computed integers disagree — that signals
-    numerical rank instability, not a logic error). Also reports, per
-    distinct eigenvalue, whether C sees the eigenspace at all: an eigenvalue
-    is unobservable exactly when C annihilates some eigenvector of its
-    eigenspace, i.e. when C restricted to the cluster basis loses column rank.
+    The Laplacian rank is the PBH sum of rank(C V_j) over the Laplacian
+    eigenspaces. The system rank is the PBH sum for the block-diagonal
+    output [C 0; 0 C] over the eigenspaces of the 2n-state system, taken
+    from the residual-checked system_eigenpairs and grouped by eigenvalue.
+    It is computed independently, so relation_holds (system rank twice the
+    Laplacian rank) is a real check; False signals numerical trouble, not a
+    logic error. An eigenvalue is observable when C sees its whole
+    eigenspace: rank(C V_j) equals its multiplicity.
     """
     lap = np.asarray(laplacian, dtype=float)
-    out = np.atleast_2d(np.asarray(out_mat, dtype=float))
-    n = lap.shape[0]
-    k = out.shape[0]
-    sys_mat = build_system_matrix(lap)
-    out_sys = np.block(
-        [[out, np.zeros((k, n))], [np.zeros((k, n)), out]]
-    )
-    rank_lap = observability_rank(lap, out, rank_tol)
-    rank_sys = observability_rank(sys_mat, out_sys, rank_tol)
-
     dec = eig_sym(lap)
-    observable = np.empty(dec.num_distinct, dtype=bool)
-    for j, block in enumerate(dec.vectors):
-        proj = out @ block
-        sv = np.linalg.svd(proj, compute_uv=False)
-        nu = block.shape[1]
-        full = sv.size >= nu and sv[0] > 0 and np.sum(sv > rank_tol * sv[0]) == nu
-        observable[j] = bool(full)
-
+    out = _output_matrix(out_mat, dec.n)
+    ranks = _eigenspace_ranks(out, dec.vectors, rank_tol)
+    spaces: dict[complex, list[np.ndarray]] = {}
+    for eig, vec in system_eigenpairs(dec, laplacian=lap):
+        spaces.setdefault(eig, []).append(vec)
+    out_sys = np.kron(np.eye(2), out)
+    rank_sys = int(
+        _eigenspace_ranks(out_sys, [np.column_stack(v) for v in spaces.values()], rank_tol).sum()
+    )
+    rank_lap = int(ranks.sum())
     return ObservabilityReport(
         rank_laplacian=rank_lap,
         rank_system=rank_sys,
-        n=n,
-        full_rank=(rank_lap == n),
+        n=dec.n,
+        full_rank=(rank_lap == dec.n),
         relation_holds=(rank_sys == 2 * rank_lap),
         eigenvalues=dec.values.copy(),
-        eigenvalue_observable=observable,
+        eigenvalue_observable=(ranks == dec.multiplicities),
     )
 
 
 def oracle_report(
     g: Graph,
-    x0: np.ndarray,
-    z0: np.ndarray,
-    agents: list[int] | None = None,
-    out_mat: np.ndarray | None = None,
+    x: np.ndarray,
+    z: np.ndarray,
+    agent: int,
     cluster_tol: float = 1e-8,
     rank_tol: float = 1e-9,
 ) -> dict:
-    """JSON-ready ground-truth report for a graph and initial condition.
+    """JSON-ready ground truth for one agent observing g from state (x, z).
 
-    Shape: {"eigenvalues": [...], "multiplicities": [...],
-    "coefficients": {agent: [[lambda, a, b], ...]}, "ranks": {"L": r, "A": r2}}.
-    The default output matrix observes the first listed agent.
+    (x, z) is the state the spectral lines start from: for a segment of a
+    switching schedule, the state at the segment start. The report holds the
+    distinct eigenvalues and multiplicities; per eigenvalue the agent's line
+    amplitude ("coefficient") and whether the agent can estimate it; the
+    PBH ranks for the output row e_agent; and warnings for a rank
+    deficiency, for eigenvalues the agent cannot estimate, and for an
+    initialization that shows the agent only the average mode.
     """
     dec = eigendecompose(g, cluster_tol=cluster_tol)
-    if agents is None:
-        agents = list(range(g.n))
-    if out_mat is None:
-        out_mat = np.zeros((1, g.n))
-        out_mat[0, agents[0]] = 1.0
-    report = verify_rank_relation(build_laplacian(g), out_mat, rank_tol=rank_tol)
-    coeffs = {}
-    for i in agents:
-        c = modal_coefficients(dec, x0, z0, i)
-        coeffs[str(i)] = [
-            [float(lam), float(ai), float(bi)]
-            for lam, ai, bi in zip(c.lambdas, c.a, c.b)
-        ]
+    amps = modal_coefficients(dec, x, z, agent).line_amplitudes()
+    estimable = check_estimability(dec, x, z, agent)
+    out_row = np.zeros((1, g.n))
+    out_row[0, agent] = 1.0
+    rank = verify_rank_relation(build_laplacian(g), out_row, rank_tol=rank_tol)
+
+    warnings: list[str] = []
+    if not rank.full_rank:
+        warnings.append(
+            f"rank deficiency observing agent {agent}: rank {rank.rank_laplacian} "
+            f"< {rank.n}; some eigenvalues are invisible from this agent"
+        )
+    missing = int(np.sum(~estimable))
+    if missing:
+        warnings.append(
+            f"agent {agent} cannot estimate {missing} eigenvalue(s): vanishing "
+            "spectral-line coefficients"
+        )
+    positive = dec.values > 0
+    if np.any(positive) and not np.any(estimable[positive]):
+        warnings.append(
+            f"all coefficients for lambda > 0 vanish at agent {agent}; only the "
+            "average mode is visible (degenerate initialization)"
+        )
     return {
         "eigenvalues": [float(v) for v in dec.values],
         "multiplicities": [int(m) for m in dec.multiplicities],
-        "coefficients": coeffs,
-        "ranks": {"L": report.rank_laplacian, "A": report.rank_system},
+        "per_eigenvalue": [
+            {
+                "lambda": float(lam),
+                "multiplicity": int(mult),
+                "coefficient": float(amp),
+                "estimable": bool(flag),
+            }
+            for lam, mult, amp, flag in zip(dec.values, dec.multiplicities, amps, estimable)
+        ],
+        "rank": {
+            "L": rank.rank_laplacian,
+            "A": rank.rank_system,
+            "n": rank.n,
+            "full": rank.full_rank,
+            "relation_holds": rank.relation_holds,
+        },
+        "warnings": warnings,
     }

@@ -7,9 +7,27 @@ import math
 import numpy as np
 import pytest
 
-from lapspec import ParseError, serialize_edge_list, path_graph, star_graph, cycle_graph, complete_graph
+from pathlib import Path
+
+from lapspec import (
+    ParseError,
+    SimConfig,
+    check_estimability,
+    complete_graph,
+    cycle_graph,
+    eigendecompose,
+    modal_coefficients,
+    parse_schedule,
+    path_graph,
+    random_init,
+    serialize_edge_list,
+    simulate,
+    star_graph,
+)
 from lapspec.cli import main, read_trace_csv, write_trace_csv
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 P5_LAMBDAS = [0.0, 0.3819660113, 1.3819660113, 2.6180339887, 3.6180339887]
@@ -250,6 +268,36 @@ def test_validate_p5_matches_oracle(p5_file, capsys):
     seg = payload["segments"][0]
     assert seg["max_abs_error_estimable"] < 5e-3
     assert seg["rank"]["full"] is True
+
+
+def test_validate_switching_uses_each_segment_start_state(capsys):
+    """Each segment's coefficients and estimability are the oracle's at the
+    segment's first sample, not at the initial state."""
+    path = SCENARIOS / "switching.json"
+    assert run(["validate", path, "--agent", "1", "--seed", "11"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    sched = parse_schedule(path.read_text(), base_dir=SCENARIOS)
+    trace, _ = simulate(sched, SimConfig(t_end=sched.t_end), random_init(5, 11))
+    assert len(payload["segments"]) == len(trace.segments) == 3
+    for seg, span in zip(payload["segments"], trace.segments):
+        lo, _ = trace.sample_range(span.t_start, span.t_end)
+        dec = eigendecompose(span.graph)
+        amps = modal_coefficients(dec, trace.x[lo], trace.z[lo], 1).line_amplitudes()
+        flags = check_estimability(dec, trace.x[lo], trace.z[lo], 1)
+        got = seg["per_eigenvalue"]
+        assert np.allclose([e["coefficient"] for e in got], amps, rtol=0, atol=1e-12)
+        assert [e["estimable"] for e in got] == flags.tolist()
+
+
+def test_validate_path60_is_full_rank(tmp_path, capsys):
+    path = tmp_path / "path60.txt"
+    path.write_text(serialize_edge_list(path_graph(60)))
+    assert run(["validate", path, "--agent", "0", "--seed", "3", "--t-end", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rank = payload["segments"][0]["rank"]
+    assert (rank["L"], rank["A"], rank["n"]) == (60, 120, 60)
+    assert rank["full"] is True and rank["relation_holds"] is True
+    assert not any("rank deficiency" in w for w in payload["warnings"])
 
 
 def test_spectrogram_outputs(p5_file, tmp_path, capsys):

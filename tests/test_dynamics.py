@@ -12,7 +12,6 @@ import pytest
 from lapspec import (
     ConfigError,
     Graph,
-    NetworkState,
     Segment,
     SimConfig,
     SimulationError,
@@ -27,12 +26,17 @@ from lapspec import (
     parse_schedule,
     path_graph,
     random_init,
-    rk4_step,
     round_bound,
     simulate,
     star_graph,
 )
-from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _flat_edges, _stage_rates
+from lapspec.dynamics import (
+    DEFAULT_SAMPLE_RATE,
+    _edge_arrays,
+    _flat_edges,
+    _rk4_core,
+    _stage_rates,
+)
 from conftest import random_connected_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -118,7 +122,10 @@ def test_stage_rates_bitexact_with_local_rule():
     rng = np.random.default_rng(0)
     for g in (P5, star_graph(6), complete_graph(5)):
         s2, d2, _ = _flat_edges(g)
-        neighbors = {i: g.neighbors(i) for i in range(g.n)}
+        neighbors = {i: [] for i in range(g.n)}
+        for i, j in sorted(g.edges):
+            neighbors[i].append(j)
+            neighbors[j].append(i)
         for x, z in _stage_test_states(rng, g.n):
             rates = _stage_rates(np.concatenate((x, z)), s2, d2)
             expected = np.empty(2 * g.n)
@@ -154,31 +161,31 @@ def test_system_matrix_exactly_skew():
 
 def test_rk4_single_agent_rotation():
     g = Graph.from_edges(1, [])
-    state = NetworkState(x=np.array([1.0]), z=np.array([0.0]), t=0.0)
-    out = rk4_step(state, g, 0.01)
-    assert abs(out.x[0] - math.cos(0.01)) < 1e-10
-    assert abs(out.z[0] + math.sin(0.01)) < 1e-10
+    cfg = SimConfig(t_end=0.01, f_s=100.0, h=0.01)
+    trace, _ = simulate(TopologySchedule.single(g, 0.01), cfg, ([1.0], [0.0]))
+    assert abs(trace.x[1, 0] - math.cos(0.01)) < 1e-10
+    assert abs(trace.z[1, 0] + math.sin(0.01)) < 1e-10
 
 
 def test_rk4_zero_step_identity():
-    state = NetworkState(x=np.array([0.3, -0.7]), z=np.array([1.1, 0.0]), t=2.0)
-    out = rk4_step(state, K2, 0.0)
-    assert np.array_equal(out.x, state.x) and np.array_equal(out.z, state.z)
+    s2, d2, _ = _flat_edges(K2)
+    w = np.array([0.3, -0.7, 1.1, 0.0])
+    assert np.array_equal(_rk4_core(w, s2, d2, 0.0), w)
 
 
 def test_rk4_k2_closed_form():
     """1000 steps of h=1e-3 against the closed form cos(3t) at t=1."""
-    state = NetworkState(x=np.array([1.0, -1.0]), z=np.zeros(2), t=0.0)
-    for _ in range(1000):
-        state = rk4_step(state, K2, 1e-3)
-    assert abs(state.x[0] - math.cos(3.0)) < 1e-9
-    assert abs(state.x[1] + math.cos(3.0)) < 1e-9
+    cfg = SimConfig(t_end=1.0, f_s=1.0, h=1e-3)
+    trace, _ = simulate(TopologySchedule.single(K2, 1.0), cfg, ([1.0, -1.0], [0.0, 0.0]))
+    assert abs(trace.x[1, 0] - math.cos(3.0)) < 1e-9
+    assert abs(trace.x[1, 1] + math.cos(3.0)) < 1e-9
 
 
 def test_rk4_nonfinite_abort():
-    state = NetworkState(x=np.array([np.inf, 0.0]), z=np.zeros(2), t=0.0)
+    cfg = SimConfig(t_end=1.0, f_s=10.0, h=0.1)
+    init = (np.array([np.inf, 0.0]), np.zeros(2))
     with np.errstate(invalid="ignore"), pytest.raises(SimulationError, match="non-finite"):
-        rk4_step(state, K2, 0.1)
+        simulate(TopologySchedule.single(K2, 1.0), cfg, init)
 
 
 def test_rk4_agrees_with_matrix_reference():
@@ -189,17 +196,15 @@ def test_rk4_agrees_with_matrix_reference():
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
         lap = build_laplacian(g)
         x0, z0 = random_init(g.n, int(rng.integers(0, 100)))
+        cfg = SimConfig(t_end=1.0, f_s=1000.0, h=1e-3)  # one sample per step
+        trace, _ = simulate(TopologySchedule.single(g, 1.0), cfg, (x0, z0))
         # single step
-        state = rk4_step(NetworkState(x=x0, z=z0, t=0.0), g, 1e-3)
         rx, rz = matrix_rk4_reference(lap, x0, z0, 1e-3, 1)
-        assert np.max(np.abs(state.x - rx)) < 1e-13
-        assert np.max(np.abs(state.z - rz)) < 1e-13
+        assert np.max(np.abs(trace.x[1] - rx)) < 1e-13
+        assert np.max(np.abs(trace.z[1] - rz)) < 1e-13
         # thousand steps
-        state = NetworkState(x=x0, z=z0, t=0.0)
-        for _ in range(1000):
-            state = rk4_step(state, g, 1e-3)
         rx, rz = matrix_rk4_reference(lap, x0, z0, 1e-3, 1000)
-        assert np.max(np.abs(state.x - rx)) < 1e-10
+        assert np.max(np.abs(trace.x[1000] - rx)) < 1e-10
 
 
 # --- simulate --------------------------------------------------------------------
@@ -363,7 +368,7 @@ def test_message_counts_per_agent():
     cfg = SimConfig(t_end=2.0 * math.pi, h=1.0 / DEFAULT_SAMPLE_RATE)
     trace, counter = simulate(sched, cfg, random_init(5, 0))
     steps = trace.num_samples - 1
-    degrees = [P5.degree(i) for i in range(5)]
+    degrees = _edge_arrays(P5)[2].tolist()
     assert counter.per_agent.tolist() == [4 * d * steps for d in degrees]
     assert counter.total == sum(counter.per_agent)
     assert counter.per_sample_rounds == 4

@@ -34,7 +34,7 @@ from lapspec import (
     star_graph,
 )
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
-from lapspec.estimation import _design_matrix
+from lapspec.estimation import _amplitude_spectrum, _design_matrix
 
 FS = DEFAULT_SAMPLE_RATE
 P5_LAMBDAS = np.array([0.0, 0.3819660113, 1.3819660113, 2.6180339887, 3.6180339887])
@@ -562,6 +562,36 @@ def test_spectrogram_switching_topology_changes_lines():
             top = max((p[0] for p in detect_peaks(spec, 0.1)), default=0.0)
             seg = 0 if t_c < 6.4 else (1 if t_c < 12.9 else 2)
             assert bool(top > 5.5) == expected_high[seg], (agent, t_c, top)
+
+
+def test_spectrogram_matches_per_window_loop():
+    """The batched rfft over all frames gives the same bytes as one rfft per
+    window, on the switching trace for several agents, lengths, hops and
+    windows."""
+    segs = (
+        Segment(0.0, 6.4, cycle_graph(5)),
+        Segment(6.4, 12.9, complete_graph(5)),
+        Segment(12.9, 20.0, path_graph(5)),
+    )
+    trace, _ = simulate(TopologySchedule(segments=segs), SimConfig(t_end=20.0), random_init(5, 11))
+    cases = [(agent, window_len, hop, window)
+             for agent in (0, 1, 4)
+             for window_len, hop in ((4, 1), (63, 7), (64, 8), (255, 32), (318, 318))
+             for window in ("hann", "rect")]
+    for agent, window_len, hop, window in cases:
+        sig = SampledSignal.from_trace(trace, agent)
+        data = spectrogram(sig, window_len, hop, window=window)
+        starts = range(0, len(sig.samples) - window_len + 1, hop)
+        rows = [
+            _amplitude_spectrum(sig.samples[k : k + window_len], sig.ts, 4, window)[1]
+            for k in starts
+        ]
+        omega = _amplitude_spectrum(sig.samples[:window_len], sig.ts, 4, window)[0]
+        centers = sig.t0 + (np.array(starts) + (window_len - 1) / 2.0) * sig.ts
+        case = (agent, window_len, hop, window)
+        assert data.magnitude.tobytes() == np.vstack(rows).tobytes(), case
+        assert data.omega.tobytes() == omega.tobytes(), case
+        assert data.time_centers.tobytes() == centers.tobytes(), case
 
 
 def test_spectrogram_window_longer_than_signal():

@@ -23,6 +23,7 @@ from lapspec import (
     serialize_edge_list,
     star_graph,
 )
+from lapspec.dynamics import _edge_arrays
 from conftest import random_connected_graph
 
 
@@ -214,5 +215,5 @@ def test_named_constructors():
         {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
     )
     assert len(cycle_graph(5).edges) == 5
-    assert star_graph(4).neighbors(0) == (1, 2, 3)
-    assert path_graph(3).degree(1) == 2
+    assert star_graph(4).edges == frozenset({(0, 1), (0, 2), (0, 3)})
+    assert _edge_arrays(path_graph(3))[2].tolist() == [1, 2, 1]

@@ -13,6 +13,8 @@ from lapspec import (
     build_laplacian,
     build_system_matrix,
     check_estimability,
+    complete_graph,
+    cycle_graph,
     eig_sym,
     eigendecompose,
     ls_fit,
@@ -329,10 +331,61 @@ def test_per_eigenvalue_observability_flags():
     assert full.eigenvalue_observable.tolist() == [True, True, True]
 
 
+@pytest.mark.parametrize("n", [20, 60, 200])
+def test_rank_path_endpoint_full_at_scale(n):
+    """The path endpoint sees every (simple) eigenspace; the power-stacked
+    observability matrix lost rank here from about n = 10."""
+    lap = build_laplacian(path_graph(n))
+    assert observability_rank(lap, e_row(n, 0)) == n
+    report = verify_rank_relation(lap, e_row(n, 0))
+    assert (report.rank_laplacian, report.rank_system) == (n, 2 * n)
+    assert report.full_rank and report.relation_holds
+
+
+@pytest.mark.parametrize("n", [20, 61, 200])
+def test_rank_cycle_agent_sees_each_distinct_eigenvalue(n):
+    """C_n has floor(n/2) + 1 distinct eigenvalues, each eigenspace visible
+    at every agent, so one agent's rank is floor(n/2) + 1."""
+    lap = build_laplacian(cycle_graph(n))
+    assert observability_rank(lap, e_row(n, 3)) == n // 2 + 1
+
+
+def test_rank_complete_and_star_hub_at_n50():
+    """K_50 has spectrum {0, 50}; the star hub sees {0, 50} but not the
+    48-fold eigenvalue 1, which vanishes at the hub."""
+    assert observability_rank(build_laplacian(complete_graph(50)), e_row(50, 7)) == 2
+    report = verify_rank_relation(build_laplacian(star_graph(50)), e_row(50, 0))
+    assert (report.rank_laplacian, report.rank_system) == (2, 4)
+    assert report.eigenvalue_observable.tolist() == [True, False, True]
+
+
+def test_p5_center_eigenvalue_observable():
+    """The path center is blind to the antisymmetric modes (PBH rank 0)."""
+    report = verify_rank_relation(build_laplacian(P5), e_row(5, 2))
+    assert report.eigenvalue_observable.tolist() == [True, False, True, False, True]
+    assert (report.rank_laplacian, report.rank_system) == (3, 6)
+
+
+def test_observability_rank_rejects_non_symmetric():
+    with pytest.raises(ValueError, match="symmetric"):
+        observability_rank(np.array([[0.0, 1.0], [0.0, 0.0]]), e_row(2, 0))
+
+
 def test_oracle_report_shape():
     x0, z0 = random_init(4, 8)
-    report = oracle_report(STAR4, x0, z0)
-    assert set(report) == {"eigenvalues", "multiplicities", "coefficients", "ranks"}
+    report = oracle_report(STAR4, x0, z0, 1)
+    assert set(report) == {"eigenvalues", "multiplicities", "per_eigenvalue", "rank", "warnings"}
     assert report["multiplicities"] == [1, 2, 1]
-    assert set(report["coefficients"]) == {"0", "1", "2", "3"}
-    assert report["ranks"]["A"] == 2 * report["ranks"]["L"]
+    assert [set(e) for e in report["per_eigenvalue"]] == [
+        {"lambda", "multiplicity", "coefficient", "estimable"}
+    ] * 3
+    dec = eigendecompose(STAR4)
+    assert [e["coefficient"] for e in report["per_eigenvalue"]] == (
+        modal_coefficients(dec, x0, z0, 1).line_amplitudes().tolist()
+    )
+    assert [e["estimable"] for e in report["per_eigenvalue"]] == (
+        check_estimability(dec, x0, z0, 1).tolist()
+    )
+    # a leaf sees one direction of the repeated eigenspace: rank 3 of 4
+    assert report["rank"] == {"L": 3, "A": 6, "n": 4, "full": False, "relation_holds": True}
+    assert report["warnings"][0].startswith("rank deficiency observing agent 1: rank 3 < 4")
