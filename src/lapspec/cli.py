@@ -34,6 +34,7 @@ from .estimation import (
     EstimationError,
     FreqEstimatorConfig,
     SampledSignal,
+    SpectrumEstimate,
     estimate_frequencies,
     spectrogram,
 )
@@ -179,19 +180,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimator_config(args, window: float) -> FreqEstimatorConfig:
-    return FreqEstimatorConfig(
-        ts=1.0 / args.fs,
-        n_max=args.nmax,
-        se=args.se,
-        window=window,
-    )
+def _estimate_span(
+    trace: Trace, args, t_start: float | None, t_end: float | None, default_window: float
+) -> SpectrumEstimate:
+    """args.agent's estimate over [t_start, t_end] (None, None: the whole
+    trace) with a --window-second window, default_window when unset.
+
+    A window longer than the span is an error; over the whole trace the
+    estimator itself rejects a window with more samples than the trace has.
+    """
+    window = args.window if args.window is not None else default_window
+    if t_start is not None and window > t_end - t_start + 1e-9:
+        raise EstimationError(f"window {window:g} s exceeds segment length {t_end - t_start:g} s")
+    sig = SampledSignal.from_trace(trace, args.agent, t_start=t_start, t_end=t_end)
+    cfg = FreqEstimatorConfig(n_max=args.nmax, se=args.se, window=window)
+    return estimate_frequencies(sig, cfg)
 
 
 def cmd_estimate(args) -> int:
     trace = read_trace_csv(Path(args.trace))
-    if abs(trace.f_s - args.fs) / args.fs > 1e-6:
-        args.fs = trace.f_s  # trust the trace's own sampling grid
     if not 0 <= args.agent < trace.n:
         raise EstimationError(f"agent {args.agent} out of range [0, {trace.n})")
 
@@ -201,29 +208,19 @@ def cmd_estimate(args) -> int:
         schedule = _load_schedule(args.schedule, None)
         blocks = []
         for seg in schedule.segments:
-            duration = seg.t_end - seg.t_start
-            window = args.window if args.window is not None else duration
             entry: dict = {"t_start": seg.t_start, "t_end": seg.t_end}
-            if window > duration + 1e-9:
-                entry["error"] = (
-                    f"window {window:g} s exceeds segment length {duration:g} s"
+            try:
+                est = _estimate_span(
+                    trace, args, seg.t_start, seg.t_end, seg.t_end - seg.t_start
                 )
-            else:
-                try:
-                    sig = SampledSignal.from_trace(
-                        trace, args.agent, t_start=seg.t_start, t_end=seg.t_end
-                    )
-                    est = estimate_frequencies(sig, _estimator_config(args, window))
-                    entry["estimate"] = est.to_dict()
-                except EstimationError as exc:
-                    entry["error"] = str(exc)
+                entry["estimate"] = est.to_dict()
+            except EstimationError as exc:
+                entry["error"] = str(exc)
             blocks.append(entry)
         payload = {"agent": args.agent, "per_segment": blocks}
     else:
         duration = trace.times[-1] - trace.times[0]
-        window = args.window if args.window is not None else min(50.0, duration)
-        sig = SampledSignal.from_trace(trace, args.agent)
-        est = estimate_frequencies(sig, _estimator_config(args, window))
+        est = _estimate_span(trace, args, None, None, min(50.0, duration))
         payload = {"agent": args.agent, "estimate": est.to_dict()}
 
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -236,18 +233,10 @@ def cmd_estimate(args) -> int:
 def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, args) -> None:
     """Add the agent's estimate over [t_start, t_end] to the segment's oracle
     report, matching each eigenvalue to the nearest estimated one."""
-    duration = t_end - t_start
-    window = args.window if args.window is not None else duration
     lam_hat: list[float] = []
     amp_hat: list[float] = []
     try:
-        sig = SampledSignal.from_trace(trace, args.agent, t_start=t_start, t_end=t_end)
-        est = estimate_frequencies(
-            sig,
-            FreqEstimatorConfig(
-                ts=1.0 / trace.f_s, n_max=args.nmax, se=args.se, window=min(window, duration)
-            ),
-        )
+        est = _estimate_span(trace, args, t_start, t_end, t_end - t_start)
         lam_hat = [float(v) for v in est.lambdas]
         amp_hat = [float(a) for a in est.amplitudes]
         seg["estimate"] = est.to_dict()
@@ -314,8 +303,6 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     trace = read_trace_csv(Path(args.trace))
-    if not 0 <= args.agent < trace.n:
-        raise EstimationError(f"agent {args.agent} out of range [0, {trace.n})")
     sig = SampledSignal.from_trace(trace, args.agent)
     window_len = args.window_len
     hop = args.hop if args.hop is not None else max(1, window_len // 8)
@@ -377,26 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate Laplacian eigenvalues from decentralized oscillations.",
     )
     parser.add_argument("--version", action="version", version=f"lapspec {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for +/-1 init")
-    common.add_argument("--out-dir", default=None, help="output root (or $LAPSPEC_OUT_DIR)")
-    common.add_argument("--fs", type=float, default=DEFAULT_SAMPLE_RATE,
-                        help="sample rate, samples/s (default 100/(2*pi))")
-    common.add_argument("--step", type=float, default=None,
-                        help="RK4 step in seconds (default: sampling period / 10)")
-    common.add_argument("--window", type=float, default=None,
-                        help="estimation window in seconds")
-    common.add_argument("--nmax", type=int, default=8, help="frequency-count bound")
-    common.add_argument("--se", type=float, default=1.0,
-                        help="reconstruction-error threshold, percent")
-    common.add_argument("--rank-tol", type=float, default=1e-9,
-                        help="SVD threshold for rank decisions, relative to ||C||_2")
-    common.add_argument("--cluster-tol", type=float, default=1e-8,
-                        help="eigenvalue multiplicity clustering tolerance")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=None, help="output root (or $LAPSPEC_OUT_DIR)")
+    rate = argparse.ArgumentParser(add_help=False)
+    rate.add_argument("--fs", type=float, default=DEFAULT_SAMPLE_RATE,
+                      help="sample rate, samples/s (default 100/(2*pi))")
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--seed", type=int, default=0, help="RNG seed for +/-1 init")
+    sim.add_argument("--step", type=float, default=None,
+                     help="RK4 step in seconds (default: sampling period / 10)")
+    est = argparse.ArgumentParser(add_help=False)
+    est.add_argument("--window", type=float, default=None,
+                     help="estimation window in seconds")
+    est.add_argument("--nmax", type=int, default=8, help="frequency-count bound")
+    est.add_argument("--se", type=float, default=1.0,
+                     help="reconstruction-error threshold, percent")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[out, rate, sim],
                            help="run the interaction rule over a schedule")
     p_sim.add_argument("schedule", help="JSON schedule or edge-list file")
     p_sim.add_argument("--t-end", type=float, default=None,
@@ -404,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--init", choices=("random", "ones"), default="random")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", parents=[common],
+    p_est = sub.add_parser("estimate", parents=[out, est],
                            help="estimate eigenvalues from a trace")
     p_est.add_argument("trace", help="trace CSV from simulate")
     p_est.add_argument("--agent", type=int, required=True)
@@ -414,15 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule file (required with --per-segment)")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_val = sub.add_parser("validate", parents=[common],
+    p_val = sub.add_parser("validate", parents=[out, rate, sim, est],
                            help="simulate and compare against the dense oracle")
     p_val.add_argument("schedule", help="JSON schedule or edge-list file")
     p_val.add_argument("--agent", type=int, default=0)
     p_val.add_argument("--t-end", type=float, default=None)
     p_val.add_argument("--init", choices=("random", "ones"), default="random")
+    p_val.add_argument("--rank-tol", type=float, default=1e-9,
+                       help="SVD threshold for rank decisions, relative to ||C||_2")
+    p_val.add_argument("--cluster-tol", type=float, default=1e-8,
+                       help="eigenvalue multiplicity clustering tolerance")
     p_val.set_defaults(func=cmd_validate)
 
-    p_spec = sub.add_parser("spectrogram", parents=[common],
+    p_spec = sub.add_parser("spectrogram", parents=[out],
                             help="STFT magnitudes and display mask from a trace")
     p_spec.add_argument("trace", help="trace CSV from simulate")
     p_spec.add_argument("--agent", type=int, required=True)
@@ -433,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--stft-window", choices=("hann", "rect"), default="hann")
     p_spec.set_defaults(func=cmd_spectrogram)
 
-    p_rounds = sub.add_parser("rounds", parents=[common],
+    p_rounds = sub.add_parser("rounds", parents=[rate],
                               help="communication-round bound 4*max_degree*T*fs")
     p_rounds.add_argument("schedule", nargs="?", default=None,
                           help="optional schedule to derive the max degree")

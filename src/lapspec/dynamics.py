@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, TopologySchedule
+from .graph import Graph, Segment, TopologySchedule
 
 
 class ConfigError(ValueError):
@@ -79,6 +79,11 @@ class SimConfig:
         if self.step_size() <= 0:
             raise ConfigError(f"step h must be positive, got {self.step_size()}")
         self.steps_per_sample()
+        if self.num_samples() < 2:
+            raise ConfigError(
+                f"t_end={self.t_end:g} is shorter than one sampling period "
+                f"1/f_s = {1.0 / self.f_s:g}; a trace needs at least 2 samples"
+            )
         if delta_max is not None:
             top = 2.0 * (1.0 + 2.0 * delta_max)
             if not 2.0 * math.pi * self.f_s > top:
@@ -90,23 +95,15 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SegmentSpan:
-    """Schedule segment as actually simulated, boundaries snapped to steps."""
-
-    t_start: float
-    t_end: float
-    graph: Graph
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled per-agent signals plus the active-topology record."""
+    """Uniformly sampled per-agent signals plus the active-topology record:
+    the schedule's segments as simulated, boundaries snapped to RK4 steps."""
 
     times: np.ndarray
     x: np.ndarray
     z: np.ndarray
     f_s: float
-    segments: tuple[SegmentSpan, ...]
+    segments: tuple[Segment, ...]
 
     @property
     def n(self) -> int:
@@ -255,14 +252,11 @@ def simulate(
     for seg in schedule.segments:
         bounds.append(min(total_steps, round(seg.t_end / h)))
     bounds[-1] = total_steps
-    span_list = [
-        SegmentSpan(t_start=bounds[k] * h, t_end=bounds[k + 1] * h, graph=seg.graph)
+    spans = tuple(
+        Segment(t_start=bounds[k] * h, t_end=bounds[k + 1] * h, graph=seg.graph)
         for k, seg in enumerate(schedule.segments)
         if bounds[k + 1] > bounds[k]
-    ]
-    if not span_list:  # degenerate run shorter than one step
-        span_list = [SegmentSpan(0.0, 0.0, schedule.segments[0].graph)]
-    spans = tuple(span_list)
+    )
 
     xs = np.empty((num_samples, n))
     zs = np.empty((num_samples, n))
@@ -280,10 +274,11 @@ def simulate(
             w = _rk4_core(w, s2, d2, h)
             step += 1
             if step % m == 0:
-                if not np.all(np.isfinite(w)):
+                bad = np.flatnonzero(~np.isfinite(w))
+                if len(bad):
                     raise SimulationError(
-                        f"non-finite state at t={step * h:g}; "
-                        f"max |x|={np.nanmax(np.abs(w[:n])):g}"
+                        f"non-finite state at t={step * h:g}, first at agent "
+                        f"{bad[0] % n}"
                     )
                 xs[sample], zs[sample] = w[:n], w[n:]
                 sample += 1

@@ -3,9 +3,12 @@
 The signal model is a finite sum of sinusoids y(t) = sum_k A_k sin(w_k t + p_k)
 with every w_k = 1 + lambda for some Laplacian eigenvalue lambda, so mapping
 detected frequencies back to eigenvalues is a shift by one. The estimator is
-configured the way classical finite-time frequency estimators are: sampling
-time, an upper bound on the number of frequencies, a reconstruction-error
-threshold (percent) that drives a success flag, and the window length.
+configured the way classical finite-time frequency estimators are, by three
+values: an upper bound on the number of frequencies, a reconstruction-error
+threshold (percent) that drives a success flag, and the window length; the
+sampling time is the signal's own. PEAK_THRESHOLD (smallest line amplitude),
+ZERO_PAD (peak-search DFT oversampling) and LAMBDA_TOL (slack below 1 rad/s
+still mapped to lambda = 0) are fixed constants.
 
 Detection pipeline: rectangular-window DFT of the current fit residual,
 vectorised local-maximum picking with 3-point quadratic interpolation on log
@@ -22,7 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_SAMPLE_RATE, Trace
+from .dynamics import Trace
+
+PEAK_THRESHOLD = 0.005
+ZERO_PAD = 8
+LAMBDA_TOL = 0.05
 
 
 class EstimationError(ValueError):
@@ -115,24 +122,19 @@ class SpectrogramData:
 
 @dataclass(frozen=True)
 class FreqEstimatorConfig:
-    """Estimator interface: sampling time, frequency-count bound, error
-    threshold (percent), and window length in seconds.
+    """Estimator interface: frequency-count bound, error threshold (percent),
+    and window length in seconds; the sampling time is the signal's own and
+    the other settings are the module constants.
 
     The window must cover at least one period of the slowest sinusoid
     (2*pi seconds, since the slowest mode oscillates at 1 rad/s).
     """
 
-    ts: float = 1.0 / DEFAULT_SAMPLE_RATE
     n_max: int = 8
     se: float = 1.0
     window: float = 50.0
-    peak_threshold: float = 0.005
-    zero_pad: int = 8
-    lambda_tol: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.ts <= 0:
-            raise EstimationError(f"sampling time must be positive, got {self.ts}")
         if self.n_max < 1:
             raise EstimationError(f"n_max must be at least 1, got {self.n_max}")
         if self.se <= 0:
@@ -142,8 +144,6 @@ class FreqEstimatorConfig:
                 f"window {self.window:g} s is shorter than the slowest period "
                 f"2*pi ~ {2 * math.pi:.4f} s"
             )
-        if self.peak_threshold <= 0 or self.zero_pad < 1 or self.lambda_tol <= 0:
-            raise EstimationError("peak_threshold, zero_pad, lambda_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,7 @@ def refine_frequencies(
     return omegas
 
 
-def freqs_to_eigenvalues(omegas, tol: float = 0.05) -> np.ndarray:
+def freqs_to_eigenvalues(omegas, tol: float = LAMBDA_TOL) -> np.ndarray:
     """Map detected frequencies to eigenvalue estimates by the unit shift.
 
     Values in [-tol, 0) clamp to zero; anything below -tol corresponds to an
@@ -407,16 +407,11 @@ def estimate_frequencies(
     jointly, and stop at the frequency-count bound, when the residual is
     explained, or when no candidate clears the threshold. Components whose
     fitted amplitude falls below the peak threshold are pruned. Candidates
-    below 1 - lambda_tol rad/s are structurally impossible and never enter.
+    below 1 - LAMBDA_TOL rad/s are structurally impossible and never enter.
     The success flag is true exactly when the reconstruction residual
     (percent) is within the configured threshold; with no detected
     frequencies the flag is false and the residual reads 100 percent.
     """
-    if abs(cfg.ts * sig.f_s - 1.0) > 1e-9:
-        raise EstimationError(
-            f"config sampling time {cfg.ts:g} does not match the signal rate "
-            f"1/f_s = {1.0 / sig.f_s:g}"
-        )
     n_win = int(round(cfg.window * sig.f_s))
     if n_win > len(sig.samples):
         raise EstimationError(
@@ -427,7 +422,7 @@ def estimate_frequencies(
     ts = sig.ts
     norm_y = float(np.linalg.norm(y))
     t = np.arange(n_win) * ts
-    omega_min = 1.0 - cfg.lambda_tol
+    omega_min = 1.0 - LAMBDA_TOL
     omega_max = 0.999 * math.pi / ts
     merge_gap = 2e-2 / ((n_win - 1) * ts)  # ls_fit's distinguishability limit
 
@@ -449,10 +444,10 @@ def estimate_frequencies(
             resid = y
         if norm_y == 0.0 or float(np.linalg.norm(resid)) / norm_y < 1e-10:
             break
-        spec = _amplitude_spectrum(resid, ts, cfg.zero_pad, "rect")
+        spec = _amplitude_spectrum(resid, ts, ZERO_PAD, "rect")
         candidates = detect_peaks(
             Spectrum(omega=spec[0], magnitude=spec[1], resolution=spec[2]),
-            cfg.peak_threshold,
+            PEAK_THRESHOLD,
         )
         candidates = [
             c for c in candidates
@@ -481,7 +476,7 @@ def estimate_frequencies(
 
     window_sig = SampledSignal(samples=y, f_s=sig.f_s, agent=sig.agent, t0=sig.t0)
     amps, phases, residual = ls_fit(window_sig, omegas)
-    keep = amps >= cfg.peak_threshold
+    keep = amps >= PEAK_THRESHOLD
     if not np.any(keep):
         return empty_estimate()
     if not np.all(keep):
@@ -493,7 +488,7 @@ def estimate_frequencies(
         omega=omega_arr,
         amplitudes=amps,
         phases=phases,
-        lambdas=freqs_to_eigenvalues(omega_arr, tol=cfg.lambda_tol),
+        lambdas=freqs_to_eigenvalues(omega_arr),
         flag=bool(residual <= cfg.se),
         residual_percent=residual,
     )

@@ -314,7 +314,13 @@ def verify_rank_relation(
     eigenspace: rank(C V_j) equals its multiplicity.
     """
     lap = np.asarray(laplacian, dtype=float)
-    dec = eig_sym(lap)
+    return _rank_report(eig_sym(lap), lap, out_mat, rank_tol)
+
+
+def _rank_report(
+    dec: EigenDecomposition, lap: np.ndarray, out_mat: np.ndarray, rank_tol: float
+) -> ObservabilityReport:
+    """verify_rank_relation over an existing decomposition of lap."""
     out = _output_matrix(out_mat, dec.n)
     ranks = _eigenspace_ranks(out, dec.vectors, rank_tol)
     spaces: dict[complex, list[np.ndarray]] = {}
@@ -352,14 +358,16 @@ def oracle_report(
     amplitude ("coefficient") and whether the agent can estimate it; the
     PBH ranks for the output row e_agent; and warnings for a rank
     deficiency, for eigenvalues the agent cannot estimate, and for an
-    initialization that shows the agent only the average mode.
+    initialization that shows the agent only the average mode. One
+    decomposition at cluster_tol serves the eigenvalues and the ranks.
     """
-    dec = eigendecompose(g, cluster_tol=cluster_tol)
+    lap = build_laplacian(g)
+    dec = eig_sym(lap, cluster_tol=cluster_tol)
     amps = modal_coefficients(dec, x, z, agent).line_amplitudes()
     estimable = check_estimability(dec, x, z, agent)
     out_row = np.zeros((1, g.n))
     out_row[0, agent] = 1.0
-    rank = verify_rank_relation(build_laplacian(g), out_row, rank_tol=rank_tol)
+    rank = _rank_report(dec, lap, out_row, rank_tol)
 
     warnings: list[str] = []
     if not rank.full_rank:

@@ -222,6 +222,31 @@ def test_per_segment_window_too_long_gives_error_entries(switching_schedule, tmp
     payload = json.loads(capsys.readouterr().out)
     assert all("error" in b for b in payload["per_segment"])
     assert "exceeds segment" in payload["per_segment"][0]["error"]
+    # validate takes the same window path: the same error in every segment
+    assert run([
+        "validate", switching_schedule, "--agent", "0", "--seed", "11", "--window", "15",
+    ]) == 0
+    segments = json.loads(capsys.readouterr().out)["segments"]
+    assert len(segments) == 3
+    for seg in segments:
+        assert set(seg["estimate"]) == {"error"}
+        assert seg["estimate"]["error"].startswith("window 15 s exceeds segment length")
+        assert seg["max_abs_error_estimable"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["rounds", "--delta-max", "2", "--seed", "3"],
+    ["spectrogram", "trace.csv", "--agent", "0", "--nmax", "4"],
+    ["estimate", "trace.csv", "--agent", "0", "--fs", "15.91549"],
+    ["simulate", "p5.txt", "--rank-tol", "1e-6"],
+    ["estimate", "trace.csv", "--agent", "0", "--step", "0.01"],
+    ["spectrogram", "trace.csv", "--agent", "0", "--fs", "16"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code != 0
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_per_segment_requires_schedule(p5_file, tmp_path, capsys):

@@ -181,11 +181,26 @@ def test_rk4_k2_closed_form():
     assert abs(trace.x[1, 1] + math.cos(3.0)) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_rk4_nonfinite_abort():
     cfg = SimConfig(t_end=1.0, f_s=10.0, h=0.1)
     init = (np.array([np.inf, 0.0]), np.zeros(2))
-    with np.errstate(invalid="ignore"), pytest.raises(SimulationError, match="non-finite"):
+    with np.errstate(invalid="ignore"), pytest.raises(
+        SimulationError, match="non-finite state at t=0.1, first at agent 0"
+    ):
         simulate(TopologySchedule.single(K2, 1.0), cfg, init)
+
+
+def test_simulate_rejects_run_shorter_than_one_sample():
+    """A one-sample trace is no trace: simulate rejects it up front."""
+    sched, init = TopologySchedule.single(K2, 1.0), ([1.0, 0.0], [0.0, 0.0])
+    cfg = SimConfig(t_end=0.05)
+    assert cfg.num_samples() == 1
+    with pytest.raises(ConfigError, match="at least 2 samples"):
+        simulate(sched, cfg, init)
+    trace, _ = simulate(sched, SimConfig(t_end=0.07), init)
+    assert trace.num_samples == 2
+    assert trace.segments == (Segment(0.0, 10 * cfg.step_size(), K2),)
 
 
 def test_rk4_agrees_with_matrix_reference():

@@ -406,10 +406,11 @@ def test_estimate_window_exceeds_signal():
         estimate_frequencies(sig, FreqEstimatorConfig(window=20.0))
 
 
-def test_estimate_sampling_time_mismatch():
-    sig = tone(3.0, 30.0)
-    with pytest.raises(EstimationError, match="sampling time"):
-        estimate_frequencies(sig, FreqEstimatorConfig(ts=0.125, window=25.0))
+def test_estimate_takes_sampling_time_from_signal():
+    """A default config fits any sample rate: f_s = 16 is not the default."""
+    sig = tone(3.0, 60.0, f_s=16.0)
+    est = estimate_frequencies(sig, FreqEstimatorConfig())
+    assert est.n == 1 and abs(est.omega[0] - 3.0) < 1e-8 and est.flag
 
 
 def test_estimate_star_repeated_eigenvalue_collapses():
@@ -502,8 +503,6 @@ def test_config_rejects_bad_bounds():
         FreqEstimatorConfig(n_max=0)
     with pytest.raises(EstimationError):
         FreqEstimatorConfig(se=0.0)
-    with pytest.raises(EstimationError):
-        FreqEstimatorConfig(ts=-0.1)
 
 
 # --- spectrogram --------------------------------------------------------------------

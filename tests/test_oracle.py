@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lapspec.oracle
 from lapspec import (
     Graph,
     OracleError,
@@ -389,3 +390,20 @@ def test_oracle_report_shape():
     # a leaf sees one direction of the repeated eigenspace: rank 3 of 4
     assert report["rank"] == {"L": 3, "A": 6, "n": 4, "full": False, "relation_holds": True}
     assert report["warnings"][0].startswith("rank deficiency observing agent 1: rank 3 < 4")
+
+
+def test_oracle_report_decomposes_once_at_cluster_tol(monkeypatch):
+    """One eig_sym per report, at the caller's cluster_tol, so the rank half
+    uses the eigenspaces the report lists."""
+    calls = []
+    real = lapspec.oracle.eig_sym
+
+    def counting(lap, cluster_tol=1e-8):
+        calls.append(cluster_tol)
+        return real(lap, cluster_tol=cluster_tol)
+
+    monkeypatch.setattr(lapspec.oracle, "eig_sym", counting)
+    x0, z0 = random_init(4, 8)
+    report = oracle_report(STAR4, x0, z0, 1, cluster_tol=1e-6)
+    assert calls == [1e-6]
+    assert report["rank"] == {"L": 3, "A": 6, "n": 4, "full": False, "relation_holds": True}
