@@ -33,7 +33,6 @@ from .dynamics import (
     SimConfig,
     SimulationError,
     Trace,
-    build_system_matrix,
     local_derivative,
     random_init,
     round_bound,
@@ -45,6 +44,7 @@ from .oracle import (
     ObservabilityReport,
     OracleError,
     analytic_trajectory,
+    build_system_matrix,
     check_estimability,
     eig_sym,
     eigendecompose,
@@ -58,11 +58,9 @@ from .estimation import (
     EstimationError,
     FreqEstimatorConfig,
     SampledSignal,
-    Spectrum,
     SpectrogramData,
     SpectrumEstimate,
     detect_peaks,
-    dft_magnitude,
     estimate_frequencies,
     freqs_to_eigenvalues,
     ls_fit,

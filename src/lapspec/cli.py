@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,24 +45,6 @@ from .graph import (
     parse_schedule,
 )
 from . import oracle
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved run configuration serialized next to every output."""
-
-    command: str
-    config: dict
-    outputs: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "lapspec",
-            "version": __version__,
-            "command": self.command,
-            "config": self.config,
-            "outputs": self.outputs,
-        }
 
 
 def _out_dir(args) -> Path:
@@ -157,9 +138,11 @@ def cmd_simulate(args) -> int:
     manifest_path = out / "manifest.json"
     write_trace_csv(trace, trace_path)
     _write_json(counter.to_dict(), messages_path)
-    manifest = RunManifest(
-        command="simulate",
-        config={
+    manifest = {
+        "tool": "lapspec",
+        "version": __version__,
+        "command": "simulate",
+        "config": {
             "schedule": _schedule_dict(schedule),
             "t_end": t_end,
             "f_s": args.fs,
@@ -167,12 +150,12 @@ def cmd_simulate(args) -> int:
             "seed": args.seed,
             "init": args.init,
         },
-        outputs={
+        "outputs": {
             "trace": trace_path.name,
             "messages": messages_path.name,
         },
-    )
-    _write_json(manifest.to_dict(), manifest_path)
+    }
+    _write_json(manifest, manifest_path)
     print(
         f"simulated {trace.num_samples} samples over [0, {t_end:g}] s "
         f"({schedule.n} agents, {len(trace.segments)} segment(s)) -> {trace_path}"
@@ -306,9 +289,7 @@ def cmd_spectrogram(args) -> int:
     sig = SampledSignal.from_trace(trace, args.agent)
     window_len = args.window_len
     hop = args.hop if args.hop is not None else max(1, window_len // 8)
-    data = spectrogram(
-        sig, window_len, hop, window=args.stft_window, threshold=args.threshold
-    )
+    data = spectrogram(sig, window_len, hop, window=args.stft_window)
     out = _out_dir(args)
     spec_path = out / "spectrogram.csv"
     mask_path = out / "spectrogram_mask.csv"
@@ -318,7 +299,7 @@ def cmd_spectrogram(args) -> int:
         fh.write(header + "\n")
         for k, t_c in enumerate(data.time_centers):
             fh.write(f"{t_c:.17g}," + ",".join(f"{v:.8g}" for v in data.magnitude[k]) + "\n")
-    mask = data.mask().astype(int)
+    mask = (data.magnitude > args.threshold).astype(int)
     with open(mask_path, "w") as fh:
         fh.write(header + "\n")
         for k, t_c in enumerate(data.time_centers):
@@ -326,9 +307,9 @@ def cmd_spectrogram(args) -> int:
     _write_json(
         {
             "agent": args.agent,
-            "window_len": data.window_len,
-            "hop": data.hop,
-            "threshold": data.threshold,
+            "window_len": window_len,
+            "hop": hop,
+            "threshold": args.threshold,
             "window": args.stft_window,
             "resolution_rad_per_s": data.resolution,
             "slices": len(data.time_centers),

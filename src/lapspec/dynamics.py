@@ -14,16 +14,16 @@ sum(x_i^2 + z_i^2) is conserved.
 Integration is classical fixed-step RK4 realized as four synchronous message
 rounds per step: in each stage every agent sends its current stage value to
 its neighbors, receives theirs, and evaluates the local rule. The dense
-system matrix is never used here — it exists only for the oracle. The state
-is one flat array w = [x, z], and a stage round is one np.bincount over the
-directed edges; it sums each agent's neighbor differences in the per-agent
-loop's sorted order, so both formulations agree bit for bit.
+system matrix is never formed here; it lives in the oracle
+(oracle.build_system_matrix). The state is one flat array w = [x, z], and a
+stage round is one np.bincount over the directed edges, rebuilt from the
+graph at each segment start; it sums each agent's neighbor differences in
+the per-agent loop's sorted order, so both formulations agree bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class SimConfig:
     (default: 10 steps per sample), and the sampling angular frequency
     2*pi*f_s must exceed twice the largest possible signal frequency
     1 + 2*max_degree (checked against the schedule at simulate time).
+    t_end, f_s and the step must be positive and finite.
     """
 
     t_end: float
@@ -71,27 +72,25 @@ class SimConfig:
     def num_samples(self) -> int:
         return int(math.floor(self.t_end * self.f_s + 1e-9)) + 1
 
-    def validate(self, delta_max: int | None = None) -> None:
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.f_s <= 0:
-            raise ConfigError(f"f_s must be positive, got {self.f_s}")
-        if self.step_size() <= 0:
-            raise ConfigError(f"step h must be positive, got {self.step_size()}")
+    def validate(self, delta_max: int) -> None:
+        for name, value in (("t_end", self.t_end), ("f_s", self.f_s), ("step h", self.step_size())):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         self.steps_per_sample()
         if self.num_samples() < 2:
             raise ConfigError(
                 f"t_end={self.t_end:g} is shorter than one sampling period "
                 f"1/f_s = {1.0 / self.f_s:g}; a trace needs at least 2 samples"
             )
-        if delta_max is not None:
-            top = 2.0 * (1.0 + 2.0 * delta_max)
-            if not 2.0 * math.pi * self.f_s > top:
-                raise ConfigError(
-                    f"Nyquist guard violated: sampling angular rate "
-                    f"{2.0 * math.pi * self.f_s:g} rad/s must exceed "
-                    f"{top:g} rad/s (= 2*(1 + 2*max_degree))"
-                )
+        top = 2.0 * (1.0 + 2.0 * delta_max)
+        if not 2.0 * math.pi * self.f_s > top:
+            raise ConfigError(
+                f"Nyquist guard violated: sampling angular rate "
+                f"{2.0 * math.pi * self.f_s:g} rad/s must exceed "
+                f"{top:g} rad/s (= 2*(1 + 2*max_degree))"
+            )
 
 
 @dataclass(frozen=True)
@@ -162,19 +161,6 @@ def local_derivative(
     return z_i + sum_z, -x_i - sum_x
 
 
-def build_system_matrix(laplacian: np.ndarray) -> np.ndarray:
-    """Stacked 2n x 2n system matrix [[0, I+L], [-(I+L), 0]] (oracle only).
-
-    Skew-symmetric for every topology, hence purely oscillatory dynamics.
-    """
-    lap = np.asarray(laplacian, dtype=float)
-    n = lap.shape[0]
-    coupling = np.eye(n) + lap
-    zero = np.zeros((n, n))
-    return np.block([[zero, coupling], [-coupling, zero]])
-
-
-@lru_cache(maxsize=None)
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed edge index arrays (src, dst) sorted by (src, dst), plus degrees.
 
@@ -302,9 +288,11 @@ def round_bound(delta_max: int, t_min: float, f_s: float) -> int:
 
     Over a window of length t_min sampled at f_s with one RK4 step per
     sample, an agent exchanges at most this many messages with neighbors.
+    Every argument must be positive and finite.
     """
-    if delta_max <= 0 or t_min <= 0 or f_s <= 0:
-        raise ValueError("all arguments must be positive")
+    for name, value in (("delta_max", delta_max), ("t_min", t_min), ("f_s", f_s)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     value = 4.0 * delta_max * t_min * f_s
     # Guard against float dust pushing an exact product over the next integer.
     return math.ceil(value * (1.0 - 1e-12))

@@ -7,8 +7,9 @@ configured the way classical finite-time frequency estimators are, by three
 values: an upper bound on the number of frequencies, a reconstruction-error
 threshold (percent) that drives a success flag, and the window length; the
 sampling time is the signal's own. PEAK_THRESHOLD (smallest line amplitude),
-ZERO_PAD (peak-search DFT oversampling) and LAMBDA_TOL (slack below 1 rad/s
-still mapped to lambda = 0) are fixed constants.
+ZERO_PAD (peak-search DFT oversampling), STFT_ZERO_PAD (spectrogram
+oversampling), GN_TOL (Gauss-Newton stopping step) and LAMBDA_TOL (slack
+below 1 rad/s still mapped to lambda = 0) are fixed constants.
 
 Detection pipeline: rectangular-window DFT of the current fit residual,
 vectorised local-maximum picking with 3-point quadratic interpolation on log
@@ -16,7 +17,9 @@ magnitude, then joint Gauss-Newton refinement of all frequencies (gradient
 from the design matrix's own sin/cos columns) with the linear amplitude/phase
 subproblem solved by least squares at every iteration.
 Re-detecting on the residual rather than the raw spectrum keeps window
-sidelobes of strong peaks from masquerading as modes.
+sidelobes of strong peaks from masquerading as modes. One least-squares fit,
+_fit, serves the greedy loop, the refinement and ls_fit, which takes its
+condition number from the singular values lstsq already returns.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from .dynamics import Trace
 
 PEAK_THRESHOLD = 0.005
 ZERO_PAD = 8
+STFT_ZERO_PAD = 4
+GN_TOL = 1e-13
 LAMBDA_TOL = 0.05
 
 
@@ -42,7 +47,6 @@ class SampledSignal:
 
     samples: np.ndarray
     f_s: float
-    agent: int = 0
     t0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -66,58 +70,40 @@ class SampledSignal:
         cls,
         trace: Trace,
         agent: int,
-        component: str = "x",
         t_start: float | None = None,
         t_end: float | None = None,
     ) -> "SampledSignal":
-        """Extract one agent's x or z series, optionally time-sliced."""
+        """Extract one agent's x series, optionally time-sliced.
+
+        A span that holds no sample raises, naming the span and the trace's
+        last time.
+        """
         if not 0 <= agent < trace.n:
             raise EstimationError(f"agent {agent} out of range [0, {trace.n})")
-        if component not in ("x", "z"):
-            raise EstimationError(f"component must be 'x' or 'z', got {component!r}")
-        data = trace.x if component == "x" else trace.z
         lo, hi = 0, trace.num_samples
         if t_start is not None or t_end is not None:
-            lo, hi = trace.sample_range(
-                trace.times[0] if t_start is None else t_start,
-                trace.times[-1] if t_end is None else t_end,
-            )
-        return cls(
-            samples=data[lo:hi, agent].copy(),
-            f_s=trace.f_s,
-            agent=agent,
-            t0=float(trace.times[lo]),
-        )
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided amplitude spectrum on an angular-frequency grid (rad/s).
-
-    resolution is the pre-padding DFT bin width 2*pi/(N*Ts); the grid itself
-    may be finer when the transform was zero-padded.
-    """
-
-    omega: np.ndarray
-    magnitude: np.ndarray
-    resolution: float
+            t_start = trace.times[0] if t_start is None else t_start
+            t_end = trace.times[-1] if t_end is None else t_end
+            lo, hi = trace.sample_range(t_start, t_end)
+            if lo >= hi:
+                raise EstimationError(
+                    f"span [{t_start:g}, {t_end:g}] s holds no samples: the trace "
+                    f"ends at {trace.times[-1]:g} s"
+                )
+        return cls(samples=trace.x[lo:hi, agent].copy(), f_s=trace.f_s, t0=float(trace.times[lo]))
 
 
 @dataclass(frozen=True)
 class SpectrogramData:
-    """STFT magnitudes: rows are time slices, columns frequency bins."""
+    """STFT magnitudes: rows are time slices, columns frequency bins.
+
+    resolution is the pre-padding bin width 2*pi/(window_len*Ts).
+    """
 
     time_centers: np.ndarray
     omega: np.ndarray
     magnitude: np.ndarray
-    window_len: int
-    hop: int
-    threshold: float
     resolution: float
-
-    def mask(self) -> np.ndarray:
-        """Cells above the display threshold (plotting parity)."""
-        return self.magnitude > self.threshold
 
 
 @dataclass(frozen=True)
@@ -137,6 +123,9 @@ class FreqEstimatorConfig:
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise EstimationError(f"n_max must be at least 1, got {self.n_max}")
+        for name, value in (("error threshold se", self.se), ("window", self.window)):
+            if not math.isfinite(value):
+                raise EstimationError(f"{name} must be finite, got {value}")
         if self.se <= 0:
             raise EstimationError(f"error threshold must be positive, got {self.se}")
         if self.window < 2.0 * math.pi - 1e-9:
@@ -184,7 +173,9 @@ def _amplitude_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One-sided amplitude-calibrated DFT magnitude along the last axis.
 
-    samples is one window or a (frames, window_len) stack of them.
+    samples is one window or a (frames, window_len) stack of them. Returns
+    the angular-frequency grid (rad/s), the magnitudes, and the pre-padding
+    bin width 2*pi/(N*Ts) (the grid is zero_pad_factor times finer).
     Normalized by the window's coherent gain so a unit-amplitude sinusoid at
     a bin center reads ~1; the zero and Nyquist bins carry no doubling.
     """
@@ -202,23 +193,8 @@ def _amplitude_spectrum(
     return omega, mag, 2.0 * math.pi / (n * ts)
 
 
-def dft_magnitude(
-    sig: SampledSignal, zero_pad_factor: int = 1, window: str = "rect"
-) -> Spectrum:
-    """Amplitude spectrum of the signal (optionally windowed / zero-padded)."""
-    if zero_pad_factor < 1:
-        raise EstimationError(f"zero_pad_factor must be >= 1, got {zero_pad_factor}")
-    omega, mag, res = _amplitude_spectrum(sig.samples, sig.ts, zero_pad_factor, window)
-    return Spectrum(omega=omega, magnitude=mag, resolution=res)
-
-
 def spectrogram(
-    sig: SampledSignal,
-    window_len: int,
-    hop: int,
-    window: str = "hann",
-    threshold: float = 0.1,
-    zero_pad_factor: int = 4,
+    sig: SampledSignal, window_len: int, hop: int, window: str = "hann"
 ) -> SpectrogramData:
     """Short-time Fourier magnitudes over sliding windows."""
     n = len(sig.samples)
@@ -230,35 +206,26 @@ def spectrogram(
         raise EstimationError(f"hop must be at least 1, got {hop}")
     starts = np.arange(0, n - window_len + 1, hop)
     frames = sig.samples[starts[:, None] + np.arange(window_len)]
-    omega, mag, res = _amplitude_spectrum(frames, sig.ts, zero_pad_factor, window)
+    omega, mag, res = _amplitude_spectrum(frames, sig.ts, STFT_ZERO_PAD, window)
     centers = sig.t0 + (starts + (window_len - 1) / 2.0) * sig.ts
-    return SpectrogramData(
-        time_centers=centers,
-        omega=omega,
-        magnitude=mag,
-        window_len=window_len,
-        hop=hop,
-        threshold=threshold,
-        resolution=res,
-    )
+    return SpectrogramData(time_centers=centers, omega=omega, magnitude=mag, resolution=res)
 
 
 def detect_peaks(
-    spec: Spectrum,
+    omega: np.ndarray,
+    mag: np.ndarray,
     amplitude_threshold: float,
-    min_separation: float | None = None,
+    min_separation: float,
 ) -> list[tuple[float, float]]:
-    """Local spectral maxima above the threshold, sub-bin refined.
+    """Local maxima of the spectrum mag on the grid omega above the
+    threshold, sub-bin refined.
 
     Each local maximum is refined by a 3-point parabola on log magnitude.
-    Peaks closer than min_separation (default: two pre-padding DFT bins)
-    merge keeping the larger; amplitude ties keep the lower frequency.
-    Returns (omega, amplitude) pairs sorted by frequency.
+    Peaks closer than min_separation merge keeping the larger; amplitude ties
+    keep the lower frequency. Returns (omega, amplitude) pairs sorted by
+    frequency.
     """
-    if min_separation is None:
-        min_separation = 2.0 * spec.resolution
-    mag = spec.magnitude
-    grid_step = spec.omega[1] - spec.omega[0] if len(spec.omega) > 1 else 0.0
+    grid_step = omega[1] - omega[0] if len(omega) > 1 else 0.0
     mid_mag = mag[1:-1]
     ks = np.flatnonzero(
         (mid_mag > mag[:-2]) & (mid_mag >= mag[2:]) & (mid_mag > amplitude_threshold)
@@ -270,25 +237,34 @@ def detect_peaks(
         shift = np.where(denom != 0.0, 0.5 * (lo - hi) / denom, 0.0)
         shift = np.clip(shift, -0.5, 0.5)
         interp = (mag[ks - 1] > 0.0) & (mag[ks + 1] > 0.0)
-        peak_omega = np.where(interp, spec.omega[ks] + shift * grid_step, spec.omega[ks])
+        peak_omega = np.where(interp, omega[ks] + shift * grid_step, omega[ks])
         peak_amp = np.where(interp, np.exp(mid - 0.25 * (lo - hi) * shift), mag[ks])
 
     merged: list[tuple[float, float]] = []
-    for omega, amp in zip(peak_omega.tolist(), peak_amp.tolist()):  # ascending omega
-        if merged and omega - merged[-1][0] < min_separation:
+    for w, amp in zip(peak_omega.tolist(), peak_amp.tolist()):  # ascending omega
+        if merged and w - merged[-1][0] < min_separation:
             if amp > merged[-1][1]:
-                merged[-1] = (omega, amp)
+                merged[-1] = (w, amp)
         else:
-            merged.append((omega, amp))
+            merged.append((w, amp))
     return merged
 
 
-def _design_matrix(omegas: np.ndarray, t: np.ndarray) -> np.ndarray:
-    cols = np.empty((len(t), 2 * len(omegas)))
+def _fit(
+    y: np.ndarray, t: np.ndarray, omegas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares sin/cos fit of y at fixed frequencies.
+
+    Returns (design, theta, resid, sv): the design matrix with columns
+    sin(w_k t), cos(w_k t) per frequency, the coefficients, the residual
+    y - design @ theta, and the design's singular values from lstsq.
+    """
+    design = np.empty((len(t), 2 * len(omegas)))
     for k, w in enumerate(omegas):
-        cols[:, 2 * k] = np.sin(w * t)
-        cols[:, 2 * k + 1] = np.cos(w * t)
-    return cols
+        design[:, 2 * k] = np.sin(w * t)
+        design[:, 2 * k + 1] = np.cos(w * t)
+    theta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    return design, theta, y - design @ theta, sv
 
 
 def _closest_pair(omegas: np.ndarray) -> tuple[float, float]:
@@ -323,16 +299,13 @@ def ls_fit(
                 f"near-duplicate frequencies {a:.8g} and {b:.8g} are "
                 f"indistinguishable over a {t[-1]:.3g} s window"
             )
-    design = _design_matrix(omegas, t)
-    sv = np.linalg.svd(design, compute_uv=False)
+    _, theta, resid, sv = _fit(y, t, omegas)
     if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e10:
         a, b = _closest_pair(omegas) if len(omegas) > 1 else (omegas[0], omegas[0])
         raise EstimationError(
             f"ill-conditioned fit (condition {sv[0] / max(sv[-1], 1e-300):.2e}); "
             f"closest frequency pair: {a:.6g} and {b:.6g}"
         )
-    theta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ theta
     norm_y = float(np.linalg.norm(y))
     residual_percent = 100.0 * float(np.linalg.norm(resid)) / norm_y if norm_y > 0 else 0.0
     amps = np.hypot(theta[0::2], theta[1::2])
@@ -344,55 +317,52 @@ def refine_frequencies(
     samples: np.ndarray,
     ts: float,
     omegas,
-    omega_min: float = 1e-6,
-    omega_max: float | None = None,
+    omega_min: float,
+    omega_max: float,
     max_iter: int = 60,
-    tol: float = 1e-13,
 ) -> np.ndarray:
-    """Jointly polish frequencies by damped Gauss-Newton.
+    """Jointly polish frequencies by damped Gauss-Newton within
+    [omega_min, omega_max].
 
     The amplitude/phase subproblem is linear and re-solved exactly at every
     iteration; the frequency step comes from the joint linearization and is
     clipped to half a DFT bin so the iteration stays inside the attraction
-    basin of the initial peaks.
+    basin of the initial peaks. It stops after max_iter iterations or once
+    no frequency moves by GN_TOL.
     """
     omegas = np.array(np.atleast_1d(omegas), dtype=float)
     y = np.asarray(samples, dtype=float)
     t = np.arange(len(y)) * ts
     max_step = 0.5 * 2.0 * math.pi / (len(y) * ts)
-    if omega_max is None:
-        omega_max = math.pi / ts
     for _ in range(max_iter):
-        design = _design_matrix(omegas, t)
-        theta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ theta
+        design, theta, resid, _ = _fit(y, t, omegas)
         # d/dw of alpha sin(w t) + beta cos(w t), from the design's own columns.
         grad = t[:, None] * (theta[0::2] * design[:, 1::2] - theta[1::2] * design[:, 0::2])
         joint = np.hstack([design, grad])
         step, *_ = np.linalg.lstsq(joint, resid, rcond=None)
         delta = np.clip(step[2 * len(omegas) :], -max_step, max_step)
         omegas = np.clip(np.abs(omegas + delta), omega_min, omega_max)
-        if np.max(np.abs(delta)) < tol:
+        if np.max(np.abs(delta)) < GN_TOL:
             break
     return omegas
 
 
-def freqs_to_eigenvalues(omegas, tol: float = LAMBDA_TOL) -> np.ndarray:
+def freqs_to_eigenvalues(omegas) -> np.ndarray:
     """Map detected frequencies to eigenvalue estimates by the unit shift.
 
-    Values in [-tol, 0) clamp to zero; anything below -tol corresponds to an
-    oscillation slower than the structural minimum (1 rad/s) and is rejected
-    as a spurious peak.
+    Values in [-LAMBDA_TOL, 0) clamp to zero; anything below -LAMBDA_TOL
+    corresponds to an oscillation slower than the structural minimum
+    (1 rad/s) and is rejected as a spurious peak.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(np.diff(omegas) < 0):
         raise EstimationError("frequencies must be sorted ascending")
     lams = omegas - 1.0
-    if np.any(lams < -tol):
+    if np.any(lams < -LAMBDA_TOL):
         worst = float(omegas[np.argmin(lams)])
         raise EstimationError(
             f"spurious peak at omega={worst:.6g} rad/s: below the structural "
-            f"minimum frequency 1 rad/s (tolerance {tol:g})"
+            f"minimum frequency 1 rad/s (tolerance {LAMBDA_TOL:g})"
         )
     return np.where(lams < 0.0, 0.0, lams)
 
@@ -436,21 +406,12 @@ def estimate_frequencies(
     omegas: list[float] = []
     rejected: list[float] = []
     for _ in range(cfg.n_max):
-        if omegas:
-            design = _design_matrix(np.array(omegas), t)
-            theta, *_ = np.linalg.lstsq(design, y, rcond=None)
-            resid = y - design @ theta
-        else:
-            resid = y
+        resid = _fit(y, t, np.array(omegas))[2] if omegas else y
         if norm_y == 0.0 or float(np.linalg.norm(resid)) / norm_y < 1e-10:
             break
-        spec = _amplitude_spectrum(resid, ts, ZERO_PAD, "rect")
-        candidates = detect_peaks(
-            Spectrum(omega=spec[0], magnitude=spec[1], resolution=spec[2]),
-            PEAK_THRESHOLD,
-        )
+        omega, mag, resolution = _amplitude_spectrum(resid, ts, ZERO_PAD, "rect")
         candidates = [
-            c for c in candidates
+            c for c in detect_peaks(omega, mag, PEAK_THRESHOLD, 2.0 * resolution)
             if omega_min <= c[0] <= omega_max
             and all(abs(c[0] - r) > merge_gap for r in rejected)
         ]
@@ -474,7 +435,7 @@ def estimate_frequencies(
     if not omegas:
         return empty_estimate()
 
-    window_sig = SampledSignal(samples=y, f_s=sig.f_s, agent=sig.agent, t0=sig.t0)
+    window_sig = SampledSignal(samples=y, f_s=sig.f_s, t0=sig.t0)
     amps, phases, residual = ls_fit(window_sig, omegas)
     keep = amps >= PEAK_THRESHOLD
     if not np.any(keep):

@@ -223,15 +223,6 @@ class TopologySchedule:
     def max_degree(self) -> int:
         return max(max_degree(seg.graph) for seg in self.segments)
 
-    def graph_at(self, t: float) -> Graph:
-        """Graph active at time t (last segment is closed on the right)."""
-        for seg in self.segments:
-            if seg.t_start <= t < seg.t_end:
-                return seg.graph
-        if abs(t - self.t_end) <= self._TIME_TOL:
-            return self.segments[-1].graph
-        raise ValueError(f"t={t} outside schedule span [0, {self.t_end}]")
-
     @classmethod
     def single(cls, graph: Graph, t_end: float) -> "TopologySchedule":
         """Stationary schedule: one graph over [0, t_end]."""

@@ -5,17 +5,23 @@ validate what the decentralized side produces. The building blocks:
 
 - dense symmetric eigendecomposition of the Laplacian, with eigenvalues
   clustered into distinct values and per-cluster orthonormal bases;
-- the induced eigenstructure of the paired (x, z) system matrix, whose
-  eigenvalues sit at +/- j(1 + lambda) on the imaginary axis;
+- the dense paired (x, z) system matrix (build_system_matrix; the simulator
+  never forms it) and its induced eigenstructure, whose eigenvalues sit at
+  +/- j(1 + lambda) on the imaginary axis, each pair checked against the
+  matrix;
 - closed-form trajectories x_i(t), z_i(t) as finite sums of sinusoids, and
   the per-agent line amplitudes (modal coefficients) of those sinusoids;
 - observability ranks by the per-eigenspace PBH (Hautus) test: the rank
   of [C; CM; ...] is the sum over eigenspaces V_j of rank(C V_j), computed
   in the eigenbasis without matrix powers, so it stays right at any n;
 - oracle_report, the one ground-truth report validate prints per segment,
-  taken from the state at that segment's start.
+  taken from the state at that segment's start; it alone takes the
+  clustering and rank tolerances as arguments.
 
-All functions are pure over immutable inputs.
+CLUSTER_TOL (eigenvalue clustering), RANK_TOL (rank threshold relative to
+||C||_2), ESTIMABLE_TOL (smallest estimable line amplitude) and
+RESIDUAL_TOL (eigenpair residual bound) are fixed constants. All functions
+are pure over immutable inputs.
 """
 from __future__ import annotations
 
@@ -24,7 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, build_laplacian
-from .dynamics import build_system_matrix
+
+CLUSTER_TOL = 1e-8
+RANK_TOL = 1e-9
+ESTIMABLE_TOL = 1e-6
+RESIDUAL_TOL = 1e-10
 
 
 class OracleError(RuntimeError):
@@ -59,10 +69,6 @@ class EigenDecomposition:
     def full_values(self) -> np.ndarray:
         """Eigenvalues repeated per multiplicity, aligned with full_basis."""
         return np.repeat(self.values, self.multiplicities)
-
-    def frequencies(self) -> np.ndarray:
-        """Angular oscillation frequencies 1 + lambda of the paired system."""
-        return 1.0 + self.values
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ class ObservabilityReport:
     eigenvalue_observable: np.ndarray
 
 
-def eig_sym(laplacian: np.ndarray, cluster_tol: float = 1e-8) -> EigenDecomposition:
+def eig_sym(laplacian: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenDecomposition:
     """Full symmetric eigendecomposition with multiplicity detection.
 
     Eigenvalues closer than cluster_tol (consecutive-gap clustering of the
@@ -148,43 +154,48 @@ def eig_sym(laplacian: np.ndarray, cluster_tol: float = 1e-8) -> EigenDecomposit
     )
 
 
-def eigendecompose(g: Graph, cluster_tol: float = 1e-8) -> EigenDecomposition:
+def eigendecompose(g: Graph) -> EigenDecomposition:
     """Convenience: eig_sym of the graph's Laplacian."""
-    return eig_sym(build_laplacian(g), cluster_tol=cluster_tol)
+    return eig_sym(build_laplacian(g))
+
+
+def build_system_matrix(laplacian: np.ndarray) -> np.ndarray:
+    """Stacked 2n x 2n system matrix [[0, I+L], [-(I+L), 0]].
+
+    Skew-symmetric for every topology, hence purely oscillatory dynamics.
+    """
+    lap = np.asarray(laplacian, dtype=float)
+    n = lap.shape[0]
+    coupling = np.eye(n) + lap
+    zero = np.zeros((n, n))
+    return np.block([[zero, coupling], [-coupling, zero]])
 
 
 def system_eigenpairs(
-    dec: EigenDecomposition,
-    laplacian: np.ndarray | None = None,
-    verify: bool = True,
-    tol: float = 1e-10,
+    dec: EigenDecomposition, laplacian: np.ndarray
 ) -> list[tuple[complex, np.ndarray]]:
     """Eigenpairs of the paired 2n x 2n system matrix induced by the Laplacian.
 
-    Each Laplacian eigenpair (lambda, v) yields the conjugate pair
+    Each Laplacian eigenpair (lambda, v) of dec yields the conjugate pair
     +/- j(1 + lambda) with unit-norm eigenvectors [v; +/- j v] / sqrt(2).
-    When verify is set, all residuals are checked in one product against the
-    system matrix assembled from the given Laplacian (or, lacking one, from
-    the decomposition's own reconstruction, which only catches basis
-    defects); the error names the worst eigenvalue.
+    All residuals are checked in one product against the system matrix
+    assembled from laplacian; a residual above RESIDUAL_TOL raises
+    OracleError naming the worst eigenvalue.
     """
     basis = dec.full_basis()
     lap_vals = dec.full_values()
-    if laplacian is None:
-        laplacian = (basis * lap_vals) @ basis.T
     sys_mat = build_system_matrix(laplacian)
 
     signs = np.tile([1.0, -1.0], len(lap_vals))
     cols = np.repeat(basis, 2, axis=1)
     eigs = signs * 1j * (1.0 + np.repeat(lap_vals, 2))
     vecs = np.vstack([cols, signs * 1j * cols]) / np.sqrt(2.0)
-    if verify:
-        resid = np.max(np.abs(sys_mat @ vecs - vecs * eigs), axis=0)
-        worst = int(np.argmax(resid))
-        if resid[worst] > tol:
-            raise OracleError(
-                f"eigenpair residual {resid[worst]:.3e} exceeds {tol:.1e} for {eigs[worst]}"
-            )
+    resid = np.max(np.abs(sys_mat @ vecs - vecs * eigs), axis=0)
+    worst = int(np.argmax(resid))
+    if resid[worst] > RESIDUAL_TOL:
+        raise OracleError(
+            f"eigenpair residual {resid[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} for {eigs[worst]}"
+        )
     return list(zip(eigs, vecs.T))
 
 
@@ -246,22 +257,18 @@ def modal_coefficients(
 
 
 def check_estimability(
-    dec: EigenDecomposition,
-    x0: np.ndarray,
-    z0: np.ndarray,
-    agent: int,
-    flag_tol: float = 1e-6,
+    dec: EigenDecomposition, x0: np.ndarray, z0: np.ndarray, agent: int
 ) -> np.ndarray:
     """Which distinct eigenvalues agent i can estimate from its own signal.
 
     An eigenvalue is estimable exactly when its spectral line in x_i has
-    nonzero amplitude, which folds together the two classical hypotheses
-    (initial conditions not orthogonal to the eigenspace, and the eigenspace
-    visible from the agent's output). Returns a boolean flag per distinct
-    eigenvalue. Multiplicities are never recoverable from frequencies alone.
+    nonzero amplitude (above ESTIMABLE_TOL), which folds together the two
+    classical hypotheses (initial conditions not orthogonal to the
+    eigenspace, and the eigenspace visible from the agent's output). Returns
+    a boolean flag per distinct eigenvalue. Multiplicities are never
+    recoverable from frequencies alone.
     """
-    coef = modal_coefficients(dec, x0, z0, agent)
-    return coef.line_amplitudes() > flag_tol
+    return modal_coefficients(dec, x0, z0, agent).line_amplitudes() > ESTIMABLE_TOL
 
 
 def _output_matrix(out_mat: np.ndarray, n: int) -> np.ndarray:
@@ -285,23 +292,22 @@ def _eigenspace_ranks(out: np.ndarray, bases, rank_tol: float) -> np.ndarray:
     )
 
 
-def observability_rank(mat: np.ndarray, out_mat: np.ndarray, rank_tol: float = 1e-9) -> int:
+def observability_rank(mat: np.ndarray, out_mat: np.ndarray) -> int:
     """Rank of the observability matrix [C; CM; ...; CM^(d-1)] of symmetric M.
 
     Computed in M's eigenbasis as the sum over eigenspaces V_j of
     rank(C V_j), which equals the rank of the power stack without forming
     matrix powers (whose dynamic range swamps an SVD from about n = 10).
     Eigenvalues closer than eig_sym's cluster tolerance count as one
-    eigenspace. A non-symmetric M raises ValueError.
+    eigenspace, and singular values count above RANK_TOL * ||C||_2. A
+    non-symmetric M raises ValueError.
     """
     dec = eig_sym(mat)
     out = _output_matrix(out_mat, dec.n)
-    return int(_eigenspace_ranks(out, dec.vectors, rank_tol).sum())
+    return int(_eigenspace_ranks(out, dec.vectors, RANK_TOL).sum())
 
 
-def verify_rank_relation(
-    laplacian: np.ndarray, out_mat: np.ndarray, rank_tol: float = 1e-9
-) -> ObservabilityReport:
+def verify_rank_relation(laplacian: np.ndarray, out_mat: np.ndarray) -> ObservabilityReport:
     """Compare Laplacian-side and paired-system observability ranks.
 
     The Laplacian rank is the PBH sum of rank(C V_j) over the Laplacian
@@ -311,10 +317,11 @@ def verify_rank_relation(
     It is computed independently, so relation_holds (system rank twice the
     Laplacian rank) is a real check; False signals numerical trouble, not a
     logic error. An eigenvalue is observable when C sees its whole
-    eigenspace: rank(C V_j) equals its multiplicity.
+    eigenspace: rank(C V_j) equals its multiplicity. Ranks count singular
+    values above RANK_TOL * ||C||_2.
     """
     lap = np.asarray(laplacian, dtype=float)
-    return _rank_report(eig_sym(lap), lap, out_mat, rank_tol)
+    return _rank_report(eig_sym(lap), lap, out_mat, RANK_TOL)
 
 
 def _rank_report(
@@ -347,8 +354,8 @@ def oracle_report(
     x: np.ndarray,
     z: np.ndarray,
     agent: int,
-    cluster_tol: float = 1e-8,
-    rank_tol: float = 1e-9,
+    cluster_tol: float = CLUSTER_TOL,
+    rank_tol: float = RANK_TOL,
 ) -> dict:
     """JSON-ready ground truth for one agent observing g from state (x, z).
 
@@ -359,12 +366,13 @@ def oracle_report(
     PBH ranks for the output row e_agent; and warnings for a rank
     deficiency, for eigenvalues the agent cannot estimate, and for an
     initialization that shows the agent only the average mode. One
-    decomposition at cluster_tol serves the eigenvalues and the ranks.
+    decomposition at cluster_tol serves the eigenvalues and the ranks, and
+    one set of modal coefficients the amplitudes and the estimable flags.
     """
     lap = build_laplacian(g)
     dec = eig_sym(lap, cluster_tol=cluster_tol)
     amps = modal_coefficients(dec, x, z, agent).line_amplitudes()
-    estimable = check_estimability(dec, x, z, agent)
+    estimable = amps > ESTIMABLE_TOL
     out_row = np.zeros((1, g.n))
     out_row[0, agent] = 1.0
     rank = _rank_report(dec, lap, out_row, rank_tol)

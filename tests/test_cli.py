@@ -234,6 +234,47 @@ def test_per_segment_window_too_long_gives_error_entries(switching_schedule, tmp
         assert seg["max_abs_error_estimable"] is None
 
 
+def test_per_segment_past_trace_end_gives_error_entry(switching_schedule, tmp_path, capsys):
+    """A segment that starts after the trace ends is an error entry naming
+    the span and the trace's last time; the other segments are kept."""
+    out = tmp_path / "out"
+    assert run(["simulate", switching_schedule, "--seed", "11", "--t-end", "10", "--out-dir", out]) == 0
+    capsys.readouterr()
+    assert run([
+        "estimate", out / "trace.csv", "--agent", "1",
+        "--per-segment", "--schedule", switching_schedule,
+    ]) == 0
+    blocks = json.loads(capsys.readouterr().out)["per_segment"]
+    assert len(blocks) == 3
+    assert blocks[0]["estimate"]["flag"]
+    assert "needs" in blocks[1]["error"]  # 6.5 s window, 3.6 s of trace
+    assert blocks[2]["error"] == "span [12.9, 20] s holds no samples: the trace ends at 9.99026 s"
+
+
+@pytest.mark.parametrize("argv, setting", [
+    pytest.param(["simulate", "{p5}", "--t-end", "inf"], "t_end must be finite", id="t-end-inf"),
+    pytest.param(["simulate", "{p5}", "--fs", "nan"], "f_s must be finite", id="fs-nan"),
+    pytest.param(["simulate", "{p5}", "--step", "nan"], "step h must be finite", id="step-nan"),
+    pytest.param(["estimate", "{trace}", "--agent", "0", "--window", "inf"],
+                 "window must be finite", id="window-inf"),
+    pytest.param(["estimate", "{trace}", "--agent", "0", "--window", "nan"],
+                 "window must be finite", id="window-nan"),
+    pytest.param(["estimate", "{trace}", "--agent", "0", "--se", "nan"],
+                 "error threshold se must be finite", id="se-nan"),
+    pytest.param(["rounds", "--delta-max", "2", "--t-min", "inf"],
+                 "t_min must be positive and finite", id="t-min-inf"),
+])
+def test_non_finite_settings_rejected_by_name(argv, setting, p5_file, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    if "{trace}" in argv:
+        assert run(["simulate", p5_file, "--t-end", "10", "--out-dir", tmp_path]) == 0
+        capsys.readouterr()
+    assert run([a.format(p5=p5_file, trace=trace) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting}, got ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["rounds", "--delta-max", "2", "--seed", "3"],
     ["spectrogram", "trace.csv", "--agent", "0", "--nmax", "4"],
@@ -342,6 +383,29 @@ def test_spectrogram_outputs(p5_file, tmp_path, capsys):
     for line in mask_lines[1:]:
         cells.update(line.split(",")[1:])
     assert cells <= {"0", "1"} and "1" in cells
+
+
+def test_spectrogram_mask_is_magnitude_above_threshold(p5_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    run(["simulate", p5_file, "--seed", "12345", "--out-dir", out])
+    capsys.readouterr()
+    assert run([
+        "spectrogram", out / "trace.csv", "--agent", "2", "--window-len", "128",
+        "--threshold", "0.3", "--stft-window", "rect", "--out-dir", out,
+    ]) == 0
+    spec_lines = (out / "spectrogram.csv").read_text().splitlines()
+    mask_lines = (out / "spectrogram_mask.csv").read_text().splitlines()
+    assert spec_lines[0] == mask_lines[0] and len(spec_lines) == len(mask_lines)
+    cells = set()
+    for spec_row, mask_row in zip(spec_lines[1:], mask_lines[1:]):
+        t_spec, *mags = spec_row.split(",")
+        t_mask, *flags = mask_row.split(",")
+        assert t_spec == t_mask
+        assert flags == [str(int(float(m) > 0.3)) for m in mags]
+        cells.update(flags)
+    assert cells == {"0", "1"}
+    meta = json.loads((out / "spectrogram_meta.json").read_text())
+    assert (meta["threshold"], meta["window"], meta["window_len"], meta["hop"]) == (0.3, "rect", 128, 16)
 
 
 def test_spectrogram_window_too_long(p5_file, tmp_path, capsys):

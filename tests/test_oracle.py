@@ -89,13 +89,13 @@ def test_eig_clustering_merges_near_values():
 # --- induced system eigenstructure ----------------------------------------------
 
 def test_system_eigenpairs_single_node():
-    dec = eig_sym(np.array([[0.0]]))
-    pairs = system_eigenpairs(dec)
+    lap = np.array([[0.0]])
+    pairs = system_eigenpairs(eig_sym(lap), lap)
     assert sorted(complex(p[0]).imag for p in pairs) == [-1.0, 1.0]
 
 
 def test_system_eigenpairs_k2_values():
-    pairs = system_eigenpairs(eigendecompose(K2))
+    pairs = system_eigenpairs(eigendecompose(K2), build_laplacian(K2))
     got = sorted(complex(p[0]).imag for p in pairs)
     assert np.allclose(got, [-3.0, -1.0, 1.0, 3.0], atol=1e-12)
     # cross-check against a complex eigensolver on the assembled matrix
@@ -105,7 +105,7 @@ def test_system_eigenpairs_k2_values():
 
 
 def test_system_eigenpairs_p5_shift():
-    pairs = system_eigenpairs(eigendecompose(P5))
+    pairs = system_eigenpairs(eigendecompose(P5), build_laplacian(P5))
     pos = sorted(p[0].imag for p in pairs if p[0].imag > 0)
     assert np.allclose(pos, 1.0 + np.array([0.0, 0.3819660113, 1.3819660113,
                                             2.6180339887, 3.6180339887]), atol=1e-9)
@@ -115,7 +115,7 @@ def test_system_eigenpairs_residual_verified():
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
-        system_eigenpairs(eigendecompose(g), verify=True)  # raises on failure
+        system_eigenpairs(eigendecompose(g), build_laplacian(g))  # raises on failure
 
 
 def test_system_eigenpairs_detects_corruption():
@@ -126,7 +126,7 @@ def test_system_eigenpairs_detects_corruption():
         vectors=dec.vectors,
     )
     with pytest.raises(OracleError):
-        system_eigenpairs(bad, laplacian=build_laplacian(K2), verify=True)
+        system_eigenpairs(bad, build_laplacian(K2))
 
 
 def test_lemma_eigenvalue_multiset_random():
@@ -221,7 +221,7 @@ def test_modal_star_degenerate_matches_amplitude_fit():
     x, _ = analytic_trajectory(dec, x0, z0, t)
     for agent in range(4):
         coef = modal_coefficients(dec, x0, z0, agent)
-        sig = SampledSignal(samples=x[:, agent], f_s=f_s, agent=agent)
+        sig = SampledSignal(samples=x[:, agent], f_s=f_s)
         amps, _, resid = ls_fit(sig, 1.0 + dec.values)
         assert resid < 1e-8
         assert abs(amps[1] - coef.a[1]) < 1e-8
@@ -407,3 +407,23 @@ def test_oracle_report_decomposes_once_at_cluster_tol(monkeypatch):
     report = oracle_report(STAR4, x0, z0, 1, cluster_tol=1e-6)
     assert calls == [1e-6]
     assert report["rank"] == {"L": 3, "A": 6, "n": 4, "full": False, "relation_holds": True}
+
+
+def test_oracle_report_computes_modal_coefficients_once(monkeypatch):
+    """One modal_coefficients call per report serves both the line
+    amplitudes and the estimable flags."""
+    calls = []
+    real = lapspec.oracle.modal_coefficients
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(lapspec.oracle, "modal_coefficients", counting)
+    x0, z0 = random_init(5, 12345)
+    report = oracle_report(P5, x0, z0, 2)
+    assert calls == [2]
+    dec = eigendecompose(P5)
+    assert [e["estimable"] for e in report["per_eigenvalue"]] == (
+        check_estimability(dec, x0, z0, 2).tolist()
+    )
