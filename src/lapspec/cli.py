@@ -22,6 +22,7 @@ from . import __version__
 from .dynamics import (
     DEFAULT_SAMPLE_RATE,
     ConfigError,
+    MessageCounter,
     SimConfig,
     SimulationError,
     Trace,
@@ -76,12 +77,6 @@ def _schedule_dict(schedule: TopologySchedule) -> list[dict]:
     ]
 
 
-def _initial_state(mode: str, n: int, seed: int):
-    if mode == "ones":
-        return np.ones(n), np.ones(n)
-    return random_init(n, seed)
-
-
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """Trace CSV: header t,x_0..x_{n-1},z_0..z_{n-1}, full double precision."""
     n = trace.n
@@ -125,13 +120,27 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_simulate(args) -> int:
+def _emit(payload: dict, args, name: str) -> None:
+    """Print payload as JSON; also write it to the output root as name
+    when --out-dir or $LAPSPEC_OUT_DIR sets one."""
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    if args.out_dir or os.environ.get("LAPSPEC_OUT_DIR"):
+        _write_json(payload, _out_dir(args) / name)
+
+
+def _run(args) -> tuple[TopologySchedule, SimConfig, Trace, MessageCounter]:
+    """Simulate args.schedule up to --t-end (default: the schedule's end)
+    from the --init state."""
     schedule = _load_schedule(args.schedule, args.t_end)
     t_end = args.t_end if args.t_end is not None else schedule.t_end
     cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
-    x0, z0 = _initial_state(args.init, schedule.n, args.seed)
-    trace, counter = simulate(schedule, cfg, (x0, z0))
+    n = schedule.n
+    init = (np.ones(n), np.ones(n)) if args.init == "ones" else random_init(n, args.seed)
+    return (schedule, cfg, *simulate(schedule, cfg, init))
 
+
+def cmd_simulate(args) -> int:
+    schedule, cfg, trace, counter = _run(args)
     out = _out_dir(args)
     trace_path = out / "trace.csv"
     messages_path = out / "messages.json"
@@ -144,7 +153,7 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "config": {
             "schedule": _schedule_dict(schedule),
-            "t_end": t_end,
+            "t_end": cfg.t_end,
             "f_s": args.fs,
             "h": cfg.step_size(),
             "seed": args.seed,
@@ -157,7 +166,7 @@ def cmd_simulate(args) -> int:
     }
     _write_json(manifest, manifest_path)
     print(
-        f"simulated {trace.num_samples} samples over [0, {t_end:g}] s "
+        f"simulated {trace.num_samples} samples over [0, {cfg.t_end:g}] s "
         f"({schedule.n} agents, {len(trace.segments)} segment(s)) -> {trace_path}"
     )
     return 0
@@ -203,13 +212,11 @@ def cmd_estimate(args) -> int:
         payload = {"agent": args.agent, "per_segment": blocks}
     else:
         duration = trace.times[-1] - trace.times[0]
-        est = _estimate_span(trace, args, None, None, min(50.0, duration))
+        est = _estimate_span(
+            trace, args, None, None, min(FreqEstimatorConfig.window, duration)
+        )
         payload = {"agent": args.agent, "estimate": est.to_dict()}
-
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out_dir or os.environ.get("LAPSPEC_OUT_DIR"):
-        _write_json(payload, _out_dir(args) / "estimate.json")
+    _emit(payload, args, "estimate.json")
     return 0
 
 
@@ -241,11 +248,7 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
 
 
 def cmd_validate(args) -> int:
-    schedule = _load_schedule(args.schedule, args.t_end)
-    t_end = args.t_end if args.t_end is not None else schedule.t_end
-    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
-    x0, z0 = _initial_state(args.init, schedule.n, args.seed)
-    trace, _ = simulate(schedule, cfg, (x0, z0))
+    _, _, trace, _ = _run(args)
 
     energy = trace.x**2 + trace.z**2
     total = energy.sum(axis=1)
@@ -257,10 +260,7 @@ def cmd_validate(args) -> int:
         # Lines over the segment start from the state at its first sample,
         # the same sample the segment's estimate starts from.
         lo, _ = trace.sample_range(span.t_start, span.t_end)
-        seg = oracle.oracle_report(
-            span.graph, trace.x[lo], trace.z[lo], args.agent,
-            cluster_tol=args.cluster_tol, rank_tol=args.rank_tol,
-        )
+        seg = oracle.oracle_report(span.graph, trace.x[lo], trace.z[lo], args.agent)
         warnings.extend(seg.pop("warnings"))
         _validate_segment(seg, trace, span.t_start, span.t_end, args)
         segments.append(seg)
@@ -277,14 +277,13 @@ def cmd_validate(args) -> int:
         "segments": segments,
         "warnings": warnings,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out_dir or os.environ.get("LAPSPEC_OUT_DIR"):
-        _write_json(payload, _out_dir(args) / "validation.json")
+    _emit(payload, args, "validation.json")
     return 0
 
 
 def cmd_spectrogram(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise EstimationError(f"threshold must be finite, got {args.threshold}")
     trace = read_trace_csv(Path(args.trace))
     sig = SampledSignal.from_trace(trace, args.agent)
     window_len = args.window_len
@@ -357,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     est = argparse.ArgumentParser(add_help=False)
     est.add_argument("--window", type=float, default=None,
                      help="estimation window in seconds")
-    est.add_argument("--nmax", type=int, default=8, help="frequency-count bound")
-    est.add_argument("--se", type=float, default=1.0,
+    est.add_argument("--nmax", type=int, default=FreqEstimatorConfig.n_max,
+                     help="frequency-count bound")
+    est.add_argument("--se", type=float, default=FreqEstimatorConfig.se,
                      help="reconstruction-error threshold, percent")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -387,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--agent", type=int, default=0)
     p_val.add_argument("--t-end", type=float, default=None)
     p_val.add_argument("--init", choices=("random", "ones"), default="random")
-    p_val.add_argument("--rank-tol", type=float, default=1e-9,
-                       help="SVD threshold for rank decisions, relative to ||C||_2")
-    p_val.add_argument("--cluster-tol", type=float, default=1e-8,
-                       help="eigenvalue multiplicity clustering tolerance")
     p_val.set_defaults(func=cmd_validate)
 
     p_spec = sub.add_parser("spectrogram", parents=[out],

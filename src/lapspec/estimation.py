@@ -52,8 +52,8 @@ class SampledSignal:
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
             raise EstimationError("signal needs at least 2 samples")
-        if self.f_s <= 0:
-            raise EstimationError(f"sample rate must be positive, got {self.f_s}")
+        if not 0 < self.f_s < math.inf:
+            raise EstimationError(f"sample rate f_s must be positive and finite, got {self.f_s}")
         if not np.all(np.isfinite(self.samples)):
             raise EstimationError("signal has non-finite samples (nan or inf)")
 
@@ -352,9 +352,12 @@ def freqs_to_eigenvalues(omegas) -> np.ndarray:
 
     Values in [-LAMBDA_TOL, 0) clamp to zero; anything below -LAMBDA_TOL
     corresponds to an oscillation slower than the structural minimum
-    (1 rad/s) and is rejected as a spurious peak.
+    (1 rad/s) and is rejected as a spurious peak, as is a non-finite
+    frequency.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if not np.all(np.isfinite(omegas)):
+        raise EstimationError(f"frequencies must be finite, got {omegas.tolist()}")
     if np.any(np.diff(omegas) < 0):
         raise EstimationError("frequencies must be sorted ascending")
     lams = omegas - 1.0

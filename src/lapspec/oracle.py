@@ -15,8 +15,7 @@ validate what the decentralized side produces. The building blocks:
   of [C; CM; ...] is the sum over eigenspaces V_j of rank(C V_j), computed
   in the eigenbasis without matrix powers, so it stays right at any n;
 - oracle_report, the one ground-truth report validate prints per segment,
-  taken from the state at that segment's start; it alone takes the
-  clustering and rank tolerances as arguments.
+  taken from the state at that segment's start.
 
 CLUSTER_TOL (eigenvalue clustering), RANK_TOL (rank threshold relative to
 ||C||_2), ESTIMABLE_TOL (smallest estimable line amplitude) and
@@ -107,14 +106,14 @@ class ObservabilityReport:
     eigenvalue_observable: np.ndarray
 
 
-def eig_sym(laplacian: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenDecomposition:
+def eig_sym(laplacian: np.ndarray) -> EigenDecomposition:
     """Full symmetric eigendecomposition with multiplicity detection.
 
-    Eigenvalues closer than cluster_tol (consecutive-gap clustering of the
+    Eigenvalues closer than CLUSTER_TOL (consecutive-gap clustering of the
     sorted spectrum) merge into one distinct eigenvalue whose multiplicity is
     the cluster size; the cluster value is the mean. Cluster bases are
     re-orthonormalized for safety. Integer-entry Laplacians at desk scale
-    separate distinct eigenvalues far above the default tolerance. A
+    separate distinct eigenvalues far above that tolerance. A
     non-symmetric matrix raises ValueError (eigh would read only its lower
     triangle).
     """
@@ -130,7 +129,7 @@ def eig_sym(laplacian: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenDec
 
     clusters: list[list[int]] = [[0]]
     for k in range(1, len(vals)):
-        if vals[k] - vals[clusters[-1][-1]] <= cluster_tol:
+        if vals[k] - vals[clusters[-1][-1]] <= CLUSTER_TOL:
             clusters[-1].append(k)
         else:
             clusters.append([k])
@@ -144,7 +143,7 @@ def eig_sym(laplacian: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenDec
         q, _ = np.linalg.qr(block)
         # eigh returns orthonormal columns; QR only guards rounding and fixes
         # nothing structural, so signs may flip — coefficients are basis-free.
-        distinct.append(0.0 if abs(value) <= cluster_tol else value)
+        distinct.append(0.0 if abs(value) <= CLUSTER_TOL else value)
         mults.append(len(idx))
         bases.append(q)
     return EigenDecomposition(
@@ -278,14 +277,14 @@ def _output_matrix(out_mat: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _eigenspace_ranks(out: np.ndarray, bases, rank_tol: float) -> np.ndarray:
+def _eigenspace_ranks(out: np.ndarray, bases) -> np.ndarray:
     """rank(C V_j) for each eigenspace basis V_j: the PBH (Hautus) test.
 
-    Singular values of C V_j count above rank_tol * ||C||_2, an absolute
+    Singular values of C V_j count above RANK_TOL * ||C||_2, an absolute
     scale, so an eigenspace that C does not see (C V_j at rounding level)
     counts zero rather than one.
     """
-    floor = rank_tol * np.linalg.norm(out, 2)
+    floor = RANK_TOL * np.linalg.norm(out, 2)
     return np.array(
         [int(np.sum(np.linalg.svd(out @ b, compute_uv=False) > floor)) for b in bases],
         dtype=int,
@@ -298,13 +297,13 @@ def observability_rank(mat: np.ndarray, out_mat: np.ndarray) -> int:
     Computed in M's eigenbasis as the sum over eigenspaces V_j of
     rank(C V_j), which equals the rank of the power stack without forming
     matrix powers (whose dynamic range swamps an SVD from about n = 10).
-    Eigenvalues closer than eig_sym's cluster tolerance count as one
+    Eigenvalues closer than CLUSTER_TOL count as one
     eigenspace, and singular values count above RANK_TOL * ||C||_2. A
     non-symmetric M raises ValueError.
     """
     dec = eig_sym(mat)
     out = _output_matrix(out_mat, dec.n)
-    return int(_eigenspace_ranks(out, dec.vectors, RANK_TOL).sum())
+    return int(_eigenspace_ranks(out, dec.vectors).sum())
 
 
 def verify_rank_relation(laplacian: np.ndarray, out_mat: np.ndarray) -> ObservabilityReport:
@@ -321,21 +320,21 @@ def verify_rank_relation(laplacian: np.ndarray, out_mat: np.ndarray) -> Observab
     values above RANK_TOL * ||C||_2.
     """
     lap = np.asarray(laplacian, dtype=float)
-    return _rank_report(eig_sym(lap), lap, out_mat, RANK_TOL)
+    return _rank_report(eig_sym(lap), lap, out_mat)
 
 
 def _rank_report(
-    dec: EigenDecomposition, lap: np.ndarray, out_mat: np.ndarray, rank_tol: float
+    dec: EigenDecomposition, lap: np.ndarray, out_mat: np.ndarray
 ) -> ObservabilityReport:
     """verify_rank_relation over an existing decomposition of lap."""
     out = _output_matrix(out_mat, dec.n)
-    ranks = _eigenspace_ranks(out, dec.vectors, rank_tol)
+    ranks = _eigenspace_ranks(out, dec.vectors)
     spaces: dict[complex, list[np.ndarray]] = {}
     for eig, vec in system_eigenpairs(dec, laplacian=lap):
         spaces.setdefault(eig, []).append(vec)
     out_sys = np.kron(np.eye(2), out)
     rank_sys = int(
-        _eigenspace_ranks(out_sys, [np.column_stack(v) for v in spaces.values()], rank_tol).sum()
+        _eigenspace_ranks(out_sys, [np.column_stack(v) for v in spaces.values()]).sum()
     )
     rank_lap = int(ranks.sum())
     return ObservabilityReport(
@@ -349,14 +348,7 @@ def _rank_report(
     )
 
 
-def oracle_report(
-    g: Graph,
-    x: np.ndarray,
-    z: np.ndarray,
-    agent: int,
-    cluster_tol: float = CLUSTER_TOL,
-    rank_tol: float = RANK_TOL,
-) -> dict:
+def oracle_report(g: Graph, x: np.ndarray, z: np.ndarray, agent: int) -> dict:
     """JSON-ready ground truth for one agent observing g from state (x, z).
 
     (x, z) is the state the spectral lines start from: for a segment of a
@@ -366,16 +358,16 @@ def oracle_report(
     PBH ranks for the output row e_agent; and warnings for a rank
     deficiency, for eigenvalues the agent cannot estimate, and for an
     initialization that shows the agent only the average mode. One
-    decomposition at cluster_tol serves the eigenvalues and the ranks, and
+    decomposition serves the eigenvalues and the ranks, and
     one set of modal coefficients the amplitudes and the estimable flags.
     """
     lap = build_laplacian(g)
-    dec = eig_sym(lap, cluster_tol=cluster_tol)
+    dec = eig_sym(lap)
     amps = modal_coefficients(dec, x, z, agent).line_amplitudes()
     estimable = amps > ESTIMABLE_TOL
     out_row = np.zeros((1, g.n))
     out_row[0, agent] = 1.0
-    rank = _rank_report(dec, lap, out_row, rank_tol)
+    rank = _rank_report(dec, lap, out_row)
 
     warnings: list[str] = []
     if not rank.full_rank:

@@ -1,9 +1,11 @@
-"""Shared test helpers: random graph generation and well-conditioned inits."""
+"""Shared test helpers: random graph generation, well-conditioned inits and
+disjoint unions for running many graphs as one simulation."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from lapspec import Graph, eigendecompose, modal_coefficients, random_init
+from lapspec import Graph, TopologySchedule, eigendecompose, modal_coefficients, random_init
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -52,3 +54,22 @@ def well_conditioned_init(
             if np.all(coef.line_amplitudes() > threshold):
                 return x0, z0, agent
     return None
+
+
+def disjoint_union(graphs, inits, t_end: float):
+    """Stationary schedule over the disjoint union of two or more graphs, the
+    members' (x0, z0) inits stacked into its init, and each member's first
+    agent index in it.
+
+    Every agent's update reads only its own neighbours, in the same order as
+    in its member graph, so one simulate over the union gives each member's
+    columns bit for bit. The union is disconnected by construction; the
+    schedule's warning about that is expected and checked here.
+    """
+    offsets = np.cumsum([0] + [g.n for g in graphs]).tolist()
+    edges = [(i + off, j + off) for g, off in zip(graphs, offsets) for i, j in g.edges]
+    union = Graph.from_edges(offsets[-1], edges)
+    with pytest.warns(UserWarning, match="disconnected"):
+        schedule = TopologySchedule.single(union, t_end)
+    init = (np.concatenate([x for x, _ in inits]), np.concatenate([z for _, z in inits]))
+    return schedule, init, offsets[:-1]

@@ -36,7 +36,12 @@ from lapspec import (
 )
 from lapspec.cli import main as cli_main
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _edge_arrays
-from conftest import random_connected_graph, simple_spectrum_graph, well_conditioned_init
+from conftest import (
+    disjoint_union,
+    random_connected_graph,
+    simple_spectrum_graph,
+    well_conditioned_init,
+)
 
 FS = DEFAULT_SAMPLE_RATE
 P5 = path_graph(5)
@@ -98,26 +103,28 @@ def test_criterion_01_reference_table_reproduction():
 def test_criterion_02_end_to_end_random_graphs():
     """100 random connected graphs with simple spectra: a well-conditioned
     agent's estimate matches the oracle's distinct eigenvalues within 1e-2.
-    Under 2 minutes."""
+    The graphs run as one simulation over their disjoint union, which gives
+    each member's columns bit for bit. Under 2 minutes."""
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    count = 0
-    worst = 0.0
-    while count < 100:
+    members = []
+    while len(members) < 100:
         n = int(rng.integers(3, 11))
         g = simple_spectrum_graph(rng, n)
         init = well_conditioned_init(g, rng)
         if init is None:
             continue  # graph admits no well-conditioned agent; redraw
-        x0, z0, agent = init
-        trace, _ = simulate(
-            TopologySchedule.single(g, 50.0), SimConfig(t_end=50.0), (x0, z0)
-        )
-        est = estimate_for(trace, agent, n_max=n + 2)
+        members.append((g, init))
+    schedule, init, offsets = disjoint_union(
+        [g for g, _ in members], [(x0, z0) for _, (x0, z0, _) in members], 50.0
+    )
+    trace, _ = simulate(schedule, SimConfig(t_end=50.0), init)
+    worst = 0.0
+    for (g, (_, _, agent)), off in zip(members, offsets):
+        est = estimate_for(trace, off + agent, n_max=g.n + 2)
         dec = eigendecompose(g)
-        assert est.n == dec.num_distinct, (n, est.lambdas, dec.values)
+        assert est.n == dec.num_distinct, (g.n, est.lambdas, dec.values)
         worst = max(worst, float(np.max(np.abs(np.sort(est.lambdas) - dec.values))))
-        count += 1
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -193,23 +200,23 @@ def test_criterion_04_amplitude_formulas_on_analytic_trajectories():
 
 def test_criterion_05_integrator_matches_closed_form():
     """RK4 trace vs the closed-form trajectory: max abs error < 1e-6 over
-    [0, 10] at h = 1e-3 on random graphs up to n = 8."""
+    [0, 10] at h = 1e-3 on random graphs up to n = 8, run as one simulation
+    over their disjoint union."""
     rng = np.random.default_rng(31)
-    worst = 0.0
+    graphs, inits = [], []
     for _ in range(5):
         n = int(rng.integers(2, 9))
-        g = random_connected_graph(rng, n)
-        x0, z0 = random_init(n, int(rng.integers(0, 1000)))
-        trace, _ = simulate(
-            TopologySchedule.single(g, 10.0),
-            SimConfig(t_end=10.0, f_s=10.0, h=1e-3),
-            (x0, z0),
-        )
+        graphs.append(random_connected_graph(rng, n))
+        inits.append(random_init(n, int(rng.integers(0, 1000))))
+    schedule, init, offsets = disjoint_union(graphs, inits, 10.0)
+    trace, _ = simulate(schedule, SimConfig(t_end=10.0, f_s=10.0, h=1e-3), init)
+    worst = 0.0
+    for g, (x0, z0), off in zip(graphs, inits, offsets):
         xa, za = analytic_trajectory(eigendecompose(g), x0, z0, trace.times)
         worst = max(
             worst,
-            float(np.max(np.abs(trace.x - xa))),
-            float(np.max(np.abs(trace.z - za))),
+            float(np.max(np.abs(trace.x[:, off : off + g.n] - xa))),
+            float(np.max(np.abs(trace.z[:, off : off + g.n] - za))),
         )
     report(5, "RK4 trace equals the closed-form oracle to 1e-6", worst < 1e-6,
            f"max err {worst:.2e}")
@@ -237,17 +244,17 @@ def test_criterion_06_observability_rank_relation():
 
 def test_criterion_07_energy_conservation():
     """Relative drift of the conserved energy below 1e-6 over [0, 100] at
-    h = 1e-3 on the test graphs."""
+    h = 1e-3 on the test graphs, run as one simulation over their disjoint
+    union."""
     rng = np.random.default_rng(8)
+    graphs = (P5, STAR4, random_connected_graph(rng, 8))
+    inits = [random_init(g.n, int(rng.integers(0, 100))) for g in graphs]
+    schedule, init, offsets = disjoint_union(graphs, inits, 100.0)
+    trace, _ = simulate(schedule, SimConfig(t_end=100.0, f_s=10.0, h=1e-3), init)
     worst = 0.0
-    for g in (P5, STAR4, random_connected_graph(rng, 8)):
-        x0, z0 = random_init(g.n, int(rng.integers(0, 100)))
-        trace, _ = simulate(
-            TopologySchedule.single(g, 100.0),
-            SimConfig(t_end=100.0, f_s=10.0, h=1e-3),
-            (x0, z0),
-        )
-        energy = (trace.x**2 + trace.z**2).sum(axis=1)
+    for g, off in zip(graphs, offsets):
+        x, z = trace.x[:, off : off + g.n], trace.z[:, off : off + g.n]
+        energy = (x**2 + z**2).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(energy - energy[0])) / energy[0]))
     report(7, "energy drift below 1e-6 over 100 s", worst < 1e-6, f"max drift {worst:.2e}")
 
@@ -277,7 +284,8 @@ def test_criterion_08_communication_round_accounting():
 def test_criterion_09_no_dc_component():
     """Trapezoidal time average of every agent's signal over [0, 4*pi] below
     1e-3 on connected integer-spectrum test graphs (all lines then complete
-    whole periods over the window)."""
+    whole periods over the window). The graphs run as one simulation over
+    their disjoint union, whose columns are every agent of every graph."""
     graphs = [
         Graph.from_edges(2, [(0, 1)]),
         complete_graph(3),
@@ -285,23 +293,19 @@ def test_criterion_09_no_dc_component():
         cycle_graph(4),
         complete_graph(4),
     ]
+    inits = [random_init(g.n, 50 + k) for k, g in enumerate(graphs)]
+    schedule, init, _ = disjoint_union(graphs, inits, 4.0 * math.pi)
+    trace, _ = simulate(schedule, SimConfig(t_end=4.0 * math.pi, f_s=1000.0, h=1e-3), init)
     worst = 0.0
-    for k, g in enumerate(graphs):
-        x0, z0 = random_init(g.n, 50 + k)
-        trace, _ = simulate(
-            TopologySchedule.single(g, 4.0 * math.pi),
-            SimConfig(t_end=4.0 * math.pi, f_s=1000.0, h=1e-3),
-            (x0, z0),
-        )
-        for win_end in (2.0 * math.pi, 4.0 * math.pi):
-            hi = int(np.searchsorted(trace.times, win_end + 1e-9))
-            x_win = trace.x[:hi]
-            dt = trace.times[1] - trace.times[0]
-            # uniform trapezoidal rule; a plain sample mean would double-count
-            # the shared endpoint of the whole periods and bias by O(1/N)
-            integral = (0.5 * (x_win[0] + x_win[-1]) + x_win[1:-1].sum(axis=0)) * dt
-            means = integral / trace.times[hi - 1]
-            worst = max(worst, float(np.max(np.abs(means))))
+    for win_end in (2.0 * math.pi, 4.0 * math.pi):
+        hi = int(np.searchsorted(trace.times, win_end + 1e-9))
+        x_win = trace.x[:hi]
+        dt = trace.times[1] - trace.times[0]
+        # uniform trapezoidal rule; a plain sample mean would double-count
+        # the shared endpoint of the whole periods and bias by O(1/N)
+        integral = (0.5 * (x_win[0] + x_win[-1]) + x_win[1:-1].sum(axis=0)) * dt
+        means = integral / trace.times[hi - 1]
+        worst = max(worst, float(np.max(np.abs(means))))
     report(9, "no DC component: window averages below 1e-3", worst < 1e-3,
            f"max |mean| {worst:.2e}")
 

@@ -263,15 +263,21 @@ def test_per_segment_past_trace_end_gives_error_entry(switching_schedule, tmp_pa
                  "error threshold se must be finite", id="se-nan"),
     pytest.param(["rounds", "--delta-max", "2", "--t-min", "inf"],
                  "t_min must be positive and finite", id="t-min-inf"),
+    pytest.param(["spectrogram", "{trace}", "--agent", "0", "--threshold", "nan",
+                  "--out-dir", "{out}"], "threshold must be finite", id="threshold-nan"),
+    pytest.param(["spectrogram", "{trace}", "--agent", "0", "--threshold", "inf",
+                  "--out-dir", "{out}"], "threshold must be finite", id="threshold-inf"),
 ])
 def test_non_finite_settings_rejected_by_name(argv, setting, p5_file, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
+    out = tmp_path / "out"
     if "{trace}" in argv:
         assert run(["simulate", p5_file, "--t-end", "10", "--out-dir", tmp_path]) == 0
         capsys.readouterr()
     # Exit 1 means main caught the error: an uncaught one would raise here.
-    assert run([a.format(p5=p5_file, trace=trace) for a in argv]) == 1
+    assert run([a.format(p5=p5_file, trace=trace, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: {setting}, got ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +285,8 @@ def test_non_finite_settings_rejected_by_name(argv, setting, p5_file, tmp_path, 
     ["spectrogram", "trace.csv", "--agent", "0", "--nmax", "4"],
     ["estimate", "trace.csv", "--agent", "0", "--fs", "15.91549"],
     ["simulate", "p5.txt", "--rank-tol", "1e-6"],
+    ["validate", "p5.txt", "--rank-tol", "1e-6"],
+    ["validate", "p5.txt", "--cluster-tol", "1e-6"],
     ["estimate", "trace.csv", "--agent", "0", "--step", "0.01"],
     ["spectrogram", "trace.csv", "--agent", "0", "--fs", "16"],
 ])

@@ -37,7 +37,7 @@ from lapspec.dynamics import (
     _rk4_core,
     _stage_rates,
 )
-from conftest import random_connected_graph
+from conftest import disjoint_union, random_connected_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
 P5 = path_graph(5)
@@ -281,6 +281,21 @@ def test_simulate_deterministic_bit_exact():
     t2, c2 = simulate(sched, cfg, init)
     assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.z, t2.z)
     assert c1.total == c2.total
+
+
+def test_disjoint_union_members_are_bit_identical():
+    """One simulate over a disjoint union reproduces every member's own run
+    bit for bit, so the acceptance criteria may batch their graphs."""
+    rng = np.random.default_rng(3)
+    graphs = [P5, star_graph(4)] + [random_connected_graph(rng, n) for n in (3, 7, 10)]
+    inits = [random_init(g.n, seed) for seed, g in enumerate(graphs)]
+    cfg = SimConfig(t_end=10.0)
+    schedule, init, offsets = disjoint_union(graphs, inits, 10.0)
+    union, _ = simulate(schedule, cfg, init)
+    for g, init, off in zip(graphs, inits, offsets):
+        alone, _ = simulate(TopologySchedule.single(g, 10.0), cfg, init)
+        assert np.array_equal(union.x[:, off : off + g.n], alone.x)
+        assert np.array_equal(union.z[:, off : off + g.n], alone.z)
 
 
 def _trace_digest(trace) -> str:

@@ -419,6 +419,14 @@ def test_signal_rejects_non_finite_samples(bad):
         SampledSignal(samples=samples, f_s=FS)
 
 
+@pytest.mark.parametrize("f_s", [np.nan, np.inf, 0.0, -1.0])
+def test_signal_rejects_bad_sample_rate_by_name(f_s):
+    """A non-finite rate would otherwise reach the estimator's sample count
+    (NaN/overflow) or the spectrogram's frequency grid."""
+    with pytest.raises(EstimationError, match=r"sample rate f_s must be positive and finite"):
+        SampledSignal(samples=np.zeros(8), f_s=f_s)
+
+
 def test_estimate_window_exceeds_signal():
     sig = tone(3.0, 10.0)
     with pytest.raises(EstimationError, match="window"):
@@ -508,6 +516,12 @@ def test_freqs_to_eigenvalues_rejects_spurious():
 def test_freqs_to_eigenvalues_requires_sorted():
     with pytest.raises(EstimationError, match="sorted"):
         freqs_to_eigenvalues([2.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_freqs_to_eigenvalues_rejects_non_finite(bad):
+    with pytest.raises(EstimationError, match="frequencies must be finite"):
+        freqs_to_eigenvalues([1.0, bad])
 
 
 # --- estimator config --------------------------------------------------------------
