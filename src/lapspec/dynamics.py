@@ -139,6 +139,8 @@ def random_init(n: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray
     """Independent uniform +/-1 initial values, deterministic given seed."""
     if n < 1:
         raise ValueError(f"agent count must be positive, got {n}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     x0 = rng.choice(np.array([-1.0, 1.0]), size=n)
     z0 = rng.choice(np.array([-1.0, 1.0]), size=n)
@@ -294,5 +296,10 @@ def round_bound(delta_max: int, t_min: float, f_s: float) -> int:
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     value = 4.0 * delta_max * t_min * f_s
+    if not math.isfinite(value):
+        raise ValueError(
+            f"message bound 4 * delta_max * t_min * f_s = {value} is not finite "
+            f"(delta_max={delta_max}, t_min={t_min:g}, f_s={f_s:g})"
+        )
     # Guard against float dust pushing an exact product over the next integer.
     return math.ceil(value * (1.0 - 1e-12))

@@ -8,18 +8,26 @@ values: an upper bound on the number of frequencies, a reconstruction-error
 threshold (percent) that drives a success flag, and the window length; the
 sampling time is the signal's own. PEAK_THRESHOLD (smallest line amplitude),
 ZERO_PAD (peak-search DFT oversampling), STFT_ZERO_PAD (spectrogram
-oversampling), GN_TOL (Gauss-Newton stopping step) and LAMBDA_TOL (slack
-below 1 rad/s still mapped to lambda = 0) are fixed constants.
+oversampling), GN_TOL (Gauss-Newton stopping step), LAMBDA_TOL (slack
+below 1 rad/s still mapped to lambda = 0) and ORDER_GAP (smallest
+singular-value ratio accepted as the model order) are fixed constants.
 
-Detection pipeline: rectangular-window DFT of the current fit residual,
-vectorised local-maximum picking with 3-point quadratic interpolation on log
-magnitude, then joint Gauss-Newton refinement of all frequencies (gradient
-from the design matrix's own sin/cos columns) with the linear amplitude/phase
-subproblem solved by least squares at every iteration.
-Re-detecting on the residual rather than the raw spectrum keeps window
-sidelobes of strong peaks from masquerading as modes. One least-squares fit,
-_fit, serves the greedy loop, the refinement and ls_fit, which takes its
-condition number from the singular values lstsq already returns.
+Detection pipeline: the sampled signal is exactly a finite sum of poles, so
+a matrix pencil on its Hankel matrix (Hua & Sarkar 1990) seeds all
+frequencies at once, with the model order read from the gap in the singular
+values (ORDER_GAP). One joint Gauss-Newton refinement of all frequencies
+(gradient from the design matrix's own sin/cos columns, the linear
+amplitude/phase subproblem solved by least squares at every iteration)
+polishes the seed. A signal with no clear gap (more lines than the bound, or
+noise), a window too short for the Hankel matrix, or a seed that refines
+into a collapsed pair takes the greedy path instead: rectangular-window DFT
+of the current fit residual, vectorised local-maximum picking with 3-point
+quadratic interpolation on log magnitude, and a joint refinement after each
+new peak. Re-detecting on the residual rather than the raw spectrum keeps
+window sidelobes of strong peaks from masquerading as modes. One
+least-squares fit, _fit, serves the greedy loop, the refinement and ls_fit,
+which takes its condition number from the singular values lstsq already
+returns.
 """
 from __future__ import annotations
 
@@ -35,6 +43,7 @@ ZERO_PAD = 8
 STFT_ZERO_PAD = 4
 GN_TOL = 1e-13
 LAMBDA_TOL = 0.05
+ORDER_GAP = 1e6
 
 
 class EstimationError(ValueError):
@@ -370,45 +379,56 @@ def freqs_to_eigenvalues(omegas) -> np.ndarray:
     return np.where(lams < 0.0, 0.0, lams)
 
 
-def estimate_frequencies(
-    sig: SampledSignal, cfg: FreqEstimatorConfig
-) -> SpectrumEstimate:
-    """Finite-time frequency estimation over exactly one window.
+def _pencil_seed(
+    y: np.ndarray, ts: float, n_max: int, omega_min: float, omega_max: float
+) -> np.ndarray | None:
+    """Matrix-pencil frequencies of y (Hua & Sarkar 1990), or None when the
+    signal shows no finite sum of at most n_max sinusoids.
 
-    Greedy detection: repeatedly take the strongest residual-spectrum peak
-    (amplitude ties break toward the lower frequency), refine all frequencies
-    jointly, and stop at the frequency-count bound, when the residual is
-    explained, or when no candidate clears the threshold. Components whose
-    fitted amplitude falls below the peak threshold are pruned. Candidates
-    below 1 - LAMBDA_TOL rad/s are structurally impossible and never enter.
-    The success flag is true exactly when the reconstruction residual
-    (percent) is within the configured threshold; with no detected
-    frequencies the flag is false and the residual reads 100 percent.
+    The right singular vectors of the Hankel matrix of y span the row space
+    of the poles' Vandermonde vectors, so the pencil of that basis and its
+    one-sample shift has the poles exp(i w ts) as eigenvalues. The model
+    order is taken at the largest ratio of consecutive singular values and
+    accepted only when that ratio exceeds ORDER_GAP (a zero signal's ratios
+    are NaN and fail it); a window too short for the Hankel matrix, or an
+    order with no pole in the upper half plane, also gives None.
     """
-    n_win = int(round(cfg.window * sig.f_s))
-    if n_win > len(sig.samples):
-        raise EstimationError(
-            f"window {cfg.window:g} s needs {n_win} samples, signal has "
-            f"{len(sig.samples)}"
-        )
-    y = sig.samples[:n_win]
-    ts = sig.ts
+    cols = len(y) // 4
+    k_max = 2 * n_max + 1
+    if cols < k_max:
+        return None
+    # R of the tall Hankel matrix has its singular values and right vectors.
+    r = np.linalg.qr(np.lib.stride_tricks.sliding_window_view(y, cols + 1), mode="r")
+    _, s, vh = np.linalg.svd(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = s[:k_max] / s[1 : k_max + 1]
+    k = int(np.argmax(ratios)) + 1
+    if not ratios[k - 1] > ORDER_GAP:
+        return None
+    v = vh[:k].T
+    poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    poles = poles[poles.imag > 0]
+    if len(poles) == 0:
+        return None
+    return np.clip(np.angle(poles) / ts, omega_min, omega_max)
+
+
+def _greedy_omegas(
+    y: np.ndarray, ts: float, n_max: int, omega_min: float, omega_max: float, merge_gap: float
+) -> list[float]:
+    """Frequencies found one residual-spectrum peak at a time.
+
+    Repeatedly take the strongest residual-spectrum peak (amplitude ties
+    break toward the lower frequency) and refine all frequencies jointly;
+    stop at n_max frequencies, when the residual is explained, or when no
+    candidate clears the threshold. A candidate whose refine collapses onto
+    an existing frequency is rejected and never tried again.
+    """
+    t = np.arange(len(y)) * ts
     norm_y = float(np.linalg.norm(y))
-    t = np.arange(n_win) * ts
-    omega_min = 1.0 - LAMBDA_TOL
-    omega_max = 0.999 * math.pi / ts
-    merge_gap = 2e-2 / ((n_win - 1) * ts)  # ls_fit's distinguishability limit
-
-    def empty_estimate() -> SpectrumEstimate:
-        none = np.empty(0)
-        return SpectrumEstimate(
-            n=0, omega=none, amplitudes=none, phases=none, lambdas=none,
-            flag=False, residual_percent=100.0 if norm_y > 0 else 0.0,
-        )
-
     omegas: list[float] = []
     rejected: list[float] = []
-    for _ in range(cfg.n_max):
+    for _ in range(n_max):
         resid = _fit(y, t, np.array(omegas))[2] if omegas else y
         if norm_y == 0.0 or float(np.linalg.norm(resid)) / norm_y < 1e-10:
             break
@@ -433,6 +453,56 @@ def estimate_frequencies(
             rejected.append(best[0])
             continue
         omegas = [float(w) for w in refined]
+    return omegas
+
+
+def estimate_frequencies(
+    sig: SampledSignal, cfg: FreqEstimatorConfig
+) -> SpectrumEstimate:
+    """Finite-time frequency estimation over exactly one window.
+
+    The frequencies come from one matrix-pencil seed and one joint refine
+    (_pencil_seed), or, when the signal shows no finite sum of at most n_max
+    sinusoids or the refined seed collapses within ls_fit's
+    distinguishability limit, from greedy residual-peak detection
+    (_greedy_omegas). Components whose fitted amplitude falls below the peak
+    threshold are pruned. Frequencies below 1 - LAMBDA_TOL rad/s are
+    structurally impossible and never enter.
+    The success flag is true exactly when the reconstruction residual
+    (percent) is within the configured threshold; with no detected
+    frequencies the flag is false and the residual reads 100 percent.
+    """
+    n_win = float(cfg.window) * float(sig.f_s)
+    # Compared as a float first: int() of a huge window overflows.
+    if n_win < len(sig.samples) + 1:
+        n_win = int(round(n_win))
+    if n_win > len(sig.samples):
+        raise EstimationError(
+            f"window {cfg.window:g} s needs {n_win:.0f} samples, signal has "
+            f"{len(sig.samples)}"
+        )
+    y = sig.samples[:n_win]
+    ts = sig.ts
+    norm_y = float(np.linalg.norm(y))
+    omega_min = 1.0 - LAMBDA_TOL
+    omega_max = 0.999 * math.pi / ts
+    merge_gap = 2e-2 / ((n_win - 1) * ts)  # ls_fit's distinguishability limit
+
+    def empty_estimate() -> SpectrumEstimate:
+        none = np.empty(0)
+        return SpectrumEstimate(
+            n=0, omega=none, amplitudes=none, phases=none, lambdas=none,
+            flag=False, residual_percent=100.0 if norm_y > 0 else 0.0,
+        )
+
+    omegas = None
+    seed = _pencil_seed(y, ts, cfg.n_max, omega_min, omega_max)
+    if seed is not None:
+        refined = np.sort(refine_frequencies(y, ts, seed, omega_min, omega_max))
+        if len(refined) < 2 or np.min(np.diff(refined)) >= merge_gap:
+            omegas = [float(w) for w in refined]
+    if omegas is None:
+        omegas = _greedy_omegas(y, ts, cfg.n_max, omega_min, omega_max, merge_gap)
 
     omegas.sort()
     if not omegas:

@@ -280,6 +280,28 @@ def test_non_finite_settings_rejected_by_name(argv, setting, p5_file, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["estimate", "{trace}", "--agent", "0", "--window", "1e308"],
+                 "window 1e+308 s needs inf samples, signal has 160", id="window-1e308"),
+    pytest.param(["rounds", "--delta-max", "2", "--fs", "1e308", "--t-min", "1e308"],
+                 "message bound 4 * delta_max * t_min * f_s = inf is not finite",
+                 id="rounds-overflow"),
+    pytest.param(["simulate", "{p5}", "--seed", "-1", "--out-dir", "{out}"],
+                 "seed must be non-negative, got -1", id="seed-negative"),
+])
+def test_out_of_range_settings_rejected_by_name(argv, message, p5_file, tmp_path, capsys):
+    """Finite settings whose derived values overflow, and a negative seed,
+    exit 1 with a named error, not a traceback or numpy's wording."""
+    trace = tmp_path / "trace.csv"
+    out = tmp_path / "out"
+    if "{trace}" in argv:
+        assert run(["simulate", p5_file, "--t-end", "10", "--out-dir", tmp_path]) == 0
+        capsys.readouterr()
+    assert run([a.format(p5=p5_file, trace=trace, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["rounds", "--delta-max", "2", "--seed", "3"],
     ["spectrogram", "trace.csv", "--agent", "0", "--nmax", "4"],

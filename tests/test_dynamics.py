@@ -86,6 +86,11 @@ def test_random_init_rejects_zero_agents():
         random_init(0, 1)
 
 
+def test_random_init_rejects_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        random_init(5, -1)
+
+
 # --- local rule -------------------------------------------------------------------
 
 def test_local_derivative_isolated_agent():
@@ -390,6 +395,12 @@ def test_round_bound_trivial():
 
 def test_round_bound_is_ceiling():
     assert round_bound(1, 1.1, 1.0) == 5  # 4.4 -> 5
+
+
+def test_round_bound_rejects_overflowing_product():
+    """Each argument is finite, but their product is not."""
+    with pytest.raises(ValueError, match=r"4 \* delta_max \* t_min \* f_s = inf is not finite"):
+        round_bound(2, 1e308, 1e308)
 
 
 def test_message_counts_per_agent():

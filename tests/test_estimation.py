@@ -2,6 +2,8 @@
 estimator, and the frequency-to-eigenvalue mapping."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -32,7 +34,18 @@ from lapspec import (
     star_graph,
 )
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
-from lapspec.estimation import _amplitude_spectrum
+from lapspec.estimation import (
+    LAMBDA_TOL,
+    _amplitude_spectrum,
+    _greedy_omegas,
+    _pencil_seed,
+)
+from conftest import (
+    disjoint_union,
+    random_connected_graph,
+    simple_spectrum_graph,
+    well_conditioned_init,
+)
 
 FS = DEFAULT_SAMPLE_RATE
 P5_LAMBDAS = np.array([0.0, 0.3819660113, 1.3819660113, 2.6180339887, 3.6180339887])
@@ -494,6 +507,115 @@ def test_estimate_monotone_window_benefit():
     ), pipe_medians
     # at the long window the refined pipeline reaches numerical precision
     assert max(pipeline_errors[windows[-1]]) < 1e-6
+
+
+# --- pencil seed and greedy fallback ------------------------------------------------
+
+def search_range(y, ts):
+    """estimate_frequencies' frequency range and merge gap for the window y."""
+    return 1.0 - LAMBDA_TOL, 0.999 * math.pi / ts, 2e-2 / ((len(y) - 1) * ts)
+
+
+def test_pencil_resolves_close_eigenvalue_pairs():
+    """Random n = 12 graphs whose closest eigenvalues are 0.03-0.06 apart:
+    every agent's estimate is flagged and hits every eigenvalue whose line
+    amplitude is at least 0.01 to within 1e-6. The greedy path alone merges
+    such pairs into one line and still flags true."""
+    rng = np.random.default_rng(7)
+    graphs = []
+    while len(graphs) < 8:
+        g = random_connected_graph(rng, 12)
+        dec = eigendecompose(g)
+        if dec.num_distinct == 12 and 0.03 <= np.min(np.diff(dec.values)) <= 0.06:
+            graphs.append(g)
+    inits = [random_init(12, 7)] * len(graphs)
+    schedule, init, offsets = disjoint_union(graphs, inits, 50.0)
+    trace, _ = simulate(schedule, SimConfig(t_end=50.0), init)
+    for g, (x0, z0), off in zip(graphs, inits, offsets):
+        dec = eigendecompose(g)
+        for agent in range(g.n):
+            targets = dec.values[modal_coefficients(dec, x0, z0, agent).line_amplitudes() >= 0.01]
+            sig = SampledSignal.from_trace(trace, off + agent)
+            est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=12))
+            assert est.flag, (agent, dec.values)
+            err = max(float(np.min(np.abs(est.lambdas - v))) for v in targets)
+            assert err < 1e-6, (agent, err, dec.values)
+
+
+def test_pencil_and_greedy_paths_agree_where_greedy_hits():
+    """Criterion-02-style graphs: wherever the greedy path finds every line
+    to within 1e-2, the pencil-seeded estimate holds the same frequencies
+    to 1e-9, the same least-squares optimum reached from a better seed."""
+    rng = np.random.default_rng(2024)
+    members = []
+    while len(members) < 16:
+        g = simple_spectrum_graph(rng, int(rng.integers(3, 11)))
+        init = well_conditioned_init(g, rng)
+        if init is not None:
+            members.append((g, init))
+    schedule, init, offsets = disjoint_union(
+        [g for g, _ in members], [(x0, z0) for _, (x0, z0, _) in members], 50.0
+    )
+    trace, _ = simulate(schedule, SimConfig(t_end=50.0), init)
+    compared = 0
+    for (g, (_, _, agent)), off in zip(members, offsets):
+        sig = SampledSignal.from_trace(trace, off + agent)
+        y, ts, n_max = sig.samples, sig.ts, g.n + 2
+        lo, hi, gap = search_range(y, ts)
+        assert _pencil_seed(y, ts, n_max, lo, hi) is not None
+        greedy = np.sort(_greedy_omegas(y, ts, n_max, lo, hi, gap))
+        dec = eigendecompose(g)
+        if len(greedy) != dec.num_distinct or np.max(np.abs(greedy - 1.0 - dec.values)) > 1e-2:
+            continue
+        est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=n_max))
+        assert est.n == len(greedy)
+        assert np.max(np.abs(est.omega - greedy)) < 1e-9, (est.omega, greedy)
+        compared += 1
+    assert compared >= 12
+
+
+# sha256 of the estimate's sorted JSON, measured with the greedy-only
+# estimator that preceded the pencil seed.
+DENSE_DIGEST = "ccfa66d5fe7ed4afe361765bac5492043d2418d03ea97d8d854bf5c3ed7aa51a"
+
+
+def test_dense_signal_takes_greedy_path_unchanged():
+    """40 agents see more lines than n_max = 8, so the singular values show
+    no gap, the pencil declines, and the greedy estimate is unchanged."""
+    g = random_connected_graph(np.random.default_rng(40), 40)
+    trace, _ = simulate(TopologySchedule.single(g, 50.0), SimConfig(t_end=50.0),
+                        random_init(40, 40))
+    sig = SampledSignal.from_trace(trace, 0)
+    lo, hi, _ = search_range(sig.samples, sig.ts)
+    assert _pencil_seed(sig.samples, sig.ts, 8, lo, hi) is None
+    est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=8))
+    digest = hashlib.sha256(json.dumps(est.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == DENSE_DIGEST
+
+
+def test_short_window_takes_greedy_path():
+    """A 100-sample window holds a Hankel matrix of 25 columns, too few for
+    order 2 * 14 + 1."""
+    y = tone(3.0, 100 / FS).samples
+    lo, hi, _ = search_range(y, 1.0 / FS)
+    assert _pencil_seed(y, 1.0 / FS, 14, lo, hi) is None
+    assert _pencil_seed(y, 1.0 / FS, 8, lo, hi) is not None
+
+
+def test_collapsed_pencil_seed_falls_back_to_greedy():
+    """Two tones 1e-4 rad/s apart over 50 s are distinct poles to the
+    pencil but closer than ls_fit's distinguishability limit: the refined
+    seed collapses, and the estimate is the greedy path's, without raising."""
+    t = np.arange(796) / FS
+    y = np.sin(3.0 * t) + 0.7 * np.sin(3.0001 * t + 1.0)
+    ts = 1.0 / FS
+    lo, hi, gap = search_range(y, ts)
+    seed = _pencil_seed(y, ts, 8, lo, hi)
+    refined = np.sort(refine_frequencies(y, ts, seed, omega_min=lo, omega_max=hi))
+    assert len(refined) == 2 and refined[1] - refined[0] < gap
+    est = estimate_frequencies(SampledSignal(samples=y, f_s=FS), FreqEstimatorConfig())
+    assert est.omega.tolist() == _greedy_omegas(y, ts, 8, lo, hi, gap)
+    assert est.n == 1 and est.flag
 
 
 # --- frequency-to-eigenvalue mapping -------------------------------------------------
