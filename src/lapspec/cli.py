@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -49,8 +48,7 @@ from . import oracle
 
 
 def _out_dir(args) -> Path:
-    root = args.out_dir or os.environ.get("LAPSPEC_OUT_DIR") or "."
-    path = Path(root)
+    path = Path(args.out_dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -121,10 +119,9 @@ def _write_json(obj: dict, path: Path) -> None:
 
 
 def _emit(payload: dict, args, name: str) -> None:
-    """Print payload as JSON; also write it to the output root as name
-    when --out-dir or $LAPSPEC_OUT_DIR sets one."""
+    """Print payload as JSON; also write it to --out-dir as name when given."""
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out_dir or os.environ.get("LAPSPEC_OUT_DIR"):
+    if args.out_dir:
         _write_json(payload, _out_dir(args) / name)
 
 
@@ -173,15 +170,27 @@ def cmd_simulate(args) -> int:
 
 
 def _estimate_span(
-    trace: Trace, args, t_start: float | None, t_end: float | None, default_window: float
+    trace: Trace, args, t_start: float | None = None, t_end: float | None = None
 ) -> SpectrumEstimate:
     """args.agent's estimate over [t_start, t_end] (None, None: the whole
-    trace) with a --window-second window, default_window when unset.
+    trace) with a --window-second window.
 
-    A window longer than the span is an error; over the whole trace the
-    estimator itself rejects a window with more samples than the trace has.
+    Unset, the window is min(50 s, trace length) over the whole trace, else
+    the segment's length L, shrunk to the samples the segment holds when it
+    is on the trace and its ends between samples leave one fewer than L
+    rounds to. A window longer than the span is an error; over the whole
+    trace the estimator rejects a window with more samples than it has.
     """
-    window = args.window if args.window is not None else default_window
+    if t_start is None:
+        default = min(FreqEstimatorConfig.window, trace.times[-1] - trace.times[0])
+    else:
+        default = t_end - t_start
+        lo, hi = trace.sample_range(t_start, t_end)
+        # Covered: the grid sample after the trace's last lies past the segment.
+        covered = trace.times[-1] + 1.0 / trace.f_s > t_end + 1e-9
+        if covered and round(default * trace.f_s) > hi - lo:
+            default = (hi - lo) / trace.f_s
+    window = args.window if args.window is not None else default
     if t_start is not None and window > t_end - t_start + 1e-9:
         raise EstimationError(f"window {window:g} s exceeds segment length {t_end - t_start:g} s")
     sig = SampledSignal.from_trace(trace, args.agent, t_start=t_start, t_end=t_end)
@@ -202,19 +211,14 @@ def cmd_estimate(args) -> int:
         for seg in schedule.segments:
             entry: dict = {"t_start": seg.t_start, "t_end": seg.t_end}
             try:
-                est = _estimate_span(
-                    trace, args, seg.t_start, seg.t_end, seg.t_end - seg.t_start
-                )
+                est = _estimate_span(trace, args, seg.t_start, seg.t_end)
                 entry["estimate"] = est.to_dict()
             except EstimationError as exc:
                 entry["error"] = str(exc)
             blocks.append(entry)
         payload = {"agent": args.agent, "per_segment": blocks}
     else:
-        duration = trace.times[-1] - trace.times[0]
-        est = _estimate_span(
-            trace, args, None, None, min(FreqEstimatorConfig.window, duration)
-        )
+        est = _estimate_span(trace, args)
         payload = {"agent": args.agent, "estimate": est.to_dict()}
     _emit(payload, args, "estimate.json")
     return 0
@@ -226,7 +230,7 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
     lam_hat: list[float] = []
     amp_hat: list[float] = []
     try:
-        est = _estimate_span(trace, args, t_start, t_end, t_end - t_start)
+        est = _estimate_span(trace, args, t_start, t_end)
         lam_hat = [float(v) for v in est.lambdas]
         amp_hat = [float(a) for a in est.amplitudes]
         seg["estimate"] = est.to_dict()
@@ -320,13 +324,9 @@ def cmd_spectrogram(args) -> int:
 
 
 def cmd_rounds(args) -> int:
-    if args.schedule:
-        schedule = _load_schedule(args.schedule, None)
-        delta_max = schedule.max_degree()
-    elif args.delta_max is not None:
-        delta_max = args.delta_max
-    else:
-        raise ConfigError("provide --delta-max or a schedule file")
+    if bool(args.schedule) == (args.delta_max is not None):
+        raise ConfigError("give either a schedule file or --delta-max, not both")
+    delta_max = _load_schedule(args.schedule, None).max_degree() if args.schedule else args.delta_max
     bound = round_bound(delta_max, args.t_min, args.fs)
     payload = {
         "delta_max": delta_max,
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lapspec {__version__}")
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out-dir", default=None, help="output root (or $LAPSPEC_OUT_DIR)")
+    out.add_argument("--out-dir", default=None, help="output root (default: the working directory)")
     rate = argparse.ArgumentParser(add_help=False)
     rate.add_argument("--fs", type=float, default=DEFAULT_SAMPLE_RATE,
                       help="sample rate, samples/s (default 100/(2*pi))")
@@ -400,11 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--stft-window", choices=("hann", "rect"), default="hann")
     p_spec.set_defaults(func=cmd_spectrogram)
 
-    p_rounds = sub.add_parser("rounds", parents=[rate],
-                              help="communication-round bound 4*max_degree*T*fs")
+    p_rounds = sub.add_parser(
+        "rounds", parents=[rate],
+        help="per-agent message bound 4*max_degree*T*fs at one RK4 step per sample",
+        description="Per-agent message bound ceil(4*max_degree*T*fs) over T s at one "
+                    "RK4 step per sample; simulate's default step sends ten times more.")
     p_rounds.add_argument("schedule", nargs="?", default=None,
-                          help="optional schedule to derive the max degree")
-    p_rounds.add_argument("--delta-max", type=int, default=None)
+                          help="schedule to derive the max degree from")
+    p_rounds.add_argument("--delta-max", type=int, default=None,
+                          help="max degree, when no schedule is given")
     p_rounds.add_argument("--t-min", type=float, default=2.0 * math.pi,
                           help="window length in seconds (default 2*pi)")
     p_rounds.set_defaults(func=cmd_rounds)

@@ -16,9 +16,10 @@ rounds per step: in each stage every agent sends its current stage value to
 its neighbors, receives theirs, and evaluates the local rule. The dense
 system matrix is never formed here; it lives in the oracle
 (oracle.build_system_matrix). The state is one flat array w = [x, z], and a
-stage round is one np.bincount over the directed edges, rebuilt from the
-graph at each segment start; it sums each agent's neighbor differences in
-the per-agent loop's sorted order, so both formulations agree bit for bit.
+stage round is one np.bincount over graph.directed_edges, taken at each
+segment start. The graph owns their (src, dst) order, the per-agent loop's
+ascending neighbor order, so both formulations agree bit for bit; the same
+call's degrees give the message counts.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Segment, TopologySchedule
+from .graph import Graph, Segment, TopologySchedule, directed_edges
 
 
 class ConfigError(ValueError):
@@ -163,27 +164,10 @@ def local_derivative(
     return z_i + sum_z, -x_i - sum_x
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed edge index arrays (src, dst) sorted by (src, dst), plus degrees.
-
-    The sort order makes the bincount of a stage round accumulate neighbor
-    differences in exactly the order local_derivative's per-agent loop does.
-    """
-    pairs = sorted(
-        [(i, j) for i, j in g.edges] + [(j, i) for i, j in g.edges]
-    )
-    src = np.array([p[0] for p in pairs], dtype=np.intp)
-    dst = np.array([p[1] for p in pairs], dtype=np.intp)
-    deg = np.zeros(g.n, dtype=np.intp)
-    for i, _ in pairs:
-        deg[i] += 1
-    return src, dst, deg
-
-
 def _flat_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge arrays into the flat state [x, z]: s2 = [src, src + n],
     d2 = [dst, dst + n], plus the degrees. Both halves stay (src, dst)-sorted."""
-    src, dst, deg = _edge_arrays(g)
+    src, dst, deg = directed_edges(g)
     return np.concatenate((src, src + g.n)), np.concatenate((dst, dst + g.n)), deg
 
 
@@ -217,8 +201,7 @@ def simulate(
     snapped to the RK4 step grid so no switch lands mid-step (documented
     behavior). The run is bit-deterministic given (schedule, cfg, init).
     """
-    delta_max = schedule.max_degree()
-    cfg.validate(delta_max=delta_max)
+    cfg.validate(delta_max=schedule.max_degree())
     if cfg.t_end > schedule.t_end + 1e-9:
         raise ConfigError(
             f"t_end={cfg.t_end:g} exceeds schedule span [0, {schedule.t_end:g}]"

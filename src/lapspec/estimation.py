@@ -9,8 +9,10 @@ threshold (percent) that drives a success flag, and the window length; the
 sampling time is the signal's own. PEAK_THRESHOLD (smallest line amplitude),
 ZERO_PAD (peak-search DFT oversampling), STFT_ZERO_PAD (spectrogram
 oversampling), GN_TOL (Gauss-Newton stopping step), LAMBDA_TOL (slack
-below 1 rad/s still mapped to lambda = 0) and ORDER_GAP (smallest
-singular-value ratio accepted as the model order) are fixed constants.
+below 1 rad/s still mapped to lambda = 0), ORDER_GAP (smallest
+singular-value ratio accepted as the model order) and DISTINCT_PHASE
+(smallest phase two frequencies must drift apart over the window to be
+told apart) are fixed constants.
 
 Detection pipeline: the sampled signal is exactly a finite sum of poles, so
 a matrix pencil on its Hankel matrix (Hua & Sarkar 1990) seeds all
@@ -44,6 +46,7 @@ STFT_ZERO_PAD = 4
 GN_TOL = 1e-13
 LAMBDA_TOL = 0.05
 ORDER_GAP = 1e6
+DISTINCT_PHASE = 1e-2
 
 
 class EstimationError(ValueError):
@@ -69,10 +72,6 @@ class SampledSignal:
     @property
     def ts(self) -> float:
         return 1.0 / self.f_s
-
-    @property
-    def duration(self) -> float:
-        return (len(self.samples) - 1) * self.ts
 
     @classmethod
     def from_trace(
@@ -301,9 +300,9 @@ def ls_fit(
     t = np.arange(len(y)) * sig.ts
     if len(omegas) > 1:
         a, b = _closest_pair(omegas)
-        # A pair drifting apart by less than ~0.01 rad across the whole
+        # A pair drifting apart by less than DISTINCT_PHASE across the whole
         # window is indistinguishable: amplitudes would split arbitrarily.
-        if (b - a) * t[-1] < 1e-2:
+        if (b - a) * t[-1] < DISTINCT_PHASE:
             raise EstimationError(
                 f"near-duplicate frequencies {a:.8g} and {b:.8g} are "
                 f"indistinguishable over a {t[-1]:.3g} s window"
@@ -463,8 +462,8 @@ def estimate_frequencies(
 
     The frequencies come from one matrix-pencil seed and one joint refine
     (_pencil_seed), or, when the signal shows no finite sum of at most n_max
-    sinusoids or the refined seed collapses within ls_fit's
-    distinguishability limit, from greedy residual-peak detection
+    sinusoids or two refined seed frequencies drift apart by less than
+    2 * DISTINCT_PHASE over the window, from greedy residual-peak detection
     (_greedy_omegas). Components whose fitted amplitude falls below the peak
     threshold are pruned. Frequencies below 1 - LAMBDA_TOL rad/s are
     structurally impossible and never enter.
@@ -486,7 +485,7 @@ def estimate_frequencies(
     norm_y = float(np.linalg.norm(y))
     omega_min = 1.0 - LAMBDA_TOL
     omega_max = 0.999 * math.pi / ts
-    merge_gap = 2e-2 / ((n_win - 1) * ts)  # ls_fit's distinguishability limit
+    merge_gap = 2.0 * DISTINCT_PHASE / ((n_win - 1) * ts)  # twice ls_fit's limit
 
     def empty_estimate() -> SpectrumEstimate:
         none = np.empty(0)

@@ -1,10 +1,11 @@
 """Undirected graphs, their Laplacians, and time-switched topology schedules.
 
 Agents are 0-indexed. Graphs are unweighted and simple: no self-loops, each
-undirected edge stored once as a canonical (i, j) pair with i < j. The
-Laplacian is built dense (desk-scale networks) with the usual convention
-degree on the diagonal, -1 per edge, so every row sums to zero and the
-spectrum lies in [0, 2 * max_degree] by Gershgorin.
+undirected edge stored once as a canonical (i, j) pair with i < j. The graph
+owns the neighbor order and the degrees (directed_edges) that the simulator,
+the Laplacian and every max degree read. The Laplacian is dense (desk-scale
+networks): degree on the diagonal, -1 per edge, so every row sums to zero
+and the spectrum lies in [0, 2 * max_degree] by Gershgorin.
 """
 from __future__ import annotations
 
@@ -46,8 +47,6 @@ class Graph:
         canon = set()
         for i, j in edges:
             i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop on agent {i}")
             canon.add((min(i, j), max(i, j)))
         return cls(n=n, edges=frozenset(canon))
 
@@ -71,24 +70,27 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def directed_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every edge as index arrays (src, dst), sorted by
+    (src, dst): each agent's neighbors in ascending order, the order a stage
+    round accumulates them in. Plus each agent's degree."""
+    e = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    src, dst = np.concatenate((e, e[:, ::-1])).T
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], np.bincount(src, minlength=g.n)
+
+
 def build_laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian: degree on the diagonal, -1 per edge."""
-    lap = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
+    src, dst, deg = directed_edges(g)
+    lap = np.diag(deg.astype(float))
+    lap[src, dst] = -1.0
     return lap
 
 
 def max_degree(g: Graph) -> int:
     """Largest agent degree; 2*max_degree bounds every Laplacian eigenvalue."""
-    deg = [0] * g.n
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return max(deg)
+    return int(directed_edges(g)[2].max())
 
 
 def is_connected(g: Graph) -> bool:
@@ -247,12 +249,23 @@ def parse_schedule(text: str, base_dir: str | Path = ".") -> TopologySchedule:
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"segment {k}: expected an object, got {type(entry).__name__}")
-        try:
-            t_start = float(entry["t_start"])
-            t_end = float(entry["t_end"])
-        except KeyError as exc:
-            raise ParseError(f"segment {k}: missing field {exc}") from None
+        times = []
+        for name in ("t_start", "t_end"):
+            if name not in entry:
+                raise ParseError(f"segment {k}: missing field '{name}'")
+            try:
+                times.append(float(entry[name]))
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"segment {k}: field '{name}' must be a number, got {json.dumps(entry[name])}"
+                ) from None
+        t_start, t_end = times
         if "edges_file" in entry:
+            if not isinstance(entry["edges_file"], str):
+                raise ParseError(
+                    f"segment {k}: field 'edges_file' must be a path string, "
+                    f"got {json.dumps(entry['edges_file'])}"
+                )
             path = base / entry["edges_file"]
             try:
                 graph = parse_edge_list(path.read_text())

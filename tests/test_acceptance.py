@@ -35,7 +35,8 @@ from lapspec import (
     verify_rank_relation,
 )
 from lapspec.cli import main as cli_main
-from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _edge_arrays
+from lapspec.dynamics import DEFAULT_SAMPLE_RATE
+from lapspec.graph import directed_edges
 from conftest import (
     disjoint_union,
     random_connected_graph,
@@ -271,7 +272,7 @@ def test_criterion_08_communication_round_accounting():
         random_init(5, 0),
     )
     per_agent = counter.per_agent
-    max_deg_agents = np.flatnonzero(_edge_arrays(P5)[2] == 2).tolist()
+    max_deg_agents = np.flatnonzero(directed_edges(P5)[2] == 2).tolist()
     ok = (
         bound == 800
         and np.all(per_agent <= bound)

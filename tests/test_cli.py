@@ -1,6 +1,7 @@
 """End-to-end command-line checks over temp directories."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -24,7 +25,7 @@ from lapspec import (
     simulate,
     star_graph,
 )
-from lapspec.cli import main, read_trace_csv, write_trace_csv
+from lapspec.cli import build_parser, main, read_trace_csv, write_trace_csv
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -251,6 +252,49 @@ def test_per_segment_past_trace_end_gives_error_entry(switching_schedule, tmp_pa
     assert blocks[2]["error"] == "span [12.9, 20] s holds no samples: the trace ends at 9.99026 s"
 
 
+def _ring_path_schedule(tmp_path, bounds):
+    """Schedule alternating ring and path over consecutive [bounds[k], bounds[k + 1]]."""
+    graphs = (cycle_graph(5), path_graph(5))
+    segments = [
+        {"t_start": a, "t_end": b, "n": 5, "edges": sorted(list(e) for e in graphs[k % 2].edges)}
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    path = tmp_path / "between.json"
+    path.write_text(json.dumps(segments))
+    return path
+
+
+P5_SPECTRUM = np.array([2.0 - 2.0 * math.cos(k * math.pi / 5) for k in range(5)])
+
+
+def test_per_segment_default_window_fits_segment_between_samples(tmp_path, capsys):
+    """[7, 13.946] s is 110.55 sampling periods long but holds 110 samples:
+    the default window takes the samples held instead of asking for 111."""
+    sched = _ring_path_schedule(tmp_path, [0.0, 7.0, 13.946])
+    out = tmp_path / "out"
+    assert run(["simulate", sched, "--seed", "11", "--out-dir", out]) == 0
+    capsys.readouterr()
+    assert run([
+        "estimate", out / "trace.csv", "--agent", "1", "--per-segment", "--schedule", sched,
+    ]) == 0
+    blocks = json.loads(capsys.readouterr().out)["per_segment"]
+    assert [sorted(b) for b in blocks] == [["estimate", "t_end", "t_start"]] * 2
+    est = blocks[1]["estimate"]
+    assert est["flag"] and np.max(np.abs(np.array(est["lambda"]) - P5_SPECTRUM)) < 1e-6
+
+
+def test_validate_default_window_fits_middle_segment_between_samples(tmp_path, capsys):
+    """The middle span [6.539, 13.056] s holds 103 samples where its length
+    rounds to 104; every segment still gets an estimate."""
+    sched = _ring_path_schedule(tmp_path, [0.0, 6.539, 13.056, 20.0])
+    assert run(["validate", sched, "--agent", "1", "--seed", "11"]) == 0
+    segments = json.loads(capsys.readouterr().out)["segments"]
+    assert len(segments) == 3
+    for seg in segments:
+        assert seg["estimate"]["flag"]
+        assert seg["max_abs_error_estimable"] < 1e-5
+
+
 @pytest.mark.parametrize("argv, setting", [
     pytest.param(["simulate", "{p5}", "--t-end", "inf"], "t_end must be finite", id="t-end-inf"),
     pytest.param(["simulate", "{p5}", "--fs", "nan"], "f_s must be finite", id="fs-nan"),
@@ -460,12 +504,47 @@ def test_rounds_from_schedule(switching_schedule, capsys):
     assert payload["bound"] == math.ceil(4 * 4 * 1.0 * DEFAULT_SAMPLE_RATE - 1e-9)
 
 
+def test_rounds_rejects_schedule_with_delta_max(switching_schedule, capsys):
+    assert run(["rounds", switching_schedule, "--delta-max", "7"]) == 1
+    assert "give either a schedule file or --delta-max, not both" in capsys.readouterr().err
+
+
+def test_rounds_names_bad_schedule_field(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('[{"t_start": null, "t_end": 3, "edges": [[0, 1]], "n": 2}]')
+    assert run(["rounds", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: segment 0: field 't_start' must be a number, got null\n"
+    )
+
+
 def test_rounds_requires_source(capsys):
     assert run(["rounds"]) == 1
     assert "delta-max" in capsys.readouterr().err
 
 
-def test_out_dir_env_var(p5_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("LAPSPEC_OUT_DIR", str(tmp_path / "envout"))
-    assert run(["simulate", p5_file, "--seed", "2"]) == 0
-    assert (tmp_path / "envout" / "trace.csv").exists()
+def _readme_flag_table():
+    """README's subcommand table: {name: (positionals, flags)}."""
+    rows = {}
+    for line in (SCENARIOS.parent / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`") and cells[1].startswith("`--"):
+            name, *positionals = cells[0].strip("`").split()
+            rows[name] = (positionals, {f.strip("`") for f in cells[1].split(", ")})
+    return rows
+
+
+def test_readme_flag_table_matches_parser():
+    """Each subcommand's README row lists exactly the positionals and flags
+    build_parser gives it, so a flag added or removed without a docs change
+    fails here."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser_rows = {}
+    for name, p in sub.choices.items():
+        positionals = [
+            f"[{a.dest.upper()}]" if a.nargs == "?" else a.dest.upper()
+            for a in p._actions if not a.option_strings
+        ]
+        flags = {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+        parser_rows[name] = (positionals, flags - {"--help"})
+    assert _readme_flag_table() == parser_rows

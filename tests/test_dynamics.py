@@ -32,11 +32,11 @@ from lapspec import (
 )
 from lapspec.dynamics import (
     DEFAULT_SAMPLE_RATE,
-    _edge_arrays,
     _flat_edges,
     _rk4_core,
     _stage_rates,
 )
+from lapspec.graph import directed_edges
 from conftest import disjoint_union, random_connected_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -409,7 +409,7 @@ def test_message_counts_per_agent():
     cfg = SimConfig(t_end=2.0 * math.pi, h=1.0 / DEFAULT_SAMPLE_RATE)
     trace, counter = simulate(sched, cfg, random_init(5, 0))
     steps = trace.num_samples - 1
-    degrees = _edge_arrays(P5)[2].tolist()
+    degrees = directed_edges(P5)[2].tolist()
     assert counter.per_agent.tolist() == [4 * d * steps for d in degrees]
     assert counter.total == sum(counter.per_agent)
     assert counter.per_sample_rounds == 4

@@ -23,7 +23,7 @@ from lapspec import (
     serialize_edge_list,
     star_graph,
 )
-from lapspec.dynamics import _edge_arrays
+from lapspec.graph import directed_edges
 from conftest import random_connected_graph
 
 
@@ -62,6 +62,52 @@ def test_p5_laplacian_structure_and_spectrum():
 )
 def test_max_degree(g, expected):
     assert max_degree(g) == expected
+
+
+def _reference_edge_arrays(g):
+    """The per-edge loops directed_edges replaced, kept as its reference."""
+    pairs = sorted([(i, j) for i, j in g.edges] + [(j, i) for i, j in g.edges])
+    src = np.array([p[0] for p in pairs], dtype=np.intp)
+    dst = np.array([p[1] for p in pairs], dtype=np.intp)
+    deg = np.zeros(g.n, dtype=np.intp)
+    for i, _ in pairs:
+        deg[i] += 1
+    return src, dst, deg
+
+
+def _reference_laplacian(g):
+    lap = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        lap[i, j] -= 1.0
+        lap[j, i] -= 1.0
+        lap[i, i] += 1.0
+        lap[j, j] += 1.0
+    return lap
+
+
+def _reference_max_degree(g):
+    deg = [0] * g.n
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return max(deg)
+
+
+def test_directed_edges_and_laplacian_match_per_edge_loops():
+    """directed_edges, build_laplacian and max_degree give exactly what the
+    per-edge loops gave: same arrays, dtypes and signs of zero."""
+    rng = np.random.default_rng(10)
+    graphs = [K2, Graph.from_edges(1, []), Graph.from_edges(6, []), path_graph(5),
+              star_graph(6), cycle_graph(7), complete_graph(5)]
+    graphs += [random_connected_graph(rng, int(rng.integers(2, 40))) for _ in range(24)]
+    graphs.append(random_connected_graph(rng, 2000))
+    for g in graphs:
+        for got, want in zip(directed_edges(g), _reference_edge_arrays(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        lap, ref = build_laplacian(g), _reference_laplacian(g)
+        assert lap.dtype == ref.dtype and np.array_equal(lap, ref)
+        assert np.array_equal(np.signbit(lap), np.signbit(ref))
+        assert max_degree(g) == _reference_max_degree(g)
 
 
 def test_graph_rejects_self_loop_and_range():
@@ -209,10 +255,27 @@ def test_parse_schedule_bad_json_and_fields():
         parse_schedule('[{"t_start": 0, "t_end": 3}]')
 
 
+@pytest.mark.parametrize("fields, message", [
+    ('"t_start": null, "t_end": 3', "segment 1: field 't_start' must be a number, got null"),
+    ('"t_start": [5], "t_end": 3', "segment 1: field 't_start' must be a number, got [5]"),
+    ('"t_start": "abc", "t_end": 3', "segment 1: field 't_start' must be a number, got \"abc\""),
+    ('"t_start": 2, "t_end": {}', "segment 1: field 't_end' must be a number, got {}"),
+    ('"t_start": 2, "t_end": 3, "edges_file": 123',
+     "segment 1: field 'edges_file' must be a path string, got 123"),
+    ('"t_start": 2, "t_end": 3, "edges_file": null',
+     "segment 1: field 'edges_file' must be a path string, got null"),
+])
+def test_parse_schedule_bad_field_types_name_segment_and_field(fields, message):
+    text = f'[{{"t_start": 0, "t_end": 2, "edges": [[0,1]], "n": 2}}, {{{fields}, "edges": [[0,1]], "n": 2}}]'
+    with pytest.raises(ParseError) as info:
+        parse_schedule(text)
+    assert str(info.value) == message
+
+
 def test_named_constructors():
     assert complete_graph(4).edges == frozenset(
         {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
     )
     assert len(cycle_graph(5).edges) == 5
     assert star_graph(4).edges == frozenset({(0, 1), (0, 2), (0, 3)})
-    assert _edge_arrays(path_graph(3))[2].tolist() == [1, 2, 1]
+    assert directed_edges(path_graph(3))[2].tolist() == [1, 2, 1]
