@@ -15,11 +15,15 @@ Integration is classical fixed-step RK4 realized as four synchronous message
 rounds per step: in each stage every agent sends its current stage value to
 its neighbors, receives theirs, and evaluates the local rule. The dense
 system matrix is never formed here; it lives in the oracle
-(oracle.build_system_matrix). The state is one flat array w = [x, z], and a
-stage round is one np.bincount over graph.directed_edges, taken at each
-segment start. The graph owns their (src, dst) order, the per-agent loop's
-ascending neighbor order, so both formulations agree bit for bit; the same
-call's degrees give the message counts.
+(oracle.build_system_matrix). The state is one flat array w = [x, z]. A stage
+round is one gather-difference over graph.directed_edges, one np.bincount
+into swapped slots, acc = [A_z, A_x], and one signed sum w[swap]*sgn +
+acc*sgn. The graph owns the (src, dst) order, the per-agent loop's ascending
+neighbor order, so both formulations agree bit for bit.
+
+Numerical notes: the sign goes on each summand, never on the sum. IEEE a - b
+is a + (-b) and a product with +/-1 is exact, so (-x) + (-A_x) is the rule's
+(-x) - A_x bit for bit; -(x + A_x) would turn an exact +0.0 rate into -0.0.
 """
 from __future__ import annotations
 
@@ -164,29 +168,30 @@ def local_derivative(
     return z_i + sum_z, -x_i - sum_x
 
 
-def _flat_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge arrays into the flat state [x, z]: s2 = [src, src + n],
-    d2 = [dst, dst + n], plus the degrees. Both halves stay (src, dst)-sorted."""
-    src, dst, deg = directed_edges(g)
-    return np.concatenate((src, src + g.n)), np.concatenate((dst, dst + g.n)), deg
+def _flat_edges(g: Graph) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Stage-round arrays over [x, z] plus the degrees: s2 = [src, src + n], d2 =
+    [dst, dst + n], t2 = swap[s2], swap = [n..2n-1, 0..n-1], sgn = [+1]*n + [-1]*n."""
+    (src, dst, deg), n = directed_edges(g), g.n
+    s2, swap = np.concatenate((src, src + n)), np.roll(np.arange(2 * n), n)
+    return (s2, np.concatenate((dst, dst + n)), swap[s2], swap, np.repeat([1.0, -1.0], n)), deg
 
 
-def _stage_rates(w: np.ndarray, s2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """One synchronous message round: every agent evaluates the local rule."""
-    n = w.shape[0] // 2
-    acc = np.bincount(s2, w[s2] - w[d2], minlength=2 * n)
-    k = np.empty_like(w)
-    k[:n] = w[n:] + acc[n:]
-    k[n:] = (-w[:n]) - acc[:n]
+def _stage_rates(w: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One synchronous message round: [z + A_z, (-x) + (-A_x)], acc = [A_z, A_x]."""
+    s2, d2, t2, swap, sgn = edges
+    acc = np.bincount(t2, w[s2] - w[d2], minlength=w.size)
+    k = w[swap]
+    k *= sgn
+    k += acc * sgn  # not acc *= sgn: with no edges, bincount returns int zeros
     return k
 
 
-def _rk4_core(w: np.ndarray, s2: np.ndarray, d2: np.ndarray, h: float) -> np.ndarray:
+def _rk4_core(w: np.ndarray, edges: tuple[np.ndarray, ...], h: float) -> np.ndarray:
     """Classical RK4 step on the flat state via four stage rounds."""
-    k1 = _stage_rates(w, s2, d2)
-    k2 = _stage_rates(w + 0.5 * h * k1, s2, d2)
-    k3 = _stage_rates(w + 0.5 * h * k2, s2, d2)
-    k4 = _stage_rates(w + h * k3, s2, d2)
+    k1 = _stage_rates(w, edges)
+    k2 = _stage_rates(w + 0.5 * h * k1, edges)
+    k3 = _stage_rates(w + 0.5 * h * k2, edges)
+    k4 = _stage_rates(w + h * k3, edges)
     return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -238,11 +243,11 @@ def simulate(
     step = 0
     sample = 1
     for k, seg in enumerate(schedule.segments):
-        s2, d2, deg = _flat_edges(seg.graph)
+        edges, deg = _flat_edges(seg.graph)
         seg_end = bounds[k + 1]
         sent += 4 * deg * (seg_end - step)  # one message per neighbor per stage round
         while step < seg_end:
-            w = _rk4_core(w, s2, d2, h)
+            w = _rk4_core(w, edges, h)
             step += 1
             if step % m == 0:
                 bad = np.flatnonzero(~np.isfinite(w))

@@ -44,11 +44,16 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph, canonicalizing pairs and collapsing duplicates."""
-        canon = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            canon.add((min(i, j), max(i, j)))
-        return cls(n=n, edges=frozenset(canon))
+        n = _integer(n, "n")
+        pairs = [(_integer(i, "edges"), _integer(j, "edges")) for i, j in edges]
+        return cls(n=n, edges=frozenset((min(p), max(p)) for p in pairs))
+
+
+def _integer(value, field: str) -> int:
+    """An agent count or index, checked: int() would read 2.9 as 2, true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"field '{field}': {json.dumps(value, default=repr)} is not an integer")
+    return int(value)
 
 
 def path_graph(n: int) -> Graph:
@@ -277,7 +282,7 @@ def parse_schedule(text: str, base_dir: str | Path = ".") -> TopologySchedule:
             if "n" not in entry:
                 raise ParseError(f"segment {k}: inline 'edges' requires 'n'")
             try:
-                graph = Graph.from_edges(int(entry["n"]), entry["edges"])
+                graph = Graph.from_edges(entry["n"], entry["edges"])
             except (ValueError, TypeError) as exc:
                 raise ParseError(f"segment {k}: {exc}") from None
         else:

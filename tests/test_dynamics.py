@@ -121,18 +121,24 @@ def _stage_test_states(rng, n):
         yield np.full(n, c), np.full(n, d)
 
 
+def _ascending_neighbors(g):
+    neighbors = {i: [] for i in range(g.n)}
+    for i, j in sorted(g.edges):
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return neighbors
+
+
 def test_stage_rates_bitexact_with_local_rule():
     """The vectorized stage round must reproduce the per-agent loop bit for
     bit (same accumulation order, same signed zeros), for many states."""
     rng = np.random.default_rng(0)
-    for g in (P5, star_graph(6), complete_graph(5)):
-        s2, d2, _ = _flat_edges(g)
-        neighbors = {i: [] for i in range(g.n)}
-        for i, j in sorted(g.edges):
-            neighbors[i].append(j)
-            neighbors[j].append(i)
+    sparse = random_connected_graph(np.random.default_rng(7), 240)  # near the cli size
+    for g in (P5, star_graph(6), complete_graph(5), sparse):
+        edges, _ = _flat_edges(g)
+        neighbors = _ascending_neighbors(g)
         for x, z in _stage_test_states(rng, g.n):
-            rates = _stage_rates(np.concatenate((x, z)), s2, d2)
+            rates = _stage_rates(np.concatenate((x, z)), edges)
             expected = np.empty(2 * g.n)
             for i in range(g.n):
                 expected[i], expected[g.n + i] = local_derivative(
@@ -173,9 +179,9 @@ def test_rk4_single_agent_rotation():
 
 
 def test_rk4_zero_step_identity():
-    s2, d2, _ = _flat_edges(K2)
+    edges, _ = _flat_edges(K2)
     w = np.array([0.3, -0.7, 1.1, 0.0])
-    assert np.array_equal(_rk4_core(w, s2, d2, 0.0), w)
+    assert np.array_equal(_rk4_core(w, edges, 0.0), w)
 
 
 def test_rk4_k2_closed_form():
@@ -225,6 +231,68 @@ def test_rk4_agrees_with_matrix_reference():
         # thousand steps
         rx, rz = matrix_rk4_reference(lap, x0, z0, 1e-3, 1000)
         assert np.max(np.abs(trace.x[1000] - rx)) < 1e-10
+
+
+def _per_agent_rk4(step_graphs, x0, z0, h, m):
+    """Pure-Python RK4 by per-agent message passing: in each of the four stage
+    rounds every agent calls local_derivative on its own stage value and its
+    neighbors' (ascending order). step_graphs[s] is the graph of step s.
+    Returns the flat states [x, z] after every m-th step, starting with x0, z0."""
+    w = [float(v) for v in (*x0, *z0)]
+
+    def rates(g, v):
+        neighbors = _ascending_neighbors(g)
+        d = [local_derivative(i, v[i], v[g.n + i], [(v[j], v[g.n + j]) for j in neighbors[i]])
+             for i in range(g.n)]
+        return [dx for dx, _ in d] + [dz for _, dz in d]
+
+    def axpy(a, u, k):
+        return [ui + a * ki for ui, ki in zip(u, k)]
+
+    samples = [w]
+    for step, g in enumerate(step_graphs, start=1):
+        k1 = rates(g, w)
+        k2 = rates(g, axpy(0.5 * h, w, k1))
+        k3 = rates(g, axpy(0.5 * h, w, k2))
+        k4 = rates(g, axpy(h, w, k3))
+        w = [wi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+             for wi, a, b, c, d in zip(w, k1, k2, k3, k4)]
+        if step % m == 0:
+            samples.append(w)
+    return np.array(samples)
+
+
+def test_simulate_bitexact_with_per_agent_rk4():
+    """Whole RK4 steps, not one stage: 50 steps of simulate against the
+    per-agent loop, byte for byte, on fixed and switching topologies and on
+    states built from signed zeros and +/-1 as well as random ones."""
+    rng = np.random.default_rng(21)
+    h, m = 0.02, 5  # 50 steps sampled every 5th
+    cfg = SimConfig(t_end=1.0, f_s=10.0, h=h)
+    g6 = random_connected_graph(rng, 6)
+    schedules = [
+        TopologySchedule.single(P5, 1.0),
+        TopologySchedule.single(star_graph(7), 1.0),
+        TopologySchedule.single(random_connected_graph(rng, 10), 1.0),
+        TopologySchedule.single(Graph.from_edges(1, []), 1.0),  # no messages at all
+        TopologySchedule(segments=(Segment(0.0, 0.4, star_graph(6)), Segment(0.4, 1.0, g6))),
+    ]
+    values = np.array([0.0, -0.0, 1.0, -1.0])
+    for sched in schedules:
+        n = sched.n
+        inits = [
+            (rng.standard_normal(n), rng.standard_normal(n)),
+            (rng.choice(values, size=n), rng.choice(values, size=n)),
+            (rng.choice(values[:2], size=n), rng.choice(values[:2], size=n)),
+        ]
+        for x0, z0 in inits:
+            trace, _ = simulate(sched, cfg, (x0, z0))
+            steps = [seg.graph for seg in trace.segments
+                     for _ in range(round((seg.t_end - seg.t_start) / h))]
+            assert len(steps) == 50
+            expected = _per_agent_rk4(steps, x0, z0, h, m)
+            assert trace.x.tobytes() == expected[:, :n].tobytes()
+            assert trace.z.tobytes() == expected[:, n:].tobytes()
 
 
 # --- simulate --------------------------------------------------------------------

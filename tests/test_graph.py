@@ -264,12 +264,39 @@ def test_parse_schedule_bad_json_and_fields():
      "segment 1: field 'edges_file' must be a path string, got 123"),
     ('"t_start": 2, "t_end": 3, "edges_file": null',
      "segment 1: field 'edges_file' must be a path string, got null"),
+    # int() would read 2.9 agents as 2, an endpoint 1.7 as 1 and true as 1
+    ('"t_start": 2, "t_end": 3, "n": 2.9, "edges": [[0, 1.7]]',
+     "segment 1: field 'n': 2.9 is not an integer"),
+    ('"t_start": 2, "t_end": 3, "n": true, "edges": []', "segment 1: field 'n': true is not an integer"),
+    ('"t_start": 2, "t_end": 3, "n": 2.0', "segment 1: field 'n': 2.0 is not an integer"),
+    ('"t_start": 2, "t_end": 3, "n": "2"', "segment 1: field 'n': \"2\" is not an integer"),
+    ('"t_start": 2, "t_end": 3, "n": null', "segment 1: field 'n': null is not an integer"),
+    ('"t_start": 2, "t_end": 3, "edges": [[0, 1.7]]',
+     "segment 1: field 'edges': 1.7 is not an integer"),
+    ('"t_start": 2, "t_end": 3, "edges": [[false, 1]]',
+     "segment 1: field 'edges': false is not an integer"),
+    ('"t_start": 2, "t_end": 3, "n": 3, "edges": [[0, 1], [1, 2.0]]',
+     "segment 1: field 'edges': 2.0 is not an integer"),
 ])
 def test_parse_schedule_bad_field_types_name_segment_and_field(fields, message):
-    text = f'[{{"t_start": 0, "t_end": 2, "edges": [[0,1]], "n": 2}}, {{{fields}, "edges": [[0,1]], "n": 2}}]'
+    text = f'[{{"t_start": 0, "t_end": 2, "edges": [[0,1]], "n": 2}}, {{"edges": [[0,1]], "n": 2, {fields}}}]'
     with pytest.raises(ParseError) as info:
         parse_schedule(text)
     assert str(info.value) == message
+
+
+def test_from_edges_rejects_non_integers_and_keeps_numpy_integers():
+    with pytest.raises(TypeError, match="field 'n': 2.9 is not an integer"):
+        Graph.from_edges(2.9, [(0, 1)])
+    with pytest.raises(TypeError, match="field 'n': true is not an integer"):
+        Graph.from_edges(True, [])
+    with pytest.raises(TypeError, match="field 'edges': 1.5 is not an integer"):
+        Graph.from_edges(3, [(0, 1.5)])
+    with pytest.raises(TypeError, match="field 'edges': 0.0 is not an integer"):
+        Graph.from_edges(3, np.array([[0.0, 1.0]]))
+    g = Graph.from_edges(np.int64(3), np.array([[2, 0], [1, 2]]))
+    assert g == Graph.from_edges(3, [(0, 2), (1, 2)])
+    assert all(type(v) is int for v in (g.n, *(v for e in g.edges for v in e)))
 
 
 def test_named_constructors():
