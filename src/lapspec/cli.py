@@ -38,6 +38,7 @@ from .estimation import (
     spectrogram,
 )
 from .graph import (
+    TIME_TOL,
     ParseError,
     ScheduleError,
     TopologySchedule,
@@ -83,8 +84,8 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         # Row by row, so a large trace is never held as Python floats at once.
-        for t, x, z in zip(trace.times.tolist(), trace.x, trace.z):
-            fh.write(row % (t, *x.tolist(), *z.tolist()))
+        for t, w in zip(trace.times.tolist(), trace.states):
+            fh.write(row % (t, *w.tolist()))
 
 
 def read_trace_csv(path: Path) -> Trace:
@@ -93,7 +94,6 @@ def read_trace_csv(path: Path) -> Trace:
         header = fh.readline().strip().split(",")
     if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
         raise ParseError(f"{path}: not a trace CSV (header {header[:3]}...)")
-    n = (len(header) - 1) // 2
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     times = data[:, 0]
     if len(times) < 2:
@@ -110,8 +110,7 @@ def read_trace_csv(path: Path) -> Trace:
     tol = 1e-9 * period + 4.0 * np.spacing(np.abs(times).max())
     if not period > 0 or np.any(np.abs(np.diff(times) - period) > tol):
         raise ParseError(f"{path}: time column is not a uniform increasing grid")
-    f_s = 1.0 / period
-    return Trace(times=times, x=data[:, 1 : n + 1], z=data[:, n + 1 :], f_s=f_s, segments=())
+    return Trace(times=times, states=data[:, 1:], f_s=1.0 / period, segments=())
 
 
 def _write_json(obj: dict, path: Path) -> None:
@@ -181,19 +180,18 @@ def _estimate_span(
     rounds to. A window longer than the span is an error; over the whole
     trace the estimator rejects a window with more samples than it has.
     """
-    if t_start is None:
-        default = min(FreqEstimatorConfig.window, trace.times[-1] - trace.times[0])
-    else:
-        default = t_end - t_start
-        lo, hi = trace.sample_range(t_start, t_end)
-        # Covered: the grid sample after the trace's last lies past the segment.
-        covered = trace.times[-1] + 1.0 / trace.f_s > t_end + 1e-9
-        if covered and round(default * trace.f_s) > hi - lo:
-            default = (hi - lo) / trace.f_s
-    window = args.window if args.window is not None else default
-    if t_start is not None and window > t_end - t_start + 1e-9:
+    window = args.window
+    if t_start is not None and window is not None and window > t_end - t_start + TIME_TOL:
         raise EstimationError(f"window {window:g} s exceeds segment length {t_end - t_start:g} s")
     sig = SampledSignal.from_trace(trace, args.agent, t_start=t_start, t_end=t_end)
+    if window is None and t_start is None:
+        window = min(FreqEstimatorConfig.window, trace.times[-1] - trace.times[0])
+    elif window is None:
+        window = t_end - t_start
+        # Covered: the grid sample after the trace's last lies past the segment.
+        covered = trace.times[-1] + 1.0 / trace.f_s > t_end + TIME_TOL
+        if covered and round(window * trace.f_s) > len(sig.samples):
+            window = len(sig.samples) / trace.f_s
     cfg = FreqEstimatorConfig(n_max=args.nmax, se=args.se, window=window)
     return estimate_frequencies(sig, cfg)
 

@@ -15,11 +15,12 @@ Integration is classical fixed-step RK4 realized as four synchronous message
 rounds per step: in each stage every agent sends its current stage value to
 its neighbors, receives theirs, and evaluates the local rule. The dense
 system matrix is never formed here; it lives in the oracle
-(oracle.build_system_matrix). The state is one flat array w = [x, z]. A stage
-round is one gather-difference over graph.directed_edges, one np.bincount
-into swapped slots, acc = [A_z, A_x], and one signed sum w[swap]*sgn +
-acc*sgn. The graph owns the (src, dst) order, the per-agent loop's ascending
-neighbor order, so both formulations agree bit for bit.
+(oracle.build_system_matrix). The state is one flat array w = [x, z], and
+Trace.states keeps one w row per sample: the trace CSV's columns after t. A
+stage round is one gather-difference over graph.directed_edges, one
+np.bincount into swapped slots, acc = [A_z, A_x], and one signed sum
+w[swap]*sgn + acc*sgn. The graph owns the (src, dst) order, the per-agent
+loop's ascending neighbor order, so both formulations agree bit for bit.
 
 Numerical notes: the sign goes on each summand, never on the sum. IEEE a - b
 is a + (-b) and a product with +/-1 is exact, so (-x) + (-A_x) is the rule's
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Segment, TopologySchedule, directed_edges
+from .graph import TIME_TOL, Graph, Segment, TopologySchedule, directed_edges
 
 
 class ConfigError(ValueError):
@@ -100,27 +101,35 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled per-agent signals plus the active-topology record:
-    the schedule's segments as simulated, boundaries snapped to RK4 steps."""
+    """Sampled network state, one simulator row w = [x, z] per sample (x and z
+    are views of its halves), plus the schedule's segments as simulated,
+    boundaries snapped to RK4 steps."""
 
     times: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
+    states: np.ndarray
     f_s: float
     segments: tuple[Segment, ...]
 
     @property
     def n(self) -> int:
-        return self.x.shape[1]
+        return self.states.shape[1] // 2
 
     @property
     def num_samples(self) -> int:
-        return self.x.shape[0]
+        return self.states.shape[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.states[:, : self.n]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.states[:, self.n :]
 
     def sample_range(self, t_start: float, t_end: float) -> tuple[int, int]:
         """Half-open sample index range [lo, hi) covering [t_start, t_end]."""
-        lo = int(np.searchsorted(self.times, t_start - 1e-9, side="left"))
-        hi = int(np.searchsorted(self.times, t_end + 1e-9, side="right"))
+        lo = int(np.searchsorted(self.times, t_start - TIME_TOL, side="left"))
+        hi = int(np.searchsorted(self.times, t_end + TIME_TOL, side="right"))
         return lo, hi
 
 
@@ -207,7 +216,7 @@ def simulate(
     behavior). The run is bit-deterministic given (schedule, cfg, init).
     """
     cfg.validate(delta_max=schedule.max_degree())
-    if cfg.t_end > schedule.t_end + 1e-9:
+    if cfg.t_end > schedule.t_end + TIME_TOL:
         raise ConfigError(
             f"t_end={cfg.t_end:g} exceeds schedule span [0, {schedule.t_end:g}]"
         )
@@ -224,31 +233,25 @@ def simulate(
     total_steps = (num_samples - 1) * m
 
     # Snap segment boundaries to the step grid.
-    bounds = [0]
-    for seg in schedule.segments:
-        bounds.append(min(total_steps, round(seg.t_end / h)))
-    bounds[-1] = total_steps
+    inner = [min(total_steps, round(seg.t_end / h)) for seg in schedule.segments[:-1]]
+    bounds = [0, *inner, total_steps]
     spans = tuple(
-        Segment(t_start=bounds[k] * h, t_end=bounds[k + 1] * h, graph=seg.graph)
-        for k, seg in enumerate(schedule.segments)
-        if bounds[k + 1] > bounds[k]
+        Segment(t_start=first * h, t_end=last * h, graph=seg.graph)
+        for seg, first, last in zip(schedule.segments, bounds, bounds[1:])
+        if last > first
     )
 
-    xs = np.empty((num_samples, n))
-    zs = np.empty((num_samples, n))
-    xs[0], zs[0] = x, z
     w = np.concatenate((x, z))
+    states = np.empty((num_samples, 2 * n))
+    states[0] = w
     sent = np.zeros(n, dtype=np.int64)
 
-    step = 0
-    sample = 1
-    for k, seg in enumerate(schedule.segments):
+    # Steps 1..total_steps write each of rows 1..num_samples-1 exactly once.
+    for seg, first, last in zip(schedule.segments, bounds, bounds[1:]):
         edges, deg = _flat_edges(seg.graph)
-        seg_end = bounds[k + 1]
-        sent += 4 * deg * (seg_end - step)  # one message per neighbor per stage round
-        while step < seg_end:
+        sent += 4 * deg * (last - first)  # one message per neighbor per stage round
+        for step in range(first + 1, last + 1):
             w = _rk4_core(w, edges, h)
-            step += 1
             if step % m == 0:
                 bad = np.flatnonzero(~np.isfinite(w))
                 if len(bad):
@@ -256,21 +259,11 @@ def simulate(
                         f"non-finite state at t={step * h:g}, first at agent "
                         f"{bad[0] % n}"
                     )
-                xs[sample], zs[sample] = w[:n], w[n:]
-                sample += 1
-    if sample != num_samples:
-        raise SimulationError(
-            f"internal sampling mismatch: produced {sample} of {num_samples}"
-        )
+                states[step // m] = w
 
     times = np.arange(num_samples) * (m * h)
-    trace = Trace(times=times, x=xs, z=zs, f_s=cfg.f_s, segments=spans)
-    counter = MessageCounter(
-        total=int(sent.sum()),
-        per_agent=sent,
-        per_sample_rounds=4 * m,
-    )
-    return trace, counter
+    counter = MessageCounter(total=int(sent.sum()), per_agent=sent, per_sample_rounds=4 * m)
+    return Trace(times=times, states=states, f_s=cfg.f_s, segments=spans), counter
 
 
 def round_bound(delta_max: int, t_min: float, f_s: float) -> int:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trace
+from .graph import TIME_TOL
 
 PEAK_THRESHOLD = 0.005
 ZERO_PAD = 8
@@ -88,16 +89,14 @@ class SampledSignal:
         """
         if not 0 <= agent < trace.n:
             raise EstimationError(f"agent {agent} out of range [0, {trace.n})")
-        lo, hi = 0, trace.num_samples
-        if t_start is not None or t_end is not None:
-            t_start = trace.times[0] if t_start is None else t_start
-            t_end = trace.times[-1] if t_end is None else t_end
-            lo, hi = trace.sample_range(t_start, t_end)
-            if lo >= hi:
-                raise EstimationError(
-                    f"span [{t_start:g}, {t_end:g}] s holds no samples: the trace "
-                    f"ends at {trace.times[-1]:g} s"
-                )
+        t_start = trace.times[0] if t_start is None else t_start
+        t_end = trace.times[-1] if t_end is None else t_end
+        lo, hi = trace.sample_range(t_start, t_end)
+        if lo >= hi:
+            raise EstimationError(
+                f"span [{t_start:g}, {t_end:g}] s holds no samples: the trace "
+                f"ends at {trace.times[-1]:g} s"
+            )
         return cls(samples=trace.x[lo:hi, agent].copy(), f_s=trace.f_s, t0=float(trace.times[lo]))
 
 
@@ -129,14 +128,15 @@ class FreqEstimatorConfig:
     window: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise EstimationError(f"n_max must be at least 1, got {self.n_max}")
+        n_max = self.n_max
+        if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+            raise EstimationError(f"n_max must be an integer of at least 1, got {n_max!r}")
         for name, value in (("error threshold se", self.se), ("window", self.window)):
             if not math.isfinite(value):
                 raise EstimationError(f"{name} must be finite, got {value}")
         if self.se <= 0:
             raise EstimationError(f"error threshold must be positive, got {self.se}")
-        if self.window < 2.0 * math.pi - 1e-9:
+        if self.window < 2.0 * math.pi - TIME_TOL:
             raise EstimationError(
                 f"window {self.window:g} s is shorter than the slowest period "
                 f"2*pi ~ {2 * math.pi:.4f} s"

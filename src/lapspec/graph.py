@@ -10,11 +10,15 @@ and the spectrum lies in [0, 2 * max_degree] by Gershgorin.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+
+TIME_TOL = 1e-9  # seconds: two times closer than this are the same time
 
 
 class ParseError(ValueError):
@@ -54,6 +58,18 @@ def _integer(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"field '{field}': {json.dumps(value, default=repr)} is not an integer")
     return int(value)
+
+
+def _seconds(entry: dict, k: int, field: str) -> float:
+    """Segment k's time field, checked: float() reads false as 0.0, "10" as 10."""
+    if field not in entry:
+        raise ParseError(f"segment {k}: missing field '{field}'")
+    value = entry[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"segment {k}: field '{field}' must be a number, got {json.dumps(value)}")
+    if not abs(value) <= sys.float_info.max:  # inf, nan and integers past float range
+        raise ParseError(f"segment {k}: field '{field}' must be finite, got {json.dumps(value)}")
+    return float(value)
 
 
 def path_graph(n: int) -> Graph:
@@ -189,12 +205,10 @@ class TopologySchedule:
 
     segments: tuple[Segment, ...]
 
-    _TIME_TOL = 1e-9
-
     def __post_init__(self) -> None:
         if not self.segments:
             raise ScheduleError("schedule has no segments")
-        if abs(self.segments[0].t_start) > self._TIME_TOL:
+        if abs(self.segments[0].t_start) > TIME_TOL:
             raise ScheduleError(
                 f"first segment must start at t=0, got {self.segments[0].t_start}"
             )
@@ -206,7 +220,7 @@ class TopologySchedule:
                 )
             if k > 0:
                 gap = seg.t_start - self.segments[k - 1].t_end
-                if abs(gap) > self._TIME_TOL:
+                if abs(gap) > TIME_TOL:
                     kind = "gap" if gap > 0 else "overlap"
                     raise ScheduleError(
                         f"{kind} between segments {k - 1} and {k}: "
@@ -254,17 +268,7 @@ def parse_schedule(text: str, base_dir: str | Path = ".") -> TopologySchedule:
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"segment {k}: expected an object, got {type(entry).__name__}")
-        times = []
-        for name in ("t_start", "t_end"):
-            if name not in entry:
-                raise ParseError(f"segment {k}: missing field '{name}'")
-            try:
-                times.append(float(entry[name]))
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"segment {k}: field '{name}' must be a number, got {json.dumps(entry[name])}"
-                ) from None
-        t_start, t_end = times
+        t_start, t_end = (_seconds(entry, k, name) for name in ("t_start", "t_end"))
         if "edges_file" in entry:
             if not isinstance(entry["edges_file"], str):
                 raise ParseError(

@@ -24,6 +24,7 @@ from lapspec import (
     serialize_edge_list,
     simulate,
     star_graph,
+    TopologySchedule,
 )
 from lapspec.cli import build_parser, main, read_trace_csv, write_trace_csv
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace
@@ -92,6 +93,9 @@ def test_trace_csv_round_trip(p5_file, tmp_path):
     write_trace_csv(trace, again)
     assert (out / "trace.csv").read_bytes() == again.read_bytes()
     assert abs(trace.f_s - DEFAULT_SAMPLE_RATE) < 1e-9
+    sim, _ = simulate(TopologySchedule.single(path_graph(5), 50.0), SimConfig(t_end=50.0),
+                      random_init(5, 3))
+    assert trace.states.tobytes() == sim.states.tobytes()
 
 
 def _reference_write_trace_csv(trace, path):
@@ -115,7 +119,7 @@ def test_trace_csv_writer_matches_per_cell_format(tmp_path):
     z.flat[-7:] = special[:7]
     times = np.arange(6) * 0.0625
     times[0] = -0.0
-    trace = Trace(times=times, x=x, z=z, f_s=16.0, segments=())
+    trace = Trace(times=times, states=np.hstack((x, z)), f_s=16.0, segments=())
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trace_csv(trace, got)
     _reference_write_trace_csv(trace, want)

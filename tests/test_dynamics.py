@@ -356,6 +356,17 @@ def test_simulate_deterministic_bit_exact():
     assert c1.total == c2.total
 
 
+def test_trace_states_are_flat_rows_and_x_z_are_their_views():
+    """A trace keeps the simulator's w = [x, z] row per sample; x and z are
+    views of its halves, not copies."""
+    init = random_init(5, 42)
+    trace, _ = simulate(TopologySchedule.single(P5, 2.0), SimConfig(t_end=2.0), init)
+    assert trace.states.shape == (trace.num_samples, 10) and trace.n == 5
+    assert np.shares_memory(trace.x, trace.states) and np.shares_memory(trace.z, trace.states)
+    assert np.array_equal(trace.states, np.hstack((trace.x, trace.z)))
+    assert trace.states[0].tobytes() == np.concatenate(init).tobytes()
+
+
 def test_disjoint_union_members_are_bit_identical():
     """One simulate over a disjoint union reproduces every member's own run
     bit for bit, so the acceptance criteria may batch their graphs."""

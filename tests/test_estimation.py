@@ -658,6 +658,11 @@ def test_config_rejects_bad_bounds():
         FreqEstimatorConfig(n_max=0)
     with pytest.raises(EstimationError):
         FreqEstimatorConfig(se=0.0)
+    # n_max is a count: 2.5 would reach a slice, "3" a comparison, and True read as 1
+    for bad in (2.5, "3", True, None, 3.0):
+        with pytest.raises(EstimationError, match="n_max must be an integer"):
+            FreqEstimatorConfig(n_max=bad)
+    assert FreqEstimatorConfig(n_max=np.int64(3)).n_max == 3
 
 
 # --- spectrogram --------------------------------------------------------------------

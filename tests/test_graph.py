@@ -277,6 +277,18 @@ def test_parse_schedule_bad_json_and_fields():
      "segment 1: field 'edges': false is not an integer"),
     ('"t_start": 2, "t_end": 3, "n": 3, "edges": [[0, 1], [1, 2.0]]',
      "segment 1: field 'edges': 2.0 is not an integer"),
+    # float() would read false as 0.0, true as 1.0, "10" as 10.0 and 1e400 as inf
+    ('"t_start": false, "t_end": 3', "segment 1: field 't_start' must be a number, got false"),
+    ('"t_start": 2, "t_end": true', "segment 1: field 't_end' must be a number, got true"),
+    ('"t_start": 2, "t_end": "10"', "segment 1: field 't_end' must be a number, got \"10\""),
+    ('"t_start": 2, "t_end": Infinity', "segment 1: field 't_end' must be finite, got Infinity"),
+    ('"t_start": 2, "t_end": 1e400', "segment 1: field 't_end' must be finite, got Infinity"),
+    ('"t_start": -Infinity, "t_end": 3',
+     "segment 1: field 't_start' must be finite, got -Infinity"),
+    ('"t_start": 2, "t_end": NaN', "segment 1: field 't_end' must be finite, got NaN"),
+    pytest.param('"t_start": 2, "t_end": 1' + "0" * 400,
+                 "segment 1: field 't_end' must be finite, got 1" + "0" * 400,
+                 id="t_end-integer-past-float-range"),
 ])
 def test_parse_schedule_bad_field_types_name_segment_and_field(fields, message):
     text = f'[{{"t_start": 0, "t_end": 2, "edges": [[0,1]], "n": 2}}, {{"edges": [[0,1]], "n": 2, {fields}}}]'
