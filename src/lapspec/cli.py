@@ -76,16 +76,21 @@ def _schedule_dict(schedule: TopologySchedule) -> list[dict]:
     ]
 
 
+def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
+    """CSV: the header, then per row its time (%.17g) and cells in printf format cell."""
+    line = ",".join(["%.17g"] + [cell] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        # Row by row, so a large table is never held as Python numbers at once.
+        for t, row in zip(times.tolist(), rows):
+            fh.write(line % (t, *row.tolist()))
+
+
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """Trace CSV: header t,x_0..x_{n-1},z_0..z_{n-1}, full double precision."""
     n = trace.n
     header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"z_{i}" for i in range(n)])
-    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        # Row by row, so a large trace is never held as Python floats at once.
-        for t, w in zip(trace.times.tolist(), trace.states):
-            fh.write(row % (t, *w.tolist()))
+    _write_rows(path, header, "%.17g", trace.times, trace.states)
 
 
 def read_trace_csv(path: Path) -> Trace:
@@ -296,15 +301,9 @@ def cmd_spectrogram(args) -> int:
     mask_path = out / "spectrogram_mask.csv"
     meta_path = out / "spectrogram_meta.json"
     header = "t_center," + ",".join(f"{w:.10g}" for w in data.omega)
-    with open(spec_path, "w") as fh:
-        fh.write(header + "\n")
-        for k, t_c in enumerate(data.time_centers):
-            fh.write(f"{t_c:.17g}," + ",".join(f"{v:.8g}" for v in data.magnitude[k]) + "\n")
+    _write_rows(spec_path, header, "%.8g", data.time_centers, data.magnitude)
     mask = (data.magnitude > args.threshold).astype(int)
-    with open(mask_path, "w") as fh:
-        fh.write(header + "\n")
-        for k, t_c in enumerate(data.time_centers):
-            fh.write(f"{t_c:.17g}," + ",".join(str(v) for v in mask[k]) + "\n")
+    _write_rows(mask_path, header, "%d", data.time_centers, mask)
     _write_json(
         {
             "agent": args.agent,
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ScheduleError, ConfigError, EstimationError,
-            SimulationError, OSError, ValueError) as exc:
+            SimulationError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,6 +67,8 @@ class SimConfig:
 
     def steps_per_sample(self) -> int:
         ratio = 1.0 / (self.f_s * self.step_size())
+        if not math.isfinite(ratio):
+            raise ConfigError(f"steps per sample 1 / (f_s * h) = {ratio} is not finite")
         m = round(ratio)
         if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
@@ -76,7 +78,10 @@ class SimConfig:
         return m
 
     def num_samples(self) -> int:
-        return int(math.floor(self.t_end * self.f_s + 1e-9)) + 1
+        periods = self.t_end * self.f_s
+        if not math.isfinite(periods):
+            raise ConfigError(f"sample count t_end * f_s = {periods} is not finite")
+        return int(math.floor(periods + 1e-9)) + 1
 
     def validate(self, delta_max: int) -> None:
         for name, value in (("t_end", self.t_end), ("f_s", self.f_s), ("step h", self.step_size())):

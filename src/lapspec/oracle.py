@@ -10,7 +10,8 @@ validate what the decentralized side produces. The building blocks:
   +/- j(1 + lambda) on the imaginary axis, each pair checked against the
   matrix;
 - closed-form trajectories x_i(t), z_i(t) as finite sums of sinusoids, and
-  the per-agent line amplitudes (modal coefficients) of those sinusoids;
+  agent i's signed cos/sin coefficients of each sinusoid (modal
+  coefficients), whose hypot is the line amplitude;
 - observability ranks by the per-eigenspace PBH (Hautus) test: the rank
   of [C; CM; ...] is the sum over eigenspaces V_j of rank(C V_j), computed
   in the eigenbasis without matrix powers, so it stays right at any n;
@@ -72,25 +73,15 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class ModalCoefficients:
-    """Per-agent sinusoid line amplitudes, one entry per distinct eigenvalue.
+    """Agent i's signed line coefficients, one pair per distinct eigenvalue:
+    x_i(t) = sum_j a_j cos((1 + lambda_j) t) + b_j sin((1 + lambda_j) t)."""
 
-    For the zero eigenvalue the two quadratures are reported separately and
-    signed (a multiplies cos t, b multiplies sin t in x_i); for positive
-    eigenvalues the x and z lines share one nonnegative amplitude, so a == b.
-    """
-
-    agent: int
-    lambdas: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
     def line_amplitudes(self) -> np.ndarray:
-        """Amplitude of each spectral line in x_i: hypot of the quadratures
-        for lambda = 0, a itself for lambda > 0."""
-        amps = self.a.copy()
-        zero = np.isclose(self.lambdas, 0.0, atol=1e-12)
-        amps[zero] = np.hypot(self.a[zero], self.b[zero])
-        return amps
+        """Amplitude of each spectral line in x_i: hypot of the quadratures."""
+        return np.hypot(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,6 @@ class ObservabilityReport:
     n: int
     full_rank: bool
     relation_holds: bool
-    eigenvalues: np.ndarray
     eigenvalue_observable: np.ndarray
 
 
@@ -231,28 +221,19 @@ def analytic_trajectory(
 def modal_coefficients(
     dec: EigenDecomposition, x0: np.ndarray, z0: np.ndarray, agent: int
 ) -> ModalCoefficients:
-    """Line amplitudes of agent i's trajectory, one per distinct eigenvalue.
+    """Agent i's cos and sin coefficients a_j = (P_j x0)_i, b_j = (P_j z0)_i.
 
-    For the zero eigenvalue the quadratures are the signed cluster projections
-    (for a connected graph both reduce to the initial averages, identical
-    across agents). For positive eigenvalues the amplitude is the invariant
-    hypot of the cluster projections, so it does not depend on the basis
-    chosen within a degenerate eigenspace.
+    P_j = V_j V_j^T projects onto the j-th eigenspace, so neither depends on
+    the basis chosen within it; z_i(t) has b_j on cos and -a_j on sin. For a
+    connected graph the zero-eigenvalue pair is the initial averages.
     """
     x0 = np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
     if not 0 <= agent < dec.n:
         raise ValueError(f"agent {agent} out of range [0, {dec.n})")
-    a = np.empty(dec.num_distinct)
-    b = np.empty(dec.num_distinct)
-    for j, (lam, block) in enumerate(zip(dec.values, dec.vectors)):
-        px = float(block[agent, :] @ (block.T @ x0))
-        pz = float(block[agent, :] @ (block.T @ z0))
-        if lam == 0.0:
-            a[j], b[j] = px, pz
-        else:
-            a[j] = b[j] = float(np.hypot(px, pz))
-    return ModalCoefficients(agent=agent, lambdas=dec.values.copy(), a=a, b=b)
+    a = np.array([block[agent, :] @ (block.T @ x0) for block in dec.vectors])
+    b = np.array([block[agent, :] @ (block.T @ z0) for block in dec.vectors])
+    return ModalCoefficients(a=a, b=b)
 
 
 def check_estimability(
@@ -343,7 +324,6 @@ def _rank_report(
         n=dec.n,
         full_rank=(rank_lap == dec.n),
         relation_holds=(rank_sys == 2 * rank_lap),
-        eigenvalues=dec.values.copy(),
         eigenvalue_observable=(ranks == dec.multiplicities),
     )
 

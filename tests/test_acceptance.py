@@ -188,7 +188,7 @@ def test_criterion_04_amplitude_formulas_on_analytic_trajectories():
             coef = modal_coefficients(dec, x0, z0, agent)
             sig = SampledSignal(samples=x[:, agent], f_s=FS)
             amps, _, _ = ls_fit(sig, omegas)
-            expected = coef.line_amplitudes()  # = coef.a here (zero-sum z0)
+            expected = coef.line_amplitudes()
             worst_amp = max(worst_amp, float(np.max(np.abs(amps - expected))))
             worst_avg = max(worst_avg, abs(coef.a[0] - avg))
     report(

@@ -336,6 +336,14 @@ def test_non_finite_settings_rejected_by_name(argv, setting, p5_file, tmp_path, 
                  id="rounds-overflow"),
     pytest.param(["simulate", "{p5}", "--seed", "-1", "--out-dir", "{out}"],
                  "seed must be non-negative, got -1", id="seed-negative"),
+    *(pytest.param([cmd, "{p5}", *flags, "--out-dir", "{out}"], message, id=f"{cmd}-{name}")
+      for cmd in ("simulate", "validate")
+      for name, flags, message in (
+          ("t-end-1e308", ["--t-end", "1e308"], "sample count t_end * f_s = inf is not finite"),
+          ("step-1e-320", ["--step", "1e-320"],
+           "steps per sample 1 / (f_s * h) = inf is not finite"),
+          ("t-end-1e15", ["--t-end", "1e15"], "Unable to allocate"),
+      )),
 ])
 def test_out_of_range_settings_rejected_by_name(argv, message, p5_file, tmp_path, capsys):
     """Finite settings whose derived values overflow, and a negative seed,

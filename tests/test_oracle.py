@@ -178,8 +178,8 @@ def test_modal_k2_example():
     dec = eigendecompose(K2)
     coef = modal_coefficients(dec, [1.0, -1.0], [0.0, 0.0], 0)
     assert abs(coef.a[0]) < 1e-14          # no average mode
-    assert abs(coef.a[1] - 1.0) < 1e-12    # unit-amplitude fast mode
-    assert coef.a[1] == coef.b[1]
+    assert abs(coef.a[1] - 1.0) < 1e-12    # unit cos line of the fast mode
+    assert coef.b[1] == 0.0                # z0 = 0: no sin line
 
 
 def test_modal_all_ones_only_average():
@@ -190,7 +190,8 @@ def test_modal_all_ones_only_average():
     for agent in (0, 3):
         coef = modal_coefficients(dec, ones, ones, agent)
         assert abs(coef.a[0] - 1.0) < 1e-12 and abs(coef.b[0] - 1.0) < 1e-12
-        assert np.max(coef.a[1:]) < 1e-12
+        assert np.max(np.abs(coef.a[1:])) < 1e-12
+        assert np.max(np.abs(coef.b[1:])) < 1e-12
 
 
 def test_modal_average_constancy_and_formula():
@@ -224,12 +225,12 @@ def test_modal_star_degenerate_matches_amplitude_fit():
         sig = SampledSignal(samples=x[:, agent], f_s=f_s)
         amps, _, resid = ls_fit(sig, 1.0 + dec.values)
         assert resid < 1e-8
-        assert abs(amps[1] - coef.a[1]) < 1e-8
+        assert abs(amps[1] - coef.line_amplitudes()[1]) < 1e-8
 
 
 def test_modal_parseval_energy_split():
-    """Summing line energies appropriately over agents recovers the total
-    initial energy |x0|^2 + |z0|^2."""
+    """Summing both quadratures' energies over lines and agents recovers the
+    total initial energy |x0|^2 + |z0|^2."""
     rng = np.random.default_rng(31)
     for _ in range(5):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
@@ -238,9 +239,31 @@ def test_modal_parseval_energy_split():
         total = 0.0
         for i in range(g.n):
             coef = modal_coefficients(dec, x0, z0, i)
-            for lam, a, b in zip(coef.lambdas, coef.a, coef.b):
-                total += a**2 + b**2 if lam == 0.0 else a**2
+            total += coef.a @ coef.a + coef.b @ coef.b
         assert abs(total - (x0 @ x0 + z0 @ z0)) < 1e-8
+
+
+@pytest.mark.parametrize("g", [
+    K2,
+    STAR4,  # repeated eigenvalue 1
+    P5,
+    Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]),  # three components
+    *(random_connected_graph(np.random.default_rng(s), 3 + s) for s in range(4)),
+], ids=["K2", "star4", "P5", "disconnected", *(f"random{3 + s}" for s in range(4))])
+def test_modal_coefficients_rebuild_analytic_trajectory(g):
+    """a and b are the signed cos and sin coefficients of every line:
+    x_i = sum_j a_j cos(w_j t) + b_j sin(w_j t) and
+    z_i = sum_j b_j cos(w_j t) - a_j sin(w_j t), w_j = 1 + lambda_j."""
+    dec = eigendecompose(g)
+    x0, z0 = np.random.default_rng(17).standard_normal((2, g.n))
+    t = np.linspace(0.0, 20.0, 301)
+    x, z = analytic_trajectory(dec, x0, z0, t)
+    phase = np.outer(t, 1.0 + dec.values)
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    for agent in range(g.n):
+        coef = modal_coefficients(dec, x0, z0, agent)
+        assert np.max(np.abs(cos_p @ coef.a + sin_p @ coef.b - x[:, agent])) < 1e-12
+        assert np.max(np.abs(cos_p @ coef.b - sin_p @ coef.a - z[:, agent])) < 1e-12
 
 
 # --- estimability -------------------------------------------------------------------
