@@ -15,21 +15,22 @@ singular-value ratio accepted as the model order) and DISTINCT_PHASE
 told apart) are fixed constants.
 
 Detection pipeline: the sampled signal is exactly a finite sum of poles, so
-a matrix pencil on its Hankel matrix (Hua & Sarkar 1990) seeds all
-frequencies at once, with the model order read from the gap in the singular
-values (ORDER_GAP). One joint Gauss-Newton refinement of all frequencies
-(gradient from the design matrix's own sin/cos columns, the linear
-amplitude/phase subproblem solved by least squares at every iteration)
-polishes the seed. A signal with no clear gap (more lines than the bound, or
-noise), a window too short for the Hankel matrix, or a seed that refines
-into a collapsed pair takes the greedy path instead: rectangular-window DFT
-of the current fit residual, vectorised local-maximum picking with 3-point
-quadratic interpolation on log magnitude, and a joint refinement after each
-new peak. Re-detecting on the residual rather than the raw spectrum keeps
-window sidelobes of strong peaks from masquerading as modes. One
-least-squares fit, _fit, serves the greedy loop, the refinement and ls_fit,
-which takes its condition number from the singular values lstsq already
-returns.
+a matrix pencil on its Hankel matrix (Hua & Sarkar 1990), projected onto
+2 * n_max + 2 of its columns that span it whenever the model holds, seeds
+all frequencies at once, with the model order read from the gap in the
+singular values (ORDER_GAP). One joint Gauss-Newton refinement of all
+frequencies (gradient from the design matrix's own sin/cos columns, the
+linear amplitude/phase subproblem solved by least squares at every
+iteration) polishes the seed. A signal with no clear gap (more lines than
+the bound, or noise), a window too short for the Hankel matrix, or a seed
+that refines into a collapsed pair takes the greedy path instead:
+rectangular-window DFT of the current fit residual, vectorised
+local-maximum picking with 3-point quadratic interpolation on log
+magnitude, and a joint refinement after each new peak. Re-detecting on the
+residual rather than the raw spectrum keeps window sidelobes of strong
+peaks from masquerading as modes. One least-squares fit, _fit, serves the
+greedy loop, the refinement and ls_fit, which takes its condition number
+from the singular values lstsq already returns.
 """
 from __future__ import annotations
 
@@ -386,9 +387,12 @@ def _pencil_seed(
 
     The right singular vectors of the Hankel matrix of y span the row space
     of the poles' Vandermonde vectors, so the pencil of that basis and its
-    one-sample shift has the poles exp(i w ts) as eigenvalues. The model
-    order is taken at the largest ratio of consecutive singular values and
-    accepted only when that ratio exceeds ORDER_GAP (a zero signal's ratios
+    one-sample shift has the poles exp(i w ts) as eigenvalues. The SVD is of
+    the matrix projected onto k_max + 1 columns spread over its width (a
+    well-conditioned basis): for at most k_max poles they span its column
+    space, so the projection keeps its singular values and right vectors
+    exactly. The model order is at the largest ratio of consecutive singular
+    values, accepted only when it exceeds ORDER_GAP (a zero signal's ratios
     are NaN and fail it); a window too short for the Hankel matrix, or an
     order with no pole in the upper half plane, also gives None.
     """
@@ -396,9 +400,9 @@ def _pencil_seed(
     k_max = 2 * n_max + 1
     if cols < k_max:
         return None
-    # R of the tall Hankel matrix has its singular values and right vectors.
-    r = np.linalg.qr(np.lib.stride_tricks.sliding_window_view(y, cols + 1), mode="r")
-    _, s, vh = np.linalg.svd(r)
+    hankel = np.lib.stride_tricks.sliding_window_view(y, cols + 1)
+    basis = np.linalg.qr(hankel[:, np.linspace(0, cols, k_max + 1).round().astype(int)])[0]
+    _, s, vh = np.linalg.svd(basis.T @ hankel, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = s[:k_max] / s[1 : k_max + 1]
     k = int(np.argmax(ratios)) + 1
@@ -479,6 +483,10 @@ def estimate_frequencies(
         raise EstimationError(
             f"window {cfg.window:g} s needs {n_win:.0f} samples, signal has "
             f"{len(sig.samples)}"
+        )
+    if n_win < 2:
+        raise EstimationError(
+            f"window {cfg.window:g} s holds {n_win} samples at f_s = {sig.f_s:g}; at least 2 needed"
         )
     y = sig.samples[:n_win]
     ts = sig.ts

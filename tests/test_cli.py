@@ -183,6 +183,18 @@ def test_estimate_agent_out_of_range(p5_file, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_estimate_window_of_one_sample_exits_with_error(tmp_path, capsys):
+    """At a 10 s sample period a 6.3 s window holds one sample: a named
+    error, not a division-by-zero warning and an empty estimate."""
+    path = tmp_path / "slow.csv"
+    path.write_text("t,x_0,z_0\n" + "".join(
+        f"{10.0 * k},{math.sin(k)},{math.cos(k)}\n" for k in range(40)))
+    assert run(["estimate", path, "--agent", "0", "--window", "6.3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window 6.3 s holds 1 samples at f_s = 0.1; at least 2 needed\n"
+
+
 def test_simulate_nyquist_violation_exits_nonzero(tmp_path, capsys):
     star = tmp_path / "star.txt"
     star.write_text(serialize_edge_list(star_graph(6)))

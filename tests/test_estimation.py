@@ -36,6 +36,7 @@ from lapspec import (
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
 from lapspec.estimation import (
     LAMBDA_TOL,
+    ORDER_GAP,
     _amplitude_spectrum,
     _greedy_omegas,
     _pencil_seed,
@@ -444,6 +445,17 @@ def test_estimate_window_exceeds_signal():
         estimate_frequencies(sig, FreqEstimatorConfig(window=20.0))
 
 
+@pytest.mark.parametrize("f_s, held", [(0.1, 1), (0.05, 0)])
+def test_estimate_window_of_fewer_than_two_samples_rejected(f_s, held):
+    """A 2*pi s window at a 10 s (20 s) sample period rounds to 1 (0)
+    samples: a named error, not a division by zero (or a quiet empty fit)."""
+    sig = SampledSignal(samples=np.sin(np.arange(40) / f_s), f_s=f_s)
+    with pytest.raises(
+        EstimationError, match=rf"window 6\.28319 s holds {held} samples at f_s = {f_s:g}"
+    ):
+        estimate_frequencies(sig, FreqEstimatorConfig(window=2 * math.pi))
+
+
 def test_estimate_takes_sampling_time_from_signal():
     """A default config fits any sample rate: f_s = 16 is not the default."""
     sig = tone(3.0, 60.0, f_s=16.0)
@@ -578,14 +590,15 @@ DENSE_DIGEST = "ccfa66d5fe7ed4afe361765bac5492043d2418d03ea97d8d854bf5c3ed7aa51a
 
 
 def test_dense_signal_takes_greedy_path_unchanged():
-    """40 agents see more lines than n_max = 8, so the singular values show
-    no gap, the pencil declines, and the greedy estimate is unchanged."""
+    """40 agents see more lines than n_max = 8 or 14, so the singular values
+    show no gap, the pencil declines, and the greedy estimate is unchanged."""
     g = random_connected_graph(np.random.default_rng(40), 40)
     trace, _ = simulate(TopologySchedule.single(g, 50.0), SimConfig(t_end=50.0),
                         random_init(40, 40))
     sig = SampledSignal.from_trace(trace, 0)
     lo, hi, _ = search_range(sig.samples, sig.ts)
-    assert _pencil_seed(sig.samples, sig.ts, 8, lo, hi) is None
+    for n_max in (8, 14):
+        assert _pencil_seed(sig.samples, sig.ts, n_max, lo, hi) is None
     est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=8))
     digest = hashlib.sha256(json.dumps(est.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == DENSE_DIGEST
@@ -614,6 +627,145 @@ def test_collapsed_pencil_seed_falls_back_to_greedy():
     est = estimate_frequencies(SampledSignal(samples=y, f_s=FS), FreqEstimatorConfig())
     assert est.omega.tolist() == _greedy_omegas(y, ts, 8, lo, hi, gap)
     assert est.n == 1 and est.flag
+
+
+# --- projected pencil against the full Hankel matrix ---------------------------------
+
+def order_and_gap(s, k_max):
+    """Model order at the largest ratio of consecutive singular values among
+    the first k_max + 1, and that ratio."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = s[:k_max] / s[1 : k_max + 1]
+    k = int(np.argmax(ratios)) + 1
+    return k, float(ratios[k - 1])
+
+
+def full_hankel_seed(y, ts, n_max, omega_min, omega_max):
+    """Reference seed from the whole Hankel matrix: the QR of all its columns,
+    then the SVD of R. Returns (order, gap ratio, sorted frequencies), the
+    frequencies whether or not the gap clears ORDER_GAP."""
+    cols = len(y) // 4
+    k_max = 2 * n_max + 1
+    r = np.linalg.qr(np.lib.stride_tricks.sliding_window_view(y, cols + 1), mode="r")
+    _, s, vh = np.linalg.svd(r)
+    k, gap = order_and_gap(s, k_max)
+    v = vh[:k].T
+    poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    poles = poles[poles.imag > 0]
+    return k, gap, np.sort(np.clip(np.angle(poles) / ts, omega_min, omega_max))
+
+
+def traced_pencil_seed(monkeypatch, y, ts, n_max, omega_min, omega_max):
+    """_pencil_seed's result, with the order and gap ratio of the singular
+    values its SVD returned."""
+    svd = np.linalg.svd
+    spectra = []
+
+    def spy(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        spectra.append(out[1])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        seed = _pencil_seed(y, ts, n_max, omega_min, omega_max)
+    return seed, *order_and_gap(spectra[0], 2 * n_max + 1)
+
+
+def assert_matches_full_hankel(monkeypatch, y, ts, n_max, tol=1e-6):
+    """The projected seed keeps the full matrix's order, at least half its
+    gap ratio, and frequencies within tol rad/s of its own; it is accepted
+    exactly when the full matrix's gap clears ORDER_GAP. Returns the seed."""
+    lo, hi, _ = search_range(y, ts)
+    seed, k, gap = traced_pencil_seed(monkeypatch, y, ts, n_max, lo, hi)
+    ref_k, ref_gap, ref_omegas = full_hankel_seed(y, ts, n_max, lo, hi)
+    assert k == ref_k, (k, ref_k)
+    assert gap >= 0.5 * ref_gap, (gap, ref_gap)
+    assert (seed is not None) == (ref_gap > ORDER_GAP), (gap, ref_gap)
+    if seed is not None:
+        assert len(seed) == len(ref_omegas)
+        assert np.max(np.abs(np.sort(seed) - ref_omegas)) < tol, (seed, ref_omegas)
+    return seed
+
+
+class _Sampled(Exception):
+    """Carries the matrix _pencil_seed hands to the QR, ending the call."""
+
+
+def sampled_columns(monkeypatch, n_samples, n_max):
+    """Indices of the Hankel columns _pencil_seed takes its basis from, read
+    off the QR input for a ramp signal, whose column j starts with j."""
+    def stop(a, *args, **kwargs):
+        raise _Sampled(a[0])
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", stop)
+        with pytest.raises(_Sampled) as sampled:
+            _pencil_seed(np.arange(float(n_samples)), 1.0, n_max, 0.0, math.pi)
+    return sampled.value.args[0].astype(int)
+
+
+def test_projected_pencil_matches_full_hankel_on_n12_graphs_and_p5(monkeypatch):
+    """Every agent of six random n = 12 graphs and of P5 (n_max = 14)."""
+    rng = np.random.default_rng(14)
+    graphs = [random_connected_graph(rng, 12) for _ in range(6)]
+    inits = [random_init(12, seed) for seed in range(6)]
+    schedule, init, offsets = disjoint_union(graphs, inits, 50.0)
+    trace, _ = simulate(schedule, SimConfig(t_end=50.0), init)
+    signals = [SampledSignal.from_trace(trace, off + a) for off in offsets for a in range(12)]
+    p5 = p5_trace()
+    signals += [SampledSignal.from_trace(p5, a) for a in range(5)]
+    for sig in signals:
+        assert_matches_full_hankel(monkeypatch, sig.samples, sig.ts, 14)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+def test_projected_pencil_matches_full_hankel_under_noise(monkeypatch, sigma):
+    """Seeded Gaussian noise on one n = 12 agent: the projection onto spread
+    columns keeps the gap (a basis from the first k_max + 1 columns, 1.9 s
+    wide, loses it), and both decline once noise closes it."""
+    g = random_connected_graph(np.random.default_rng(12), 12)
+    trace, _ = simulate(TopologySchedule.single(g, 50.0), SimConfig(t_end=50.0),
+                        random_init(12, 12))
+    sig = SampledSignal.from_trace(trace, 0)
+    y = sig.samples + np.random.default_rng(5).normal(0.0, sigma, len(sig.samples))
+    assert_matches_full_hankel(monkeypatch, y, sig.ts, 14)
+
+
+def test_projected_pencil_separates_lines_aliased_at_the_column_step(monkeypatch):
+    """Two lines 2*pi / (step * ts) apart take equal values at columns step
+    apart, so columns exactly step apart span one mixed line, and under
+    1e-9 noise keep about a tenth of the full matrix's gap. The spread
+    columns mix steps of step and step + 1 and span both lines."""
+    n_samples, n_max = 796, 14
+    step = int(np.min(np.diff(sampled_columns(monkeypatch, n_samples, n_max))))
+    t = np.arange(n_samples) / FS
+    y = np.sin(2.0 * t) + 0.5 * np.sin((2.0 + 2.0 * math.pi * FS / step) * t + 1.0)
+    y += np.random.default_rng(6).normal(0.0, 1e-9, n_samples)
+    assert_matches_full_hankel(monkeypatch, y, 1.0 / FS, n_max)
+
+
+def test_pencil_samples_distinct_columns_over_the_whole_width(monkeypatch):
+    """k_max + 1 distinct columns, first and last included, for every
+    Hankel width from k_max + 1 to 401 columns and every n_max to 20."""
+    for n_max in range(1, 21):
+        k_max = 2 * n_max + 1
+        for cols in range(k_max, 401):
+            idx = sampled_columns(monkeypatch, 4 * cols, n_max)
+            assert len(np.unique(idx)) == k_max + 1, (n_max, cols, idx)
+            assert idx[0] == 0 and idx[-1] == cols, (n_max, cols, idx)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 6])
+def test_pencil_on_the_narrowest_hankel_samples_every_column(monkeypatch, n_max):
+    """At cols == k_max every column is sampled once, so the projection is
+    the whole matrix and the seed is the full-matrix seed to 1e-9."""
+    k_max = 2 * n_max + 1
+    n_samples = 4 * k_max
+    assert sampled_columns(monkeypatch, n_samples, n_max).tolist() == list(range(k_max + 1))
+    t = np.arange(n_samples) / FS
+    y = sum(np.sin((1.5 + 7.0 * j) * t + j) for j in range(n_max))
+    assert len(assert_matches_full_hankel(monkeypatch, y, 1.0 / FS, n_max, tol=1e-9)) == n_max
 
 
 # --- frequency-to-eigenvalue mapping -------------------------------------------------
