@@ -202,14 +202,17 @@ def _estimate_span(
 
 
 def cmd_estimate(args) -> int:
+    if args.per_segment != bool(args.schedule):
+        raise EstimationError(
+            "--per-segment and --schedule go together: the schedule sets the segments")
     trace = read_trace_csv(Path(args.trace))
     if not 0 <= args.agent < trace.n:
         raise EstimationError(f"agent {args.agent} out of range [0, {trace.n})")
 
     if args.per_segment:
-        if not args.schedule:
-            raise EstimationError("--per-segment requires --schedule for boundaries")
         schedule = _load_schedule(args.schedule, None)
+        if schedule.n != trace.n:
+            raise EstimationError(f"schedule has {schedule.n} agents, trace has {trace.n}")
         blocks = []
         for seg in schedule.segments:
             entry: dict = {"t_start": seg.t_start, "t_end": seg.t_end}

@@ -18,16 +18,16 @@ Detection pipeline: the sampled signal is exactly a finite sum of poles, so
 a matrix pencil on its Hankel matrix (Hua & Sarkar 1990), projected onto
 2 * n_max + 2 of its columns that span it whenever the model holds, seeds
 all frequencies at once, with the model order read from the gap in the
-singular values (ORDER_GAP). One joint Gauss-Newton refinement of all
-frequencies (gradient from the design matrix's own sin/cos columns, the
-linear amplitude/phase subproblem solved by least squares at every
-iteration) polishes the seed. A signal with no clear gap (more lines than
-the bound, or noise), a window too short for the Hankel matrix, or a seed
-that refines into a collapsed pair takes the greedy path instead:
-rectangular-window DFT of the current fit residual, vectorised
-local-maximum picking with 3-point quadratic interpolation on log
-magnitude, and a joint refinement after each new peak. Re-detecting on the
-residual rather than the raw spectrum keeps window sidelobes of strong
+singular values (ORDER_GAP); poles outside the frequency band are dropped.
+One joint Gauss-Newton refinement of all frequencies (gradient from the
+design matrix's own sin/cos columns, the linear amplitude/phase subproblem
+solved by least squares at every iteration) polishes the seed, merging a
+pair it collapses into one line. Only a window the pencil declines, in
+practice one with no clear gap (more lines than the bound, or noise), takes
+the greedy path: rectangular-window DFT of the current fit residual,
+vectorised local-maximum picking with 3-point quadratic interpolation on
+log magnitude, and a joint refinement after each new peak. Re-detecting on
+the residual rather than the raw spectrum keeps window sidelobes of strong
 peaks from masquerading as modes. One least-squares fit, _fit, serves the
 greedy loop, the refinement and ls_fit, which takes its condition number
 from the singular values lstsq already returns.
@@ -359,24 +359,22 @@ def refine_frequencies(
 def freqs_to_eigenvalues(omegas) -> np.ndarray:
     """Map detected frequencies to eigenvalue estimates by the unit shift.
 
-    Values in [-LAMBDA_TOL, 0) clamp to zero; anything below -LAMBDA_TOL
-    corresponds to an oscillation slower than the structural minimum
-    (1 rad/s) and is rejected as a spurious peak, as is a non-finite
-    frequency.
+    Frequencies in [1 - LAMBDA_TOL, 1) clamp to lambda = 0; anything below
+    1 - LAMBDA_TOL (the estimator's lower band edge, as the same float)
+    is an oscillation slower than the structural minimum (1 rad/s) and is
+    rejected as a spurious peak, as is a non-finite frequency.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if not np.all(np.isfinite(omegas)):
         raise EstimationError(f"frequencies must be finite, got {omegas.tolist()}")
     if np.any(np.diff(omegas) < 0):
         raise EstimationError("frequencies must be sorted ascending")
-    lams = omegas - 1.0
-    if np.any(lams < -LAMBDA_TOL):
-        worst = float(omegas[np.argmin(lams)])
+    if np.any(omegas < 1.0 - LAMBDA_TOL):
         raise EstimationError(
-            f"spurious peak at omega={worst:.6g} rad/s: below the structural "
+            f"spurious peak at omega={omegas[0]:.6g} rad/s: below the structural "
             f"minimum frequency 1 rad/s (tolerance {LAMBDA_TOL:g})"
         )
-    return np.where(lams < 0.0, 0.0, lams)
+    return np.maximum(omegas - 1.0, 0.0)
 
 
 def _pencil_seed(
@@ -391,15 +389,16 @@ def _pencil_seed(
     the matrix projected onto k_max + 1 columns spread over its width (a
     well-conditioned basis): for at most k_max poles they span its column
     space, so the projection keeps its singular values and right vectors
-    exactly. The model order is at the largest ratio of consecutive singular
-    values, accepted only when it exceeds ORDER_GAP (a zero signal's ratios
-    are NaN and fail it); a window too short for the Hankel matrix, or an
-    order with no pole in the upper half plane, also gives None.
+    exactly (k_max = 2 * n_max + 1, at most the Hankel width). The model
+    order is at the largest ratio of consecutive singular values, accepted
+    only when it exceeds ORDER_GAP (a zero signal's ratios are NaN and fail
+    it). Only upper-half-plane poles in [omega_min, omega_max] are kept; no
+    gap, no such pole, or a window under 4 samples gives None.
     """
     cols = len(y) // 4
-    k_max = 2 * n_max + 1
-    if cols < k_max:
+    if cols < 1:
         return None
+    k_max = min(2 * n_max + 1, cols)
     hankel = np.lib.stride_tricks.sliding_window_view(y, cols + 1)
     basis = np.linalg.qr(hankel[:, np.linspace(0, cols, k_max + 1).round().astype(int)])[0]
     _, s, vh = np.linalg.svd(basis.T @ hankel, full_matrices=False)
@@ -410,10 +409,9 @@ def _pencil_seed(
         return None
     v = vh[:k].T
     poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
-    poles = poles[poles.imag > 0]
-    if len(poles) == 0:
-        return None
-    return np.clip(np.angle(poles) / ts, omega_min, omega_max)
+    omegas = np.angle(poles[poles.imag > 0]) / ts
+    omegas = omegas[(omegas >= omega_min) & (omegas <= omega_max)]
+    return omegas if len(omegas) else None
 
 
 def _greedy_omegas(
@@ -445,10 +443,7 @@ def _greedy_omegas(
             break
         best = max(candidates, key=lambda c: (c[1], -c[0]))
         omegas.append(best[0])
-        refined = refine_frequencies(
-            y, ts, omegas, omega_min=omega_min, omega_max=omega_max
-        )
-        refined = np.sort(refined)
+        refined = np.sort(refine_frequencies(y, ts, omegas, omega_min, omega_max))
         if len(refined) > 1 and np.min(np.diff(refined)) < merge_gap:
             # New candidate collapsed onto an existing frequency: nothing
             # left for it to explain there; keep looking elsewhere.
@@ -464,10 +459,10 @@ def estimate_frequencies(
 ) -> SpectrumEstimate:
     """Finite-time frequency estimation over exactly one window.
 
-    The frequencies come from one matrix-pencil seed and one joint refine
-    (_pencil_seed), or, when the signal shows no finite sum of at most n_max
-    sinusoids or two refined seed frequencies drift apart by less than
-    2 * DISTINCT_PHASE over the window, from greedy residual-peak detection
+    The frequencies come from one matrix-pencil seed (_pencil_seed) and a
+    joint refine; while two drift apart by less than 2 * DISTINCT_PHASE over
+    the window, the upper one is dropped and the rest refined again. Only a
+    window the pencil declines takes greedy residual-peak detection
     (_greedy_omegas). Components whose fitted amplitude falls below the peak
     threshold are pruned. Frequencies below 1 - LAMBDA_TOL rad/s are
     structurally impossible and never enter.
@@ -502,16 +497,17 @@ def estimate_frequencies(
             flag=False, residual_percent=100.0 if norm_y > 0 else 0.0,
         )
 
-    omegas = None
     seed = _pencil_seed(y, ts, cfg.n_max, omega_min, omega_max)
-    if seed is not None:
-        refined = np.sort(refine_frequencies(y, ts, seed, omega_min, omega_max))
-        if len(refined) < 2 or np.min(np.diff(refined)) >= merge_gap:
-            omegas = [float(w) for w in refined]
-    if omegas is None:
+    if seed is None:
         omegas = _greedy_omegas(y, ts, cfg.n_max, omega_min, omega_max, merge_gap)
+    else:
+        refined = np.sort(refine_frequencies(y, ts, seed, omega_min, omega_max))
+        while len(refined) > 1 and np.min(np.diff(refined)) < merge_gap:
+            # A collapsed pair is one line: drop its upper member, refine again.
+            refined = np.delete(refined, np.argmin(np.diff(refined)) + 1)
+            refined = np.sort(refine_frequencies(y, ts, refined, omega_min, omega_max))
+        omegas = refined.tolist()
 
-    omegas.sort()
     if not omegas:
         return empty_estimate()
 

@@ -195,6 +195,35 @@ def test_estimate_window_of_one_sample_exits_with_error(tmp_path, capsys):
     assert captured.err == "error: window 6.3 s holds 1 samples at f_s = 0.1; at least 2 needed\n"
 
 
+def hand_trace(n, rows):
+    """Trace CSV text: n agents, rows samples 1/16 s apart."""
+    header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"z_{i}" for i in range(n)])
+    return header + "\n" + "".join(
+        ",".join([f"{0.0625 * k}"] + [f"{math.sin(k + i)}" for i in range(2 * n)]) + "\n"
+        for k in range(rows))
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("time,x_0,z_0\n0,1,2\n0.0625,1,2\n", [], "not a trace CSV (header ['time', 'x_0', 'z_0']...)"),
+    ("t,x_0\n0,1\n0.0625,1\n", [], "not a trace CSV (header ['t', 'x_0']...)"),
+    (hand_trace(1, 1), [], "trace needs at least 2 samples"),
+    (hand_trace(5, 120), ["--agent", "4", "--per-segment", "--schedule", "{schedule}"],
+     "schedule has 3 agents, trace has 5"),
+], ids=["header name", "odd column count", "one sample", "schedule agent count"])
+def test_estimate_errors_are_named(text, flags, message, tmp_path, capsys):
+    """A trace estimate cannot read, or a schedule for other agents, exits 1
+    with a named error and prints no estimate."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    schedule = tmp_path / "p3.json"
+    schedule.write_text('[{"t_start": 0, "t_end": 7, "n": 3, "edges": [[0, 1], [1, 2]]}]')
+    argv = ["estimate", trace, "--agent", "0", *(f.format(schedule=schedule) for f in flags)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_simulate_nyquist_violation_exits_nonzero(tmp_path, capsys):
     star = tmp_path / "star.txt"
     star.write_text(serialize_edge_list(star_graph(6)))
@@ -266,6 +295,24 @@ def test_per_segment_past_trace_end_gives_error_entry(switching_schedule, tmp_pa
     assert blocks[0]["estimate"]["flag"]
     assert "needs" in blocks[1]["error"]  # 6.5 s window, 3.6 s of trace
     assert blocks[2]["error"] == "span [12.9, 20] s holds no samples: the trace ends at 9.99026 s"
+
+
+def test_per_segment_flags_every_switching_segment_at_nmax_14(tmp_path, capsys):
+    """scenarios/switching.json at --nmax 14: each segment's window (102-113
+    samples) is narrower than the Hankel order 2 * 14 + 1, and the pencil
+    answers it with every column, so all three segments are flagged for the
+    agents whose last segment the greedy loop used to leave unflagged."""
+    sched = SCENARIOS / "switching.json"
+    out = tmp_path / "sw"
+    assert run(["simulate", sched, "--seed", "11", "--out-dir", out]) == 0
+    for agent in ("0", "4"):
+        capsys.readouterr()
+        assert run([
+            "estimate", out / "trace.csv", "--agent", agent, "--per-segment",
+            "--schedule", sched, "--nmax", "14",
+        ]) == 0
+        blocks = json.loads(capsys.readouterr().out)["per_segment"]
+        assert [b["estimate"]["flag"] for b in blocks] == [True] * 3, (agent, blocks)
 
 
 def _ring_path_schedule(tmp_path, bounds):
@@ -379,12 +426,19 @@ def test_out_of_range_settings_rejected_by_name(argv, message, p5_file, tmp_path
     ["validate", "p5.txt", "--cluster-tol", "1e-6"],
     ["estimate", "trace.csv", "--agent", "0", "--step", "0.01"],
     ["spectrogram", "trace.csv", "--agent", "0", "--fs", "16"],
+    ["estimate", "trace.csv", "--agent", "0", "--schedule", "switching.json"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code != 0
-    assert "unrecognized arguments" in capsys.readouterr().err
+    """argparse rejects a flag a subcommand does not define. estimate defines
+    --schedule for --per-segment only, so alone it is a named error, raised
+    before the trace is read."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code != 0
+    named = {"--schedule": "error: --per-segment and --schedule go together"}
+    assert named.get(argv[-2], "unrecognized arguments") in capsys.readouterr().err
 
 
 def test_per_segment_requires_schedule(p5_file, tmp_path, capsys):

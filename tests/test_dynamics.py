@@ -346,6 +346,18 @@ def test_simulate_bad_init_shape():
         simulate(sched, SimConfig(t_end=5.0), (np.ones(3), np.ones(3)))
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (SimConfig(t_end=-1.0), "t_end must be positive, got -1.0"),
+    (SimConfig(t_end=0.0), "t_end must be positive, got 0.0"),
+    (SimConfig(t_end=10.0, f_s=-2.0), "f_s must be positive, got -2.0"),
+    (SimConfig(t_end=10.0, h=-0.01), "step h must be positive, got -0.01"),
+], ids=["negative t_end", "zero t_end", "negative f_s", "negative step"])
+def test_simulate_errors_are_named(cfg, message):
+    with pytest.raises(ConfigError) as exc:
+        simulate(TopologySchedule.single(P5, 10.0), cfg, random_init(5, 0))
+    assert type(exc.value) is ConfigError and message in str(exc.value)
+
+
 def test_simulate_deterministic_bit_exact():
     sched = TopologySchedule.single(P5, 10.0)
     cfg = SimConfig(t_end=10.0)

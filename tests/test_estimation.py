@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lapspec import (
     SimConfig,
     TopologySchedule,
     analytic_trajectory,
+    check_estimability,
     complete_graph,
     cycle_graph,
     detect_peaks,
@@ -26,6 +28,7 @@ from lapspec import (
     freqs_to_eigenvalues,
     ls_fit,
     modal_coefficients,
+    parse_schedule,
     path_graph,
     random_init,
     refine_frequencies,
@@ -33,6 +36,7 @@ from lapspec import (
     spectrogram,
     star_graph,
 )
+from lapspec import estimation
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
 from lapspec.estimation import (
     LAMBDA_TOL,
@@ -49,6 +53,7 @@ from conftest import (
 )
 
 FS = DEFAULT_SAMPLE_RATE
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 P5_LAMBDAS = np.array([0.0, 0.3819660113, 1.3819660113, 2.6180339887, 3.6180339887])
 
 
@@ -439,6 +444,20 @@ def test_signal_rejects_bad_sample_rate_by_name(f_s):
         SampledSignal(samples=np.zeros(8), f_s=f_s)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampledSignal(samples=np.zeros(1), f_s=FS), "signal needs at least 2 samples"),
+    (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), 5), "agent 5 out of range [0, 5)"),
+    (lambda: spectrogram(tone(2.0, 10.0), 8, 1, window="flat"),
+     "unknown window 'flat' (expected 'rect' or 'hann')"),
+    (lambda: spectrogram(tone(2.0, 10.0), 3, 1), "window_len must be at least 4, got 3"),
+    (lambda: spectrogram(tone(2.0, 10.0), 8, 0), "hop must be at least 1, got 0"),
+], ids=["one sample", "agent out of range", "unknown window", "window_len 3", "hop 0"])
+def test_estimation_errors_are_named(call, message):
+    with pytest.raises(EstimationError) as exc:
+        call()
+    assert type(exc.value) is EstimationError and message in str(exc.value)
+
+
 def test_estimate_window_exceeds_signal():
     sig = tone(3.0, 10.0)
     with pytest.raises(EstimationError, match="window"):
@@ -526,6 +545,20 @@ def search_range(y, ts):
     return 1.0 - LAMBDA_TOL, 0.999 * math.pi / ts, 2e-2 / ((len(y) - 1) * ts)
 
 
+@pytest.fixture()
+def greedy_calls(monkeypatch):
+    """The argument tuples of every _greedy_omegas call estimate_frequencies
+    makes while the test runs."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _greedy_omegas(*args)
+
+    monkeypatch.setattr(estimation, "_greedy_omegas", spy)
+    return calls
+
+
 def test_pencil_resolves_close_eigenvalue_pairs():
     """Random n = 12 graphs whose closest eigenvalues are 0.03-0.06 apart:
     every agent's estimate is flagged and hits every eigenvalue whose line
@@ -589,13 +622,18 @@ def test_pencil_and_greedy_paths_agree_where_greedy_hits():
 DENSE_DIGEST = "ccfa66d5fe7ed4afe361765bac5492043d2418d03ea97d8d854bf5c3ed7aa51a"
 
 
-def test_dense_signal_takes_greedy_path_unchanged():
-    """40 agents see more lines than n_max = 8 or 14, so the singular values
-    show no gap, the pencil declines, and the greedy estimate is unchanged."""
+def dense_signal():
+    """Agent 0 of a random 40-agent graph: more lines than n_max = 8 or 14."""
     g = random_connected_graph(np.random.default_rng(40), 40)
     trace, _ = simulate(TopologySchedule.single(g, 50.0), SimConfig(t_end=50.0),
                         random_init(40, 40))
-    sig = SampledSignal.from_trace(trace, 0)
+    return SampledSignal.from_trace(trace, 0)
+
+
+def test_dense_signal_takes_greedy_path_unchanged():
+    """40 agents see more lines than n_max = 8 or 14, so the singular values
+    show no gap, the pencil declines, and the greedy estimate is unchanged."""
+    sig = dense_signal()
     lo, hi, _ = search_range(sig.samples, sig.ts)
     for n_max in (8, 14):
         assert _pencil_seed(sig.samples, sig.ts, n_max, lo, hi) is None
@@ -604,29 +642,128 @@ def test_dense_signal_takes_greedy_path_unchanged():
     assert digest == DENSE_DIGEST
 
 
-def test_short_window_takes_greedy_path():
-    """A 100-sample window holds a Hankel matrix of 25 columns, too few for
-    order 2 * 14 + 1."""
-    y = tone(3.0, 100 / FS).samples
-    lo, hi, _ = search_range(y, 1.0 / FS)
-    assert _pencil_seed(y, 1.0 / FS, 14, lo, hi) is None
-    assert _pencil_seed(y, 1.0 / FS, 8, lo, hi) is not None
+def test_short_window_is_answered_by_the_pencil(greedy_calls):
+    """A 100-sample window holds a Hankel matrix of 25 columns, fewer than
+    2 * 14 + 1: the pencil reads every column and finds the tone, and the
+    estimate makes no greedy call."""
+    sig = tone(3.0, 100 / FS)
+    lo, hi, _ = search_range(sig.samples, sig.ts)
+    for n_max in (8, 14):
+        seed = _pencil_seed(sig.samples, sig.ts, n_max, lo, hi)
+        assert len(seed) == 1 and abs(seed[0] - 3.0) < 1e-9, (n_max, seed)
+    est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=14, window=100 / FS))
+    assert not greedy_calls
+    assert est.n == 1 and abs(est.omega[0] - 3.0) < 1e-9 and est.flag
 
 
-def test_collapsed_pencil_seed_falls_back_to_greedy():
+def collapsed_pair():
+    """Tones at 3 and 3.0001 rad/s, 796 samples at the default rate."""
+    t = np.arange(796) / FS
+    return SampledSignal(samples=np.sin(3.0 * t) + 0.7 * np.sin(3.0001 * t + 1.0), f_s=FS)
+
+
+def test_collapsed_pencil_pair_merges_into_one_line(greedy_calls):
     """Two tones 1e-4 rad/s apart over 50 s are distinct poles to the
     pencil but closer than ls_fit's distinguishability limit: the refined
-    seed collapses, and the estimate is the greedy path's, without raising."""
-    t = np.arange(796) / FS
-    y = np.sin(3.0 * t) + 0.7 * np.sin(3.0001 * t + 1.0)
-    ts = 1.0 / FS
+    seed collapses, its upper line is dropped, and the one line left is
+    refined again, without raising or a greedy call. The greedy loop, run
+    directly, returns the same line bit for bit."""
+    sig = collapsed_pair()
+    y, ts = sig.samples, sig.ts
     lo, hi, gap = search_range(y, ts)
     seed = _pencil_seed(y, ts, 8, lo, hi)
     refined = np.sort(refine_frequencies(y, ts, seed, omega_min=lo, omega_max=hi))
     assert len(refined) == 2 and refined[1] - refined[0] < gap
-    est = estimate_frequencies(SampledSignal(samples=y, f_s=FS), FreqEstimatorConfig())
-    assert est.omega.tolist() == _greedy_omegas(y, ts, 8, lo, hi, gap)
+    est = estimate_frequencies(sig, FreqEstimatorConfig())
+    assert not greedy_calls
     assert est.n == 1 and est.flag
+    assert est.omega.tolist() == _greedy_omegas(y, ts, 8, lo, hi, gap)
+
+
+def two_tones(slow, n_samples=796):
+    """sin(slow t) + sin(2 t) sampled at the default rate."""
+    t = np.arange(n_samples) / FS
+    return SampledSignal(samples=np.sin(slow * t) + np.sin(2.0 * t), f_s=FS)
+
+
+@pytest.mark.parametrize("slow", [0.5, 0.9])
+def test_out_of_band_pole_is_dropped_not_clipped(slow, greedy_calls):
+    """A tone below the band [1 - LAMBDA_TOL, ...] is no eigenvalue line: its
+    pole is dropped, not clipped onto the band edge (which read as a
+    spurious peak at 0.95 rad/s), and the 2 rad/s line is returned, flagged
+    false at about 70.7 % residual, with no greedy call."""
+    est = estimate_frequencies(two_tones(slow), FreqEstimatorConfig())
+    assert not greedy_calls
+    assert est.n == 1 and abs(est.omega[0] - 2.0) < 5e-3, est.omega
+    assert not est.flag and 70.0 < est.residual_percent < 72.0, est.residual_percent
+
+
+def test_in_band_slow_tone_is_kept(greedy_calls):
+    """A 0.96 rad/s tone is inside the band: both lines come back, the slow
+    one mapped to lambda = 0."""
+    est = estimate_frequencies(two_tones(0.96), FreqEstimatorConfig())
+    assert not greedy_calls
+    assert np.max(np.abs(est.omega - [0.96, 2.0])) < 1e-9, est.omega
+    assert est.lambdas.tolist() == [0.0, pytest.approx(1.0, abs=1e-9)] and est.flag
+
+
+SINGLE_TRIGGER = {
+    # name: (signal, n_max, window in seconds, takes the greedy loop)
+    "gapless": (dense_signal, 8, 50.0, True),
+    "zero": (lambda: SampledSignal(samples=np.zeros(796), f_s=FS), 8, 50.0, True),
+    "constant": (lambda: SampledSignal(samples=np.ones(796), f_s=FS), 8, 50.0, True),
+    "three samples": (lambda: tone(1.2, 8.0, f_s=0.5), 8, 2.0 * math.pi, True),
+    "short": (lambda: tone(3.0, 100 / FS), 14, 100 / FS, False),
+    "collapsed": (collapsed_pair, 8, 50.0, False),
+    "out of band": (lambda: two_tones(0.5), 8, 50.0, False),
+}
+
+
+@pytest.mark.parametrize("case", list(SINGLE_TRIGGER))
+def test_greedy_loop_runs_exactly_when_the_pencil_declines(case, greedy_calls):
+    """One condition picks the path: _greedy_omegas runs, once, exactly when
+    _pencil_seed returns None, which a gapless, zero or constant signal or a
+    window under 4 samples gives; a short, collapsed or out-of-band window
+    is the pencil's."""
+    make, n_max, window, greedy = SINGLE_TRIGGER[case]
+    sig = make()
+    est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=n_max, window=window))
+    y = sig.samples[: int(round(window * sig.f_s))]
+    lo, hi, _ = search_range(y, sig.ts)
+    assert (_pencil_seed(y, sig.ts, n_max, lo, hi) is None) == greedy
+    assert len(greedy_calls) == int(greedy), (case, est.omega)
+
+
+def switching_run():
+    """scenarios/switching.json simulated from seed 11's +/-1 init."""
+    path = SCENARIOS / "switching.json"
+    schedule = parse_schedule(path.read_text(), base_dir=path.parent)
+    trace, _ = simulate(schedule, SimConfig(t_end=schedule.t_end), random_init(schedule.n, 11))
+    return schedule, trace
+
+
+@pytest.mark.parametrize("n_max", [8, 13, 14, 20])
+def test_switching_segments_are_flagged_on_the_pencil_path(n_max, greedy_calls):
+    """Every agent and segment of switching.json, window = segment length
+    (102-113 samples, a Hankel matrix of 25-28 columns): at every n_max each
+    estimate is flagged, within 1e-6 of the oracle's eigenvalues both ways,
+    and no greedy call is made. Past n_max = 12 these windows used to go to
+    the greedy loop, which left some estimates unflagged."""
+    schedule, trace = switching_run()
+    for seg in schedule.segments:
+        dec = eigendecompose(seg.graph)
+        lo, _ = trace.sample_range(seg.t_start, seg.t_end)
+        for agent in range(schedule.n):
+            sig = SampledSignal.from_trace(trace, agent, seg.t_start, seg.t_end)
+            cfg = FreqEstimatorConfig(n_max=n_max, window=seg.t_end - seg.t_start)
+            est = estimate_frequencies(sig, cfg)
+            seen = dec.values[check_estimability(dec, trace.x[lo], trace.z[lo], agent)]
+            assert est.flag, (seg.t_start, agent, est.residual_percent)
+            for lam in est.lambdas:
+                assert np.min(np.abs(dec.values - lam)) < 1e-6, (seg.t_start, agent, est.lambdas)
+            for lam in seen:
+                assert np.min(np.abs(est.lambdas - lam)) < 1e-6, (seg.t_start, agent, est.lambdas)
+    assert not greedy_calls
 
 
 # --- projected pencil against the full Hankel matrix ---------------------------------
@@ -746,12 +883,16 @@ def test_projected_pencil_separates_lines_aliased_at_the_column_step(monkeypatch
 
 
 def test_pencil_samples_distinct_columns_over_the_whole_width(monkeypatch):
-    """k_max + 1 distinct columns, first and last included, for every
-    Hankel width from k_max + 1 to 401 columns and every n_max to 20."""
+    """min(k_max, cols) + 1 distinct columns, first and last included, for
+    every Hankel width from 2 to 401 columns and every n_max to 20: a
+    matrix narrower than k_max + 1 columns is sampled whole."""
     for n_max in range(1, 21):
         k_max = 2 * n_max + 1
-        for cols in range(k_max, 401):
+        for cols in range(1, 401):
             idx = sampled_columns(monkeypatch, 4 * cols, n_max)
+            if cols < k_max:
+                assert idx.tolist() == list(range(cols + 1)), (n_max, cols, idx)
+                continue
             assert len(np.unique(idx)) == k_max + 1, (n_max, cols, idx)
             assert idx[0] == 0 and idx[-1] == cols, (n_max, cols, idx)
 
@@ -783,6 +924,20 @@ def test_freqs_to_eigenvalues_clamps_near_zero():
 def test_freqs_to_eigenvalues_rejects_spurious():
     with pytest.raises(EstimationError, match="spurious"):
         freqs_to_eigenvalues([0.5, 2.0])
+
+
+def test_freqs_to_eigenvalues_band_edge_is_the_estimators():
+    """1 - LAMBDA_TOL, the estimator's lower band edge and the float its
+    refine clips onto, maps to lambda = 0 (0.95 - 1.0 is a hair below
+    -LAMBDA_TOL); anything below the edge is still spurious."""
+    assert freqs_to_eigenvalues([1.0 - LAMBDA_TOL]).tolist() == [0.0]
+    assert freqs_to_eigenvalues([0.95]).tolist() == [0.0]
+    sig = tone(0.5, 50.0)
+    clipped = refine_frequencies(sig.samples, sig.ts, [0.96], 1.0 - LAMBDA_TOL, 10.0)
+    assert clipped.tolist() == [1.0 - LAMBDA_TOL]
+    assert freqs_to_eigenvalues(clipped).tolist() == [0.0]
+    with pytest.raises(EstimationError, match="spurious peak at omega=0.9499 rad/s"):
+        freqs_to_eigenvalues([0.9499])
 
 
 def test_freqs_to_eigenvalues_requires_sorted():

@@ -11,6 +11,7 @@ from lapspec import (
     Graph,
     ParseError,
     ScheduleError,
+    Segment,
     TopologySchedule,
     build_laplacian,
     complete_graph,
@@ -309,6 +310,41 @@ def test_from_edges_rejects_non_integers_and_keeps_numpy_integers():
     g = Graph.from_edges(np.int64(3), np.array([[2, 0], [1, 2]]))
     assert g == Graph.from_edges(3, [(0, 2), (1, 2)])
     assert all(type(v) is int for v in (g.n, *(v for e in g.edges for v in e)))
+
+
+def _schedule_reading(tmp_path, edges_file_text):
+    """parse_schedule of one segment whose edges_file holds edges_file_text
+    (None: no such file)."""
+    if edges_file_text is not None:
+        (tmp_path / "g.txt").write_text(edges_file_text)
+    text = '[{"t_start": 0, "t_end": 1, "edges_file": "g.txt"}]'
+    return parse_schedule(text, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda tmp: Graph(n=0, edges=frozenset()), ValueError, "agent count must be positive, got 0"),
+    (lambda tmp: parse_edge_list("n five\n"), ParseError,
+     "line 1: agent count 'five' is not an integer"),
+    (lambda tmp: parse_edge_list("n 0\n"), ParseError, "line 1: agent count must be positive"),
+    (lambda tmp: parse_edge_list("n 3\n0 b\n"), ParseError,
+     "line 2: endpoints must be integers, got '0 b'"),
+    (lambda tmp: Segment(2.0, 2.0, K2), ScheduleError, "[2.0, 2.0] has non-positive duration"),
+    (lambda tmp: TopologySchedule(segments=()), ScheduleError, "schedule has no segments"),
+    (lambda tmp: parse_schedule('{"t_start": 0}'), ParseError,
+     "schedule must be a JSON array of segment objects"),
+    (lambda tmp: parse_schedule("[[0, 1]]"), ParseError, "segment 0: expected an object, got list"),
+    (lambda tmp: _schedule_reading(tmp, None), ParseError, "segment 0: cannot read"),
+    (lambda tmp: _schedule_reading(tmp, "0 1\n"), ParseError,
+     "g.txt: line 1: expected 'n <count>', got '0 1'"),
+    (lambda tmp: parse_schedule('[{"t_start": 0, "t_end": 1, "edges": [[0, 1]]}]'), ParseError,
+     "segment 0: inline 'edges' requires 'n'"),
+], ids=["zero agents", "count not integer", "count zero", "endpoint not integer",
+        "empty segment", "no segments", "not an array", "segment not object",
+        "edges file missing", "edges file malformed", "edges without n"])
+def test_graph_errors_are_named(call, kind, message, tmp_path):
+    with pytest.raises(kind) as exc:
+        call(tmp_path)
+    assert type(exc.value) is kind and message in str(exc.value)
 
 
 def test_named_constructors():

@@ -395,6 +395,19 @@ def test_observability_rank_rejects_non_symmetric():
         observability_rank(np.array([[0.0, 1.0], [0.0, 0.0]]), e_row(2, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: eig_sym(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), 5),
+     "agent 5 out of range [0, 5)"),
+    (lambda: observability_rank(build_laplacian(P5), np.ones((1, 4))),
+     "output matrix has 4 columns, expected 5"),
+], ids=["not square", "agent out of range", "output width"])
+def test_oracle_errors_are_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and message in str(exc.value)
+
+
 def test_oracle_report_shape():
     x0, z0 = random_init(4, 8)
     report = oracle_report(STAR4, x0, z0, 1)
