@@ -16,21 +16,22 @@ told apart) are fixed constants.
 
 Detection pipeline: the sampled signal is exactly a finite sum of poles, so
 a matrix pencil on its Hankel matrix (Hua & Sarkar 1990), projected onto
-2 * n_max + 2 of its columns that span it whenever the model holds, seeds
-all frequencies at once, with the model order read from the gap in the
-singular values (ORDER_GAP); poles outside the frequency band are dropped.
-One joint Gauss-Newton refinement of all frequencies (gradient from the
-design matrix's own sin/cos columns, the linear amplitude/phase subproblem
-solved by least squares at every iteration) polishes the seed, merging a
-pair it collapses into one line. Only a window the pencil declines, in
-practice one with no clear gap (more lines than the bound, or noise), takes
-the greedy path: rectangular-window DFT of the current fit residual,
-vectorised local-maximum picking with 3-point quadratic interpolation on
-log magnitude, and a joint refinement after each new peak. Re-detecting on
-the residual rather than the raw spectrum keeps window sidelobes of strong
-peaks from masquerading as modes. One least-squares fit, _fit, serves the
-greedy loop, the refinement and ls_fit, which takes its condition number
-from the singular values lstsq already returns.
+k_max + 1 of its columns that span it whenever the model holds, seeds all
+frequencies at once, with the model order read from the gap in the singular
+values (ORDER_GAP); poles outside the frequency band are dropped. One joint
+Gauss-Newton refinement of all frequencies (gradient from the design
+matrix's own sin/cos columns, the linear amplitude/phase subproblem solved
+by least squares at every iteration) polishes the seed, merging a pair it
+collapses into one line. Only a nonzero window with no gap takes the greedy
+path: rectangular-window DFT of the current fit residual, vectorised
+local-maximum picking with 3-point quadratic interpolation on log magnitude,
+and a joint refinement after each new peak. Re-detecting on the residual
+rather than the raw spectrum keeps window sidelobes of strong peaks from
+masquerading as modes. One capacity, k_max = min(2 * n_max + 1, N // 4)
+poles of an N-sample window, caps both paths at k_max // 2 lines; one line's
+two poles need N >= 8. One least-squares fit, _fit, serves the greedy loop,
+the refinement and ls_fit, which takes its condition number from the
+singular values lstsq already returns.
 """
 from __future__ import annotations
 
@@ -378,10 +379,10 @@ def freqs_to_eigenvalues(omegas) -> np.ndarray:
 
 
 def _pencil_seed(
-    y: np.ndarray, ts: float, n_max: int, omega_min: float, omega_max: float
+    y: np.ndarray, ts: float, k_max: int, omega_min: float, omega_max: float
 ) -> np.ndarray | None:
-    """Matrix-pencil frequencies of y (Hua & Sarkar 1990), or None when the
-    signal shows no finite sum of at most n_max sinusoids.
+    """Matrix-pencil frequencies of y (Hua & Sarkar 1990), or None when its
+    singular values show no gap.
 
     The right singular vectors of the Hankel matrix of y span the row space
     of the poles' Vandermonde vectors, so the pencil of that basis and its
@@ -389,16 +390,12 @@ def _pencil_seed(
     the matrix projected onto k_max + 1 columns spread over its width (a
     well-conditioned basis): for at most k_max poles they span its column
     space, so the projection keeps its singular values and right vectors
-    exactly (k_max = 2 * n_max + 1, at most the Hankel width). The model
-    order is at the largest ratio of consecutive singular values, accepted
-    only when it exceeds ORDER_GAP (a zero signal's ratios are NaN and fail
-    it). Only upper-half-plane poles in [omega_min, omega_max] are kept; no
-    gap, no such pole, or a window under 4 samples gives None.
+    exactly (k_max is at most the Hankel width). The model order is at the
+    largest ratio of consecutive singular values, accepted only when it
+    exceeds ORDER_GAP. With a gap, the upper-half-plane poles in
+    [omega_min, omega_max] are returned: at most k_max // 2, possibly none.
     """
     cols = len(y) // 4
-    if cols < 1:
-        return None
-    k_max = min(2 * n_max + 1, cols)
     hankel = np.lib.stride_tricks.sliding_window_view(y, cols + 1)
     basis = np.linalg.qr(hankel[:, np.linspace(0, cols, k_max + 1).round().astype(int)])[0]
     _, s, vh = np.linalg.svd(basis.T @ hankel, full_matrices=False)
@@ -410,18 +407,17 @@ def _pencil_seed(
     v = vh[:k].T
     poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
     omegas = np.angle(poles[poles.imag > 0]) / ts
-    omegas = omegas[(omegas >= omega_min) & (omegas <= omega_max)]
-    return omegas if len(omegas) else None
+    return omegas[(omegas >= omega_min) & (omegas <= omega_max)]
 
 
 def _greedy_omegas(
-    y: np.ndarray, ts: float, n_max: int, omega_min: float, omega_max: float, merge_gap: float
+    y: np.ndarray, ts: float, n_lines: int, omega_min: float, omega_max: float, merge_gap: float
 ) -> list[float]:
-    """Frequencies found one residual-spectrum peak at a time.
+    """Frequencies of a nonzero y found one residual-spectrum peak at a time.
 
     Repeatedly take the strongest residual-spectrum peak (amplitude ties
     break toward the lower frequency) and refine all frequencies jointly;
-    stop at n_max frequencies, when the residual is explained, or when no
+    stop at n_lines frequencies, when the residual is explained, or when no
     candidate clears the threshold. A candidate whose refine collapses onto
     an existing frequency is rejected and never tried again.
     """
@@ -429,9 +425,9 @@ def _greedy_omegas(
     norm_y = float(np.linalg.norm(y))
     omegas: list[float] = []
     rejected: list[float] = []
-    for _ in range(n_max):
+    for _ in range(n_lines):
         resid = _fit(y, t, np.array(omegas))[2] if omegas else y
-        if norm_y == 0.0 or float(np.linalg.norm(resid)) / norm_y < 1e-10:
+        if float(np.linalg.norm(resid)) / norm_y < 1e-10:
             break
         omega, mag, resolution = _amplitude_spectrum(resid, ts, ZERO_PAD, "rect")
         candidates = [
@@ -462,10 +458,11 @@ def estimate_frequencies(
     The frequencies come from one matrix-pencil seed (_pencil_seed) and a
     joint refine; while two drift apart by less than 2 * DISTINCT_PHASE over
     the window, the upper one is dropped and the rest refined again. Only a
-    window the pencil declines takes greedy residual-peak detection
-    (_greedy_omegas). Components whose fitted amplitude falls below the peak
-    threshold are pruned. Frequencies below 1 - LAMBDA_TOL rad/s are
-    structurally impossible and never enter.
+    window with no singular-value gap takes greedy residual-peak detection
+    (_greedy_omegas); one k_max sizes both paths, and a zero window has no
+    lines. Components whose fitted amplitude falls below the peak threshold
+    are pruned. Frequencies below 1 - LAMBDA_TOL rad/s are structurally
+    impossible and never enter.
     The success flag is true exactly when the reconstruction residual
     (percent) is within the configured threshold; with no detected
     frequencies the flag is false and the residual reads 100 percent.
@@ -479,9 +476,10 @@ def estimate_frequencies(
             f"window {cfg.window:g} s needs {n_win:.0f} samples, signal has "
             f"{len(sig.samples)}"
         )
-    if n_win < 2:
+    k_max = min(2 * cfg.n_max + 1, n_win // 4)
+    if k_max < 2:
         raise EstimationError(
-            f"window {cfg.window:g} s holds {n_win} samples at f_s = {sig.f_s:g}; at least 2 needed"
+            f"window {cfg.window:g} s holds {n_win} samples at f_s = {sig.f_s:g}; at least 8 needed"
         )
     y = sig.samples[:n_win]
     ts = sig.ts
@@ -497,9 +495,11 @@ def estimate_frequencies(
             flag=False, residual_percent=100.0 if norm_y > 0 else 0.0,
         )
 
-    seed = _pencil_seed(y, ts, cfg.n_max, omega_min, omega_max)
+    seed = _pencil_seed(y, ts, k_max, omega_min, omega_max) if norm_y > 0 else np.empty(0)
     if seed is None:
-        omegas = _greedy_omegas(y, ts, cfg.n_max, omega_min, omega_max, merge_gap)
+        omegas = _greedy_omegas(y, ts, k_max // 2, omega_min, omega_max, merge_gap)
+    elif len(seed) == 0:
+        return empty_estimate()
     else:
         refined = np.sort(refine_frequencies(y, ts, seed, omega_min, omega_max))
         while len(refined) > 1 and np.min(np.diff(refined)) < merge_gap:

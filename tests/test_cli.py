@@ -192,7 +192,7 @@ def test_estimate_window_of_one_sample_exits_with_error(tmp_path, capsys):
     assert run(["estimate", path, "--agent", "0", "--window", "6.3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: window 6.3 s holds 1 samples at f_s = 0.1; at least 2 needed\n"
+    assert captured.err == "error: window 6.3 s holds 1 samples at f_s = 0.1; at least 8 needed\n"
 
 
 def hand_trace(n, rows):

@@ -464,14 +464,16 @@ def test_estimate_window_exceeds_signal():
         estimate_frequencies(sig, FreqEstimatorConfig(window=20.0))
 
 
-@pytest.mark.parametrize("f_s, held", [(0.1, 1), (0.05, 0)])
-def test_estimate_window_of_fewer_than_two_samples_rejected(f_s, held):
+@pytest.mark.parametrize("f_s, held", [(0.1, 1), (0.05, 0)] + [
+    (held / (2 * math.pi), held) for held in range(2, 8)], ids=lambda v: f"{v:g}")
+def test_estimate_window_of_fewer_than_eight_samples_rejected(f_s, held):
     """A 2*pi s window at a 10 s (20 s) sample period rounds to 1 (0)
-    samples: a named error, not a division by zero (or a quiet empty fit)."""
+    samples: a named error, not a division by zero (or a quiet empty fit).
+    So are 2-7 samples: one line's two poles need a Hankel matrix of 3
+    columns, 8 samples."""
     sig = SampledSignal(samples=np.sin(np.arange(40) / f_s), f_s=f_s)
-    with pytest.raises(
-        EstimationError, match=rf"window 6\.28319 s holds {held} samples at f_s = {f_s:g}"
-    ):
+    with pytest.raises(EstimationError, match=(
+            rf"window 6\.28319 s holds {held} samples at f_s = {f_s:g}; at least 8 needed")):
         estimate_frequencies(sig, FreqEstimatorConfig(window=2 * math.pi))
 
 
@@ -545,6 +547,12 @@ def search_range(y, ts):
     return 1.0 - LAMBDA_TOL, 0.999 * math.pi / ts, 2e-2 / ((len(y) - 1) * ts)
 
 
+def capacity(n_max, n_samples):
+    """estimate_frequencies' pole capacity k_max for a window of n_samples:
+    the pencil's order bound, and twice the greedy loop's line budget."""
+    return min(2 * n_max + 1, n_samples // 4)
+
+
 @pytest.fixture()
 def greedy_calls(monkeypatch):
     """The argument tuples of every _greedy_omegas call estimate_frequencies
@@ -605,8 +613,9 @@ def test_pencil_and_greedy_paths_agree_where_greedy_hits():
         sig = SampledSignal.from_trace(trace, off + agent)
         y, ts, n_max = sig.samples, sig.ts, g.n + 2
         lo, hi, gap = search_range(y, ts)
-        assert _pencil_seed(y, ts, n_max, lo, hi) is not None
-        greedy = np.sort(_greedy_omegas(y, ts, n_max, lo, hi, gap))
+        k_max = capacity(n_max, len(y))
+        assert _pencil_seed(y, ts, k_max, lo, hi) is not None
+        greedy = np.sort(_greedy_omegas(y, ts, k_max // 2, lo, hi, gap))
         dec = eigendecompose(g)
         if len(greedy) != dec.num_distinct or np.max(np.abs(greedy - 1.0 - dec.values)) > 1e-2:
             continue
@@ -636,7 +645,8 @@ def test_dense_signal_takes_greedy_path_unchanged():
     sig = dense_signal()
     lo, hi, _ = search_range(sig.samples, sig.ts)
     for n_max in (8, 14):
-        assert _pencil_seed(sig.samples, sig.ts, n_max, lo, hi) is None
+        k_max = capacity(n_max, len(sig.samples))
+        assert _pencil_seed(sig.samples, sig.ts, k_max, lo, hi) is None
     est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=8))
     digest = hashlib.sha256(json.dumps(est.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == DENSE_DIGEST
@@ -649,7 +659,7 @@ def test_short_window_is_answered_by_the_pencil(greedy_calls):
     sig = tone(3.0, 100 / FS)
     lo, hi, _ = search_range(sig.samples, sig.ts)
     for n_max in (8, 14):
-        seed = _pencil_seed(sig.samples, sig.ts, n_max, lo, hi)
+        seed = _pencil_seed(sig.samples, sig.ts, capacity(n_max, len(sig.samples)), lo, hi)
         assert len(seed) == 1 and abs(seed[0] - 3.0) < 1e-9, (n_max, seed)
     est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=14, window=100 / FS))
     assert not greedy_calls
@@ -671,13 +681,13 @@ def test_collapsed_pencil_pair_merges_into_one_line(greedy_calls):
     sig = collapsed_pair()
     y, ts = sig.samples, sig.ts
     lo, hi, gap = search_range(y, ts)
-    seed = _pencil_seed(y, ts, 8, lo, hi)
+    seed = _pencil_seed(y, ts, capacity(8, len(y)), lo, hi)
     refined = np.sort(refine_frequencies(y, ts, seed, omega_min=lo, omega_max=hi))
     assert len(refined) == 2 and refined[1] - refined[0] < gap
     est = estimate_frequencies(sig, FreqEstimatorConfig())
     assert not greedy_calls
     assert est.n == 1 and est.flag
-    assert est.omega.tolist() == _greedy_omegas(y, ts, 8, lo, hi, gap)
+    assert est.omega.tolist() == _greedy_omegas(y, ts, capacity(8, len(y)) // 2, lo, hi, gap)
 
 
 def two_tones(slow, n_samples=796):
@@ -707,31 +717,82 @@ def test_in_band_slow_tone_is_kept(greedy_calls):
     assert est.lambdas.tolist() == [0.0, pytest.approx(1.0, abs=1e-9)] and est.flag
 
 
+def helper_calls(monkeypatch):
+    """(name, arguments, result) of every _pencil_seed and _greedy_omegas call
+    estimate_frequencies makes from here on, in call order."""
+    calls = []
+
+    def spy(name, helper):
+        def call(*args):
+            result = helper(*args)
+            calls.append((name, args, result))
+            return result
+        return call
+
+    monkeypatch.setattr(estimation, "_pencil_seed", spy("pencil", _pencil_seed))
+    monkeypatch.setattr(estimation, "_greedy_omegas", spy("greedy", _greedy_omegas))
+    return calls
+
+
 SINGLE_TRIGGER = {
-    # name: (signal, n_max, window in seconds, takes the greedy loop)
-    "gapless": (dense_signal, 8, 50.0, True),
-    "zero": (lambda: SampledSignal(samples=np.zeros(796), f_s=FS), 8, 50.0, True),
-    "constant": (lambda: SampledSignal(samples=np.ones(796), f_s=FS), 8, 50.0, True),
-    "three samples": (lambda: tone(1.2, 8.0, f_s=0.5), 8, 2.0 * math.pi, True),
-    "short": (lambda: tone(3.0, 100 / FS), 14, 100 / FS, False),
-    "collapsed": (collapsed_pair, 8, 50.0, False),
-    "out of band": (lambda: two_tones(0.5), 8, 50.0, False),
+    # name: (signal, n_max, window in seconds, helpers called, lines returned);
+    # helpers None: the window is a named error before either helper runs
+    "gapless": (dense_signal, 8, 50.0, ("pencil", "greedy"), 8),
+    "zero": (lambda: SampledSignal(samples=np.zeros(796), f_s=FS), 8, 50.0, (), 0),
+    "constant": (lambda: SampledSignal(samples=np.ones(796), f_s=FS), 8, 50.0, ("pencil",), 0),
+    "lone 0.5 rad/s": (lambda: tone(0.5, 796 / FS), 8, 50.0, ("pencil",), 0),
+    "lone 0.9 rad/s": (lambda: tone(0.9, 796 / FS), 8, 50.0, ("pencil",), 0),
+    "three samples": (lambda: tone(1.2, 8.0, f_s=0.5), 8, 2.0 * math.pi, None, None),
+    "short": (lambda: tone(3.0, 100 / FS), 14, 100 / FS, ("pencil",), 1),
+    "collapsed": (collapsed_pair, 8, 50.0, ("pencil",), 1),
+    "out of band": (lambda: two_tones(0.5), 8, 50.0, ("pencil",), 1),
 }
 
 
 @pytest.mark.parametrize("case", list(SINGLE_TRIGGER))
-def test_greedy_loop_runs_exactly_when_the_pencil_declines(case, greedy_calls):
+def test_greedy_loop_runs_exactly_when_the_pencil_declines(case, monkeypatch):
     """One condition picks the path: _greedy_omegas runs, once, exactly when
-    _pencil_seed returns None, which a gapless, zero or constant signal or a
-    window under 4 samples gives; a short, collapsed or out-of-band window
-    is the pencil's."""
-    make, n_max, window, greedy = SINGLE_TRIGGER[case]
+    _pencil_seed returns None, which only a nonzero gapless window gives. A
+    zero window calls neither helper; a constant or a lone tone below the
+    band shows a gap with no in-band pole, so no lines; a window under 8
+    samples is a named error. Both helpers get the one capacity k_max: the
+    pencil's order bound, and twice the greedy loop's line budget."""
+    make, n_max, window, helpers, lines = SINGLE_TRIGGER[case]
     sig = make()
-    est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=n_max, window=window))
-    y = sig.samples[: int(round(window * sig.f_s))]
-    lo, hi, _ = search_range(y, sig.ts)
-    assert (_pencil_seed(y, sig.ts, n_max, lo, hi) is None) == greedy
-    assert len(greedy_calls) == int(greedy), (case, est.omega)
+    cfg = FreqEstimatorConfig(n_max=n_max, window=window)
+    calls = helper_calls(monkeypatch)
+    if helpers is None:
+        with pytest.raises(EstimationError, match="at least 8 needed"):
+            estimate_frequencies(sig, cfg)
+        assert not calls
+        return
+    est = estimate_frequencies(sig, cfg)
+    assert tuple(name for name, _, _ in calls) == helpers, (case, est.omega)
+    assert est.n == lines, (case, est.omega)
+    if helpers:
+        _, (y, _, k_max, _, _), seed = calls[0]
+        assert k_max == capacity(n_max, len(y))
+        assert (seed is None) == ("greedy" in helpers)
+    if "greedy" in helpers:
+        assert calls[1][1][2] == k_max // 2
+
+
+@pytest.mark.parametrize("n_samples", [8, 12, 16])
+def test_noise_never_flags_a_tiny_window(n_samples):
+    """Seeded Gaussian noise in a 2*pi s window of 8, 12 or 16 samples: the
+    capacity n // 4 leaves room for 1, 1 or 2 lines, too few to fit noise,
+    so no estimate is flagged. A budget of n_max = 8 lines whatever the
+    length fits such windows closely and flagged about half of them."""
+    f_s = n_samples / (2.0 * math.pi)
+    cfg = FreqEstimatorConfig(window=2.0 * math.pi)
+    flagged = []
+    for seed in range(50):
+        noise = np.random.default_rng(seed).normal(size=n_samples)
+        est = estimate_frequencies(SampledSignal(samples=noise, f_s=f_s), cfg)
+        assert est.n <= capacity(cfg.n_max, n_samples) // 2
+        if est.flag:
+            flagged.append(seed)
+    assert not flagged
 
 
 def switching_run():
@@ -805,7 +866,7 @@ def traced_pencil_seed(monkeypatch, y, ts, n_max, omega_min, omega_max):
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "svd", spy)
-        seed = _pencil_seed(y, ts, n_max, omega_min, omega_max)
+        seed = _pencil_seed(y, ts, capacity(n_max, len(y)), omega_min, omega_max)
     return seed, *order_and_gap(spectra[0], 2 * n_max + 1)
 
 
@@ -838,7 +899,8 @@ def sampled_columns(monkeypatch, n_samples, n_max):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "qr", stop)
         with pytest.raises(_Sampled) as sampled:
-            _pencil_seed(np.arange(float(n_samples)), 1.0, n_max, 0.0, math.pi)
+            k_max = capacity(n_max, n_samples)
+            _pencil_seed(np.arange(float(n_samples)), 1.0, k_max, 0.0, math.pi)
     return sampled.value.args[0].astype(int)
 
 
