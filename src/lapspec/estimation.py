@@ -8,11 +8,11 @@ values: an upper bound on the number of frequencies, a reconstruction-error
 threshold (percent) that drives a success flag, and the window length; the
 sampling time is the signal's own. PEAK_THRESHOLD (smallest line amplitude),
 ZERO_PAD (peak-search DFT oversampling), STFT_ZERO_PAD (spectrogram
-oversampling), GN_TOL (Gauss-Newton stopping step), LAMBDA_TOL (slack
-below 1 rad/s still mapped to lambda = 0), ORDER_GAP (smallest
-singular-value ratio accepted as the model order) and DISTINCT_PHASE
-(smallest phase two frequencies must drift apart over the window to be
-told apart) are fixed constants.
+oversampling), GN_TOL (Gauss-Newton stopping step), GN_MAX_ITER (Gauss-Newton
+iteration cap), LAMBDA_TOL (slack below 1 rad/s still mapped to lambda = 0),
+ORDER_GAP (smallest singular-value ratio accepted as the model order) and
+DISTINCT_PHASE (smallest phase two frequencies must drift apart over the
+window to be told apart) are fixed constants.
 
 Detection pipeline: the sampled signal is exactly a finite sum of poles, so
 a matrix pencil on its Hankel matrix (Hua & Sarkar 1990), projected onto
@@ -29,9 +29,12 @@ and a joint refinement after each new peak. Re-detecting on the residual
 rather than the raw spectrum keeps window sidelobes of strong peaks from
 masquerading as modes. One capacity, k_max = min(2 * n_max + 1, N // 4)
 poles of an N-sample window, caps both paths at k_max // 2 lines; one line's
-two poles need N >= 8. One least-squares fit, _fit, serves the greedy loop,
-the refinement and ls_fit, which takes its condition number from the
-singular values lstsq already returns.
+two poles need N >= 8. Either path ends in one set of lines, fitted by
+ls_fit: lines below PEAK_THRESHOLD are dropped and the rest refit until every
+line clears it, and a window left with no line gets the one empty estimate.
+One least-squares fit, _fit, serves the greedy loop, the refinement and
+ls_fit, which takes its condition number from the singular values lstsq
+already returns.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ PEAK_THRESHOLD = 0.005
 ZERO_PAD = 8
 STFT_ZERO_PAD = 4
 GN_TOL = 1e-13
+GN_MAX_ITER = 60
 LAMBDA_TOL = 0.05
 ORDER_GAP = 1e6
 DISTINCT_PHASE = 1e-2
@@ -329,7 +333,6 @@ def refine_frequencies(
     omegas,
     omega_min: float,
     omega_max: float,
-    max_iter: int = 60,
 ) -> np.ndarray:
     """Jointly polish frequencies by damped Gauss-Newton within
     [omega_min, omega_max].
@@ -337,14 +340,14 @@ def refine_frequencies(
     The amplitude/phase subproblem is linear and re-solved exactly at every
     iteration; the frequency step comes from the joint linearization and is
     clipped to half a DFT bin so the iteration stays inside the attraction
-    basin of the initial peaks. It stops after max_iter iterations or once
-    no frequency moves by GN_TOL.
+    basin of the initial peaks. It stops after GN_MAX_ITER iterations or
+    once no frequency moves by GN_TOL.
     """
     omegas = np.array(np.atleast_1d(omegas), dtype=float)
     y = np.asarray(samples, dtype=float)
     t = np.arange(len(y)) * ts
     max_step = 0.5 * 2.0 * math.pi / (len(y) * ts)
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         design, theta, resid, _ = _fit(y, t, omegas)
         # d/dw of alpha sin(w t) + beta cos(w t), from the design's own columns.
         grad = t[:, None] * (theta[0::2] * design[:, 1::2] - theta[1::2] * design[:, 0::2])
@@ -399,8 +402,9 @@ def _pencil_seed(
     hankel = np.lib.stride_tricks.sliding_window_view(y, cols + 1)
     basis = np.linalg.qr(hankel[:, np.linspace(0, cols, k_max + 1).round().astype(int)])[0]
     _, s, vh = np.linalg.svd(basis.T @ hankel, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = s[:k_max] / s[1 : k_max + 1]
+    # Singular values below machine precision of the largest are one floor,
+    # so an exactly rank-deficient window reads its true order.
+    ratios = s[:k_max] / np.maximum(s[1 : k_max + 1], s[0] * np.finfo(float).eps)
     k = int(np.argmax(ratios)) + 1
     if not ratios[k - 1] > ORDER_GAP:
         return None
@@ -460,20 +464,21 @@ def estimate_frequencies(
     the window, the upper one is dropped and the rest refined again. Only a
     window with no singular-value gap takes greedy residual-peak detection
     (_greedy_omegas); one k_max sizes both paths, and a zero window has no
-    lines. Components whose fitted amplitude falls below the peak threshold
-    are pruned. Frequencies below 1 - LAMBDA_TOL rad/s are structurally
-    impossible and never enter.
+    lines. Frequencies below 1 - LAMBDA_TOL rad/s are structurally
+    impossible and never enter. Lines whose fitted amplitude falls below
+    PEAK_THRESHOLD are dropped and the rest refit, until every line clears
+    it; when none is left, the one empty estimate is returned.
     The success flag is true exactly when the reconstruction residual
     (percent) is within the configured threshold; with no detected
-    frequencies the flag is false and the residual reads 100 percent.
+    frequencies the flag is false and the residual reads 100 percent (0 for
+    a zero window).
     """
-    n_win = float(cfg.window) * float(sig.f_s)
-    # Compared as a float first: int() of a huge window overflows.
-    if n_win < len(sig.samples) + 1:
-        n_win = int(round(n_win))
+    # Python floats: an overflowing window reads inf, and min() caps it.
+    need = float(cfg.window) * float(sig.f_s)
+    n_win = round(min(need, len(sig.samples) + 1))
     if n_win > len(sig.samples):
         raise EstimationError(
-            f"window {cfg.window:g} s needs {n_win:.0f} samples, signal has "
+            f"window {cfg.window:g} s needs {need:.0f} samples, signal has "
             f"{len(sig.samples)}"
         )
     k_max = min(2 * cfg.n_max + 1, n_win // 4)
@@ -481,51 +486,35 @@ def estimate_frequencies(
         raise EstimationError(
             f"window {cfg.window:g} s holds {n_win} samples at f_s = {sig.f_s:g}; at least 8 needed"
         )
-    y = sig.samples[:n_win]
-    ts = sig.ts
+    win = SampledSignal(samples=sig.samples[:n_win], f_s=sig.f_s, t0=sig.t0)
+    y, ts = win.samples, win.ts
     norm_y = float(np.linalg.norm(y))
     omega_min = 1.0 - LAMBDA_TOL
     omega_max = 0.999 * math.pi / ts
     merge_gap = 2.0 * DISTINCT_PHASE / ((n_win - 1) * ts)  # twice ls_fit's limit
 
-    def empty_estimate() -> SpectrumEstimate:
-        none = np.empty(0)
-        return SpectrumEstimate(
-            n=0, omega=none, amplitudes=none, phases=none, lambdas=none,
-            flag=False, residual_percent=100.0 if norm_y > 0 else 0.0,
-        )
-
-    seed = _pencil_seed(y, ts, k_max, omega_min, omega_max) if norm_y > 0 else np.empty(0)
-    if seed is None:
-        omegas = _greedy_omegas(y, ts, k_max // 2, omega_min, omega_max, merge_gap)
-    elif len(seed) == 0:
-        return empty_estimate()
-    else:
-        refined = np.sort(refine_frequencies(y, ts, seed, omega_min, omega_max))
-        while len(refined) > 1 and np.min(np.diff(refined)) < merge_gap:
+    omegas = _pencil_seed(y, ts, k_max, omega_min, omega_max) if norm_y > 0 else np.empty(0)
+    if omegas is None:
+        omegas = np.array(_greedy_omegas(y, ts, k_max // 2, omega_min, omega_max, merge_gap))
+    elif len(omegas):
+        omegas = np.sort(refine_frequencies(y, ts, omegas, omega_min, omega_max))
+        while len(omegas) > 1 and np.min(np.diff(omegas)) < merge_gap:
             # A collapsed pair is one line: drop its upper member, refine again.
-            refined = np.delete(refined, np.argmin(np.diff(refined)) + 1)
-            refined = np.sort(refine_frequencies(y, ts, refined, omega_min, omega_max))
-        omegas = refined.tolist()
+            omegas = np.delete(omegas, np.argmin(np.diff(omegas)) + 1)
+            omegas = np.sort(refine_frequencies(y, ts, omegas, omega_min, omega_max))
 
-    if not omegas:
-        return empty_estimate()
-
-    window_sig = SampledSignal(samples=y, f_s=sig.f_s, t0=sig.t0)
-    amps, phases, residual = ls_fit(window_sig, omegas)
-    keep = amps >= PEAK_THRESHOLD
-    if not np.any(keep):
-        return empty_estimate()
-    if not np.all(keep):
-        omegas = [w for w, k in zip(omegas, keep) if k]
-        amps, phases, residual = ls_fit(window_sig, omegas)
-    omega_arr = np.asarray(omegas)
+    while len(omegas):
+        amps, phases, residual = ls_fit(win, omegas)
+        keep = amps >= PEAK_THRESHOLD
+        if np.all(keep):
+            return SpectrumEstimate(
+                n=len(omegas), omega=omegas, amplitudes=amps, phases=phases,
+                lambdas=freqs_to_eigenvalues(omegas), flag=bool(residual <= cfg.se),
+                residual_percent=residual,
+            )
+        omegas = omegas[keep]
+    none = np.empty(0)
     return SpectrumEstimate(
-        n=len(omegas),
-        omega=omega_arr,
-        amplitudes=amps,
-        phases=phases,
-        lambdas=freqs_to_eigenvalues(omega_arr),
-        flag=bool(residual <= cfg.se),
-        residual_percent=residual,
+        n=0, omega=none, amplitudes=none, phases=none, lambdas=none,
+        flag=False, residual_percent=100.0 if norm_y > 0 else 0.0,
     )

@@ -249,7 +249,7 @@ def _reference_refine(samples, ts, omegas, omega_min=1e-6, omega_max=None,
 
 
 @pytest.mark.parametrize("case", ["p5", "two_tone_noise", "single"])
-def test_refine_frequencies_matches_per_column_gradient(case):
+def test_refine_frequencies_matches_per_column_gradient(case, monkeypatch):
     rng = np.random.default_rng(4)
     ts = 1.0 / FS
     if case == "p5":
@@ -264,10 +264,12 @@ def test_refine_frequencies_matches_per_column_gradient(case):
         start = np.array([2.1])
     # Converged frequencies absorb last-bit gradient differences, so early
     # iterates, whose steps are large, are compared too.
+    bounds = dict(omega_min=0.95, omega_max=0.999 * math.pi / ts)
     for max_iter in (1, 2, 3, 60):
-        kwargs = dict(omega_min=0.95, omega_max=0.999 * math.pi / ts, max_iter=max_iter)
-        got = refine_frequencies(y, ts, start, **kwargs)
-        assert got.tobytes() == _reference_refine(y, ts, start, **kwargs).tobytes()
+        monkeypatch.setattr(estimation, "GN_MAX_ITER", max_iter)
+        got = refine_frequencies(y, ts, start, **bounds)
+        want = _reference_refine(y, ts, start, max_iter=max_iter, **bounds)
+        assert got.tobytes() == want.tobytes()
 
 
 # --- ls_fit -----------------------------------------------------------------------
@@ -734,6 +736,11 @@ def helper_calls(monkeypatch):
     return calls
 
 
+def faint_noise():
+    """Seeded Gaussian noise of sigma 1e-4, 796 samples at the default rate."""
+    return SampledSignal(samples=1e-4 * np.random.default_rng(0).normal(size=796), f_s=FS)
+
+
 SINGLE_TRIGGER = {
     # name: (signal, n_max, window in seconds, helpers called, lines returned);
     # helpers None: the window is a named error before either helper runs
@@ -746,6 +753,8 @@ SINGLE_TRIGGER = {
     "short": (lambda: tone(3.0, 100 / FS), 14, 100 / FS, ("pencil",), 1),
     "collapsed": (collapsed_pair, 8, 50.0, ("pencil",), 1),
     "out of band": (lambda: two_tones(0.5), 8, 50.0, ("pencil",), 1),
+    "faint noise": (faint_noise, 8, 50.0, ("pencil", "greedy"), 0),
+    "weak tone": (lambda: tone(2.0, 796 / FS, amp=1e-3), 8, 50.0, ("pencil",), 0),
 }
 
 
@@ -755,8 +764,12 @@ def test_greedy_loop_runs_exactly_when_the_pencil_declines(case, monkeypatch):
     _pencil_seed returns None, which only a nonzero gapless window gives. A
     zero window calls neither helper; a constant or a lone tone below the
     band shows a gap with no in-band pole, so no lines; a window under 8
-    samples is a named error. Both helpers get the one capacity k_max: the
-    pencil's order bound, and twice the greedy loop's line budget."""
+    samples is a named error. Faint noise has no gap, and the greedy loop
+    finds no peak above PEAK_THRESHOLD; a weak tone's pencil line is fitted
+    below it and dropped. Every estimate with no line is unflagged at 100 %
+    residual, 0 % for the zero window. Both helpers get the one capacity
+    k_max: the pencil's order bound, and twice the greedy loop's line
+    budget."""
     make, n_max, window, helpers, lines = SINGLE_TRIGGER[case]
     sig = make()
     cfg = FreqEstimatorConfig(n_max=n_max, window=window)
@@ -775,6 +788,53 @@ def test_greedy_loop_runs_exactly_when_the_pencil_declines(case, monkeypatch):
         assert (seed is None) == ("greedy" in helpers)
     if "greedy" in helpers:
         assert calls[1][1][2] == k_max // 2
+    if lines == 0:
+        assert not est.flag
+        assert est.residual_percent == (100.0 if np.any(sig.samples) else 0.0)
+
+
+def test_constant_window_has_no_line_at_any_length(greedy_calls):
+    """A constant window is one pole at z = 1, exactly rank one: singular
+    values below machine precision of the largest count as one floor, so
+    the pencil reads order 1 at every length and finds no pole in the band.
+    Read raw, they gave ratios of 1e15 to inf or NaN, and 21 of these
+    lengths returned spurious lines, 11 of them through the greedy loop."""
+    cfg = FreqEstimatorConfig(window=4.0 * math.pi)
+    wrong = {}
+    for n_samples in range(8, 400):
+        sig = SampledSignal(samples=np.ones(n_samples), f_s=n_samples / cfg.window)
+        est = estimate_frequencies(sig, cfg)
+        if est.n or est.flag or est.residual_percent != 100.0:
+            wrong[n_samples] = est.omega.tolist()
+    assert not wrong
+    assert not greedy_calls
+
+
+def test_greedy_loop_rejects_a_collapsing_candidate(monkeypatch):
+    """Agent 0 of a 60-agent path over the whole trace span shows no gap, and
+    one greedy candidate refines onto a line already held: it is rejected,
+    the loop goes on, and the 7 lines returned stay at least the merge gap
+    apart."""
+    sched = TopologySchedule.single(path_graph(60), 50.0)
+    trace, _ = simulate(sched, SimConfig(t_end=50.0), random_init(60, 0))
+    sig = SampledSignal.from_trace(trace, 0)
+    calls = helper_calls(monkeypatch)
+    refined = []
+
+    def spy(*args):
+        omegas = refine_frequencies(*args)
+        refined.append(np.sort(omegas))
+        return omegas
+
+    monkeypatch.setattr(estimation, "refine_frequencies", spy)
+    window = float(trace.times[-1] - trace.times[0])
+    est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=8, window=window))
+    assert [name for name, _, _ in calls] == ["pencil", "greedy"]
+    _, _, gap = search_range(calls[0][1][0], sig.ts)
+    collapsed = [w for w in refined if len(w) > 1 and np.min(np.diff(w)) < gap]
+    assert len(collapsed) == 1, collapsed
+    assert est.n == 7 and np.min(np.diff(est.omega)) >= gap, est.omega
+    assert not est.flag
 
 
 @pytest.mark.parametrize("n_samples", [8, 12, 16])
