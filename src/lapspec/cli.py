@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,25 +87,33 @@ def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.
             fh.write(line % (t, *row.tolist()))
 
 
+def _trace_header(n: int) -> str:
+    """The trace CSV header of n agents: t,x_0..x_{n-1},z_0..z_{n-1}."""
+    return ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"z_{i}" for i in range(n)])
+
+
 def write_trace_csv(trace: Trace, path: Path) -> None:
-    """Trace CSV: header t,x_0..x_{n-1},z_0..z_{n-1}, full double precision."""
-    n = trace.n
-    header = ",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"z_{i}" for i in range(n)])
-    _write_rows(path, header, "%.17g", trace.times, trace.states)
+    """Trace CSV: _trace_header's header, full double precision."""
+    _write_rows(path, _trace_header(trace.n), "%.17g", trace.times, trace.states)
 
 
 def read_trace_csv(path: Path) -> Trace:
-    """Load a trace written by write_trace_csv (segments are not recorded)."""
+    """Load a trace written by write_trace_csv, whose header it must have
+    exactly (segments are not recorded)."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
-        raise ParseError(f"{path}: not a trace CSV (header {header[:3]}...)")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        header = fh.readline().strip()
+    cells = header.split(",")
+    if header != _trace_header((len(cells) - 1) // 2):
+        raise ParseError(f"{path}: not a trace CSV (header {cells[:3]}...)")
+    with warnings.catch_warnings():
+        # A file with no data rows gets its named error below.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     times = data[:, 0]
     if len(times) < 2:
         raise ParseError(f"{path}: trace needs at least 2 samples")
-    if data.shape[1] != len(header):
-        raise ParseError(f"{path}: rows have {data.shape[1]} columns, header has {len(header)}")
+    if data.shape[1] != len(cells):
+        raise ParseError(f"{path}: rows have {data.shape[1]} columns, header has {len(cells)}")
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
@@ -404,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rounds", parents=[rate],
         help="per-agent message bound 4*max_degree*T*fs at one RK4 step per sample",
         description="Per-agent message bound ceil(4*max_degree*T*fs) over T s at one "
-                    "RK4 step per sample; simulate's default step sends ten times more.")
+                    "RK4 step per sample; simulate's default step sends ten times more. "
+                    "An edgeless schedule (max degree 0) sends none: its bound is 0.")
     p_rounds.add_argument("schedule", nargs="?", default=None,
                           help="schedule to derive the max degree from")
     p_rounds.add_argument("--delta-max", type=int, default=None,

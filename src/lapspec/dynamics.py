@@ -276,9 +276,12 @@ def round_bound(delta_max: int, t_min: float, f_s: float) -> int:
 
     Over a window of length t_min sampled at f_s with one RK4 step per
     sample, an agent exchanges at most this many messages with neighbors.
-    Every argument must be positive and finite.
+    t_min and f_s must be positive and finite; delta_max must be
+    non-negative, and an edgeless graph (delta_max 0) gives a bound of 0.
     """
-    for name, value in (("delta_max", delta_max), ("t_min", t_min), ("f_s", f_s)):
+    if not 0 <= delta_max < math.inf:
+        raise ValueError(f"delta_max must be non-negative and finite, got {delta_max}")
+    for name, value in (("t_min", t_min), ("f_s", f_s)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     value = 4.0 * delta_max * t_min * f_s

@@ -21,11 +21,13 @@ frequencies at once, with the model order read from the gap in the singular
 values (ORDER_GAP); poles outside the frequency band are dropped. One joint
 Gauss-Newton refinement of all frequencies (gradient from the design
 matrix's own sin/cos columns, the linear amplitude/phase subproblem solved
-by least squares at every iteration) polishes the seed, merging a pair it
-collapses into one line. Only a nonzero window with no gap takes the greedy
-path: rectangular-window DFT of the current fit residual, vectorised
-local-maximum picking with 3-point quadratic interpolation on log magnitude,
-and a joint refinement after each new peak. Re-detecting on the residual
+by least squares at every iteration) polishes the seed; refine_frequencies
+merges a pair it collapses into one line, on either path. Every helper
+takes the window as one SampledSignal, which owns the frequency band and
+the merge gap. Only a nonzero window with no gap takes the greedy path:
+rectangular-window DFT of the current fit residual, vectorised local-maximum
+picking with 3-point quadratic interpolation on log magnitude, and a joint
+refinement after each new peak. Re-detecting on the residual
 rather than the raw spectrum keeps window sidelobes of strong peaks from
 masquerading as modes. One capacity, k_max = min(2 * n_max + 1, N // 4)
 poles of an N-sample window, caps both paths at k_max // 2 lines; one line's
@@ -69,6 +71,13 @@ class SampledSignal:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
+        samples = np.asarray(self.samples)
+        if samples.ndim != 1 or samples.dtype.kind not in "biuf":
+            raise EstimationError(
+                f"signal samples must be a 1-D real array, got shape {samples.shape} "
+                f"of {samples.dtype}"
+            )
+        object.__setattr__(self, "samples", samples.astype(float, copy=False))
         if len(self.samples) < 2:
             raise EstimationError("signal needs at least 2 samples")
         if not 0 < self.f_s < math.inf:
@@ -79,6 +88,16 @@ class SampledSignal:
     @property
     def ts(self) -> float:
         return 1.0 / self.f_s
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """The frequencies (rad/s) a line 1 + lambda can take in this signal."""
+        return 1.0 - LAMBDA_TOL, 0.999 * math.pi / self.ts
+
+    @property
+    def merge_gap(self) -> float:
+        """Lines closer than this are one line: twice ls_fit's limit."""
+        return 2.0 * DISTINCT_PHASE / ((len(self.samples) - 1) * self.ts)
 
     @classmethod
     def from_trace(
@@ -327,15 +346,10 @@ def ls_fit(
     return amps, phases, residual_percent
 
 
-def refine_frequencies(
-    samples: np.ndarray,
-    ts: float,
-    omegas,
-    omega_min: float,
-    omega_max: float,
-) -> np.ndarray:
-    """Jointly polish frequencies by damped Gauss-Newton within
-    [omega_min, omega_max].
+def refine_frequencies(sig: SampledSignal, omegas) -> np.ndarray:
+    """Jointly polish frequencies by damped Gauss-Newton within sig's band,
+    and return them sorted; while two end closer than sig's merge gap, the
+    upper one is dropped and the rest refined again.
 
     The amplitude/phase subproblem is linear and re-solved exactly at every
     iteration; the frequency step comes from the joint linearization and is
@@ -344,20 +358,25 @@ def refine_frequencies(
     once no frequency moves by GN_TOL.
     """
     omegas = np.array(np.atleast_1d(omegas), dtype=float)
-    y = np.asarray(samples, dtype=float)
-    t = np.arange(len(y)) * ts
-    max_step = 0.5 * 2.0 * math.pi / (len(y) * ts)
-    for _ in range(GN_MAX_ITER):
-        design, theta, resid, _ = _fit(y, t, omegas)
-        # d/dw of alpha sin(w t) + beta cos(w t), from the design's own columns.
-        grad = t[:, None] * (theta[0::2] * design[:, 1::2] - theta[1::2] * design[:, 0::2])
-        joint = np.hstack([design, grad])
-        step, *_ = np.linalg.lstsq(joint, resid, rcond=None)
-        delta = np.clip(step[2 * len(omegas) :], -max_step, max_step)
-        omegas = np.clip(np.abs(omegas + delta), omega_min, omega_max)
-        if np.max(np.abs(delta)) < GN_TOL:
-            break
-    return omegas
+    y = sig.samples
+    t = np.arange(len(y)) * sig.ts
+    max_step = 0.5 * 2.0 * math.pi / (len(y) * sig.ts)
+    while True:
+        for _ in range(GN_MAX_ITER):
+            design, theta, resid, _ = _fit(y, t, omegas)
+            # d/dw of alpha sin(w t) + beta cos(w t), from the design's own columns.
+            grad = t[:, None] * (theta[0::2] * design[:, 1::2] - theta[1::2] * design[:, 0::2])
+            joint = np.hstack([design, grad])
+            step, *_ = np.linalg.lstsq(joint, resid, rcond=None)
+            delta = np.clip(step[2 * len(omegas) :], -max_step, max_step)
+            omegas = np.clip(np.abs(omegas + delta), *sig.band)
+            if np.max(np.abs(delta)) < GN_TOL:
+                break
+        omegas = np.sort(omegas)
+        if len(omegas) < 2 or np.min(np.diff(omegas)) >= sig.merge_gap:
+            return omegas
+        # A collapsed pair is one line: drop its upper member, refine again.
+        omegas = np.delete(omegas, np.argmin(np.diff(omegas)) + 1)
 
 
 def freqs_to_eigenvalues(omegas) -> np.ndarray:
@@ -381,13 +400,11 @@ def freqs_to_eigenvalues(omegas) -> np.ndarray:
     return np.maximum(omegas - 1.0, 0.0)
 
 
-def _pencil_seed(
-    y: np.ndarray, ts: float, k_max: int, omega_min: float, omega_max: float
-) -> np.ndarray | None:
-    """Matrix-pencil frequencies of y (Hua & Sarkar 1990), or None when its
+def _pencil_seed(sig: SampledSignal, k_max: int) -> np.ndarray | None:
+    """Matrix-pencil frequencies of sig (Hua & Sarkar 1990), or None when its
     singular values show no gap.
 
-    The right singular vectors of the Hankel matrix of y span the row space
+    The right singular vectors of sig's Hankel matrix span the row space
     of the poles' Vandermonde vectors, so the pencil of that basis and its
     one-sample shift has the poles exp(i w ts) as eigenvalues. The SVD is of
     the matrix projected onto k_max + 1 columns spread over its width (a
@@ -395,11 +412,11 @@ def _pencil_seed(
     space, so the projection keeps its singular values and right vectors
     exactly (k_max is at most the Hankel width). The model order is at the
     largest ratio of consecutive singular values, accepted only when it
-    exceeds ORDER_GAP. With a gap, the upper-half-plane poles in
-    [omega_min, omega_max] are returned: at most k_max // 2, possibly none.
+    exceeds ORDER_GAP. With a gap, the upper-half-plane poles in sig's band
+    are returned: at most k_max // 2, possibly none.
     """
-    cols = len(y) // 4
-    hankel = np.lib.stride_tricks.sliding_window_view(y, cols + 1)
+    cols = len(sig.samples) // 4
+    hankel = np.lib.stride_tricks.sliding_window_view(sig.samples, cols + 1)
     basis = np.linalg.qr(hankel[:, np.linspace(0, cols, k_max + 1).round().astype(int)])[0]
     _, s, vh = np.linalg.svd(basis.T @ hankel, full_matrices=False)
     # Singular values below machine precision of the largest are one floor,
@@ -410,14 +427,13 @@ def _pencil_seed(
         return None
     v = vh[:k].T
     poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
-    omegas = np.angle(poles[poles.imag > 0]) / ts
+    omegas = np.angle(poles[poles.imag > 0]) / sig.ts
+    omega_min, omega_max = sig.band
     return omegas[(omegas >= omega_min) & (omegas <= omega_max)]
 
 
-def _greedy_omegas(
-    y: np.ndarray, ts: float, n_lines: int, omega_min: float, omega_max: float, merge_gap: float
-) -> list[float]:
-    """Frequencies of a nonzero y found one residual-spectrum peak at a time.
+def _greedy_omegas(sig: SampledSignal, n_lines: int) -> np.ndarray:
+    """Frequencies of a nonzero sig found one residual-spectrum peak at a time.
 
     Repeatedly take the strongest residual-spectrum peak (amplitude ties
     break toward the lower frequency) and refine all frequencies jointly;
@@ -425,32 +441,32 @@ def _greedy_omegas(
     candidate clears the threshold. A candidate whose refine collapses onto
     an existing frequency is rejected and never tried again.
     """
-    t = np.arange(len(y)) * ts
+    y = sig.samples
+    t = np.arange(len(y)) * sig.ts
     norm_y = float(np.linalg.norm(y))
-    omegas: list[float] = []
+    omega_min, omega_max = sig.band
+    omegas = np.empty(0)
     rejected: list[float] = []
     for _ in range(n_lines):
-        resid = _fit(y, t, np.array(omegas))[2] if omegas else y
+        resid = _fit(y, t, omegas)[2]
         if float(np.linalg.norm(resid)) / norm_y < 1e-10:
             break
-        omega, mag, resolution = _amplitude_spectrum(resid, ts, ZERO_PAD, "rect")
+        omega, mag, resolution = _amplitude_spectrum(resid, sig.ts, ZERO_PAD, "rect")
         candidates = [
             c for c in detect_peaks(omega, mag, PEAK_THRESHOLD, 2.0 * resolution)
             if omega_min <= c[0] <= omega_max
-            and all(abs(c[0] - r) > merge_gap for r in rejected)
+            and all(abs(c[0] - r) > sig.merge_gap for r in rejected)
         ]
         if not candidates:
             break
         best = max(candidates, key=lambda c: (c[1], -c[0]))
-        omegas.append(best[0])
-        refined = np.sort(refine_frequencies(y, ts, omegas, omega_min, omega_max))
-        if len(refined) > 1 and np.min(np.diff(refined)) < merge_gap:
-            # New candidate collapsed onto an existing frequency: nothing
+        refined = refine_frequencies(sig, [*omegas, best[0]])
+        if len(refined) <= len(omegas):
+            # The candidate collapsed onto an existing frequency: nothing
             # left for it to explain there; keep looking elsewhere.
-            omegas.pop()
             rejected.append(best[0])
             continue
-        omegas = [float(w) for w in refined]
+        omegas = refined
     return omegas
 
 
@@ -460,8 +476,7 @@ def estimate_frequencies(
     """Finite-time frequency estimation over exactly one window.
 
     The frequencies come from one matrix-pencil seed (_pencil_seed) and a
-    joint refine; while two drift apart by less than 2 * DISTINCT_PHASE over
-    the window, the upper one is dropped and the rest refined again. Only a
+    joint refine (refine_frequencies), which merges a collapsed pair. Only a
     window with no singular-value gap takes greedy residual-peak detection
     (_greedy_omegas); one k_max sizes both paths, and a zero window has no
     lines. Frequencies below 1 - LAMBDA_TOL rad/s are structurally
@@ -487,21 +502,13 @@ def estimate_frequencies(
             f"window {cfg.window:g} s holds {n_win} samples at f_s = {sig.f_s:g}; at least 8 needed"
         )
     win = SampledSignal(samples=sig.samples[:n_win], f_s=sig.f_s, t0=sig.t0)
-    y, ts = win.samples, win.ts
-    norm_y = float(np.linalg.norm(y))
-    omega_min = 1.0 - LAMBDA_TOL
-    omega_max = 0.999 * math.pi / ts
-    merge_gap = 2.0 * DISTINCT_PHASE / ((n_win - 1) * ts)  # twice ls_fit's limit
+    norm_y = float(np.linalg.norm(win.samples))
 
-    omegas = _pencil_seed(y, ts, k_max, omega_min, omega_max) if norm_y > 0 else np.empty(0)
+    omegas = _pencil_seed(win, k_max) if norm_y > 0 else np.empty(0)
     if omegas is None:
-        omegas = np.array(_greedy_omegas(y, ts, k_max // 2, omega_min, omega_max, merge_gap))
+        omegas = _greedy_omegas(win, k_max // 2)
     elif len(omegas):
-        omegas = np.sort(refine_frequencies(y, ts, omegas, omega_min, omega_max))
-        while len(omegas) > 1 and np.min(np.diff(omegas)) < merge_gap:
-            # A collapsed pair is one line: drop its upper member, refine again.
-            omegas = np.delete(omegas, np.argmin(np.diff(omegas)) + 1)
-            omegas = np.sort(refine_frequencies(y, ts, omegas, omega_min, omega_max))
+        omegas = refine_frequencies(win, omegas)
 
     while len(omegas):
         amps, phases, residual = ls_fit(win, omegas)

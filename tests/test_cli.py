@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,19 +207,26 @@ def hand_trace(n, rows):
 @pytest.mark.parametrize("text, flags, message", [
     ("time,x_0,z_0\n0,1,2\n0.0625,1,2\n", [], "not a trace CSV (header ['time', 'x_0', 'z_0']...)"),
     ("t,x_0\n0,1\n0.0625,1\n", [], "not a trace CSV (header ['t', 'x_0']...)"),
+    ("t,a,b\n0,1,2\n0.0625,1,2\n", [], "not a trace CSV (header ['t', 'a', 'b']...)"),
+    ("t,z_0,x_0\n0,1,2\n0.0625,1,2\n", [], "not a trace CSV (header ['t', 'z_0', 'x_0']...)"),
     (hand_trace(1, 1), [], "trace needs at least 2 samples"),
+    (hand_trace(1, 0), [], "trace needs at least 2 samples"),
     (hand_trace(5, 120), ["--agent", "4", "--per-segment", "--schedule", "{schedule}"],
      "schedule has 3 agents, trace has 5"),
-], ids=["header name", "odd column count", "one sample", "schedule agent count"])
+], ids=["header name", "odd column count", "column names", "column order", "one sample",
+        "header only", "schedule agent count"])
 def test_estimate_errors_are_named(text, flags, message, tmp_path, capsys):
     """A trace estimate cannot read, or a schedule for other agents, exits 1
-    with a named error and prints no estimate."""
+    with a named error, prints no estimate and raises no warning."""
     trace = tmp_path / "trace.csv"
     trace.write_text(text)
     schedule = tmp_path / "p3.json"
     schedule.write_text('[{"t_start": 0, "t_end": 7, "n": 3, "edges": [[0, 1], [1, 2]]}]')
     argv = ["estimate", trace, "--agent", "0", *(f.format(schedule=schedule) for f in flags)]
-    assert run(argv) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert not caught, [str(w.message) for w in caught]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
@@ -594,6 +602,20 @@ def test_rounds_names_bad_schedule_field(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: segment 0: field 't_start' must be a number, got null\n"
     )
+
+
+def test_rounds_on_an_edgeless_schedule_is_zero(tmp_path, capsys):
+    """An edgeless graph sends no message: its bound is 0, as simulate's
+    messages.json total is, not an error about a delta_max never given."""
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("n 3\n")
+    with pytest.warns(UserWarning, match="disconnected"):
+        assert run(["rounds", edgeless]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["delta_max"] == 0 and payload["bound"] == 0
+    with pytest.warns(UserWarning, match="disconnected"):
+        assert run(["simulate", edgeless, "--out-dir", tmp_path]) == 0
+    assert json.loads((tmp_path / "messages.json").read_text())["total"] == 0
 
 
 def test_rounds_requires_source(capsys):

@@ -480,8 +480,9 @@ def test_round_bound_reference_value():
 
 def test_round_bound_trivial():
     assert round_bound(1, 1.0, 1.0) == 4
-    with pytest.raises(ValueError):
-        round_bound(0, 1.0, 1.0)
+    assert round_bound(0, 1.0, 1.0) == 0  # an edgeless graph sends nothing
+    with pytest.raises(ValueError, match="delta_max must be non-negative"):
+        round_bound(-1, 1.0, 1.0)
 
 
 def test_round_bound_is_ceiling():

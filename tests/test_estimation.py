@@ -263,13 +263,16 @@ def test_refine_frequencies_matches_per_column_gradient(case, monkeypatch):
         y = tone(2.2, 30.0).samples
         start = np.array([2.1])
     # Converged frequencies absorb last-bit gradient differences, so early
-    # iterates, whose steps are large, are compared too.
+    # iterates, whose steps are large, are compared too. No pair collapses,
+    # so refine_frequencies returns the reference's iterate, sorted.
+    sig = SampledSignal(samples=y, f_s=FS)
     bounds = dict(omega_min=0.95, omega_max=0.999 * math.pi / ts)
+    assert sig.band == tuple(bounds.values())
     for max_iter in (1, 2, 3, 60):
         monkeypatch.setattr(estimation, "GN_MAX_ITER", max_iter)
-        got = refine_frequencies(y, ts, start, **bounds)
-        want = _reference_refine(y, ts, start, max_iter=max_iter, **bounds)
-        assert got.tobytes() == want.tobytes()
+        got = refine_frequencies(sig, start)
+        want = np.sort(_reference_refine(y, ts, start, max_iter=max_iter, **bounds))
+        assert len(got) == len(start) and got.tobytes() == want.tobytes()
 
 
 # --- ls_fit -----------------------------------------------------------------------
@@ -453,11 +456,28 @@ def test_signal_rejects_bad_sample_rate_by_name(f_s):
      "unknown window 'flat' (expected 'rect' or 'hann')"),
     (lambda: spectrogram(tone(2.0, 10.0), 3, 1), "window_len must be at least 4, got 3"),
     (lambda: spectrogram(tone(2.0, 10.0), 8, 0), "hop must be at least 1, got 0"),
-], ids=["one sample", "agent out of range", "unknown window", "window_len 3", "hop 0"])
+    (lambda: SampledSignal(samples=np.exp(1j * np.arange(796.0)), f_s=FS),
+     "signal samples must be a 1-D real array, got shape (796,) of complex128"),
+    (lambda: SampledSignal(samples=np.zeros((796, 2)), f_s=FS),
+     "signal samples must be a 1-D real array, got shape (796, 2) of float64"),
+], ids=["one sample", "agent out of range", "unknown window", "window_len 3", "hop 0",
+        "complex samples", "two columns"])
 def test_estimation_errors_are_named(call, message):
     with pytest.raises(EstimationError) as exc:
         call()
     assert type(exc.value) is EstimationError and message in str(exc.value)
+
+
+def test_signal_stores_real_samples_as_float64():
+    """Int and bool samples are stored as float64; a float64 array is kept
+    as it is, not copied."""
+    ints = SampledSignal(samples=np.array([0, 1, -2, 3]), f_s=FS)
+    flags = SampledSignal(samples=[True, False, True], f_s=FS)
+    assert ints.samples.dtype == flags.samples.dtype == np.float64
+    assert ints.samples.tolist() == [0.0, 1.0, -2.0, 3.0]
+    assert flags.samples.tolist() == [1.0, 0.0, 1.0]
+    floats = np.linspace(0.0, 1.0, 8)
+    assert SampledSignal(samples=floats, f_s=FS).samples is floats
 
 
 def test_estimate_window_exceeds_signal():
@@ -613,11 +633,10 @@ def test_pencil_and_greedy_paths_agree_where_greedy_hits():
     compared = 0
     for (g, (_, _, agent)), off in zip(members, offsets):
         sig = SampledSignal.from_trace(trace, off + agent)
-        y, ts, n_max = sig.samples, sig.ts, g.n + 2
-        lo, hi, gap = search_range(y, ts)
-        k_max = capacity(n_max, len(y))
-        assert _pencil_seed(y, ts, k_max, lo, hi) is not None
-        greedy = np.sort(_greedy_omegas(y, ts, k_max // 2, lo, hi, gap))
+        n_max = g.n + 2
+        k_max = capacity(n_max, len(sig.samples))
+        assert _pencil_seed(sig, k_max) is not None
+        greedy = _greedy_omegas(sig, k_max // 2)
         dec = eigendecompose(g)
         if len(greedy) != dec.num_distinct or np.max(np.abs(greedy - 1.0 - dec.values)) > 1e-2:
             continue
@@ -645,13 +664,39 @@ def test_dense_signal_takes_greedy_path_unchanged():
     """40 agents see more lines than n_max = 8 or 14, so the singular values
     show no gap, the pencil declines, and the greedy estimate is unchanged."""
     sig = dense_signal()
-    lo, hi, _ = search_range(sig.samples, sig.ts)
     for n_max in (8, 14):
-        k_max = capacity(n_max, len(sig.samples))
-        assert _pencil_seed(sig.samples, sig.ts, k_max, lo, hi) is None
+        assert _pencil_seed(sig, capacity(n_max, len(sig.samples))) is None
     est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=8))
     digest = hashlib.sha256(json.dumps(est.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == DENSE_DIGEST
+
+
+# sha256 of the sorted JSON list of every estimate in the pencil test below,
+# measured before the band and the merge gap moved into SampledSignal.
+PENCIL_DIGEST = "d782f925ae61f656be175ac30d4893fa158da81ee12d6714f32e2acd43444175"
+
+
+def n12_and_p5_signals():
+    """Every agent of six random n = 12 graphs and of P5, 50 s each."""
+    rng = np.random.default_rng(14)
+    graphs = [random_connected_graph(rng, 12) for _ in range(6)]
+    inits = [random_init(12, seed) for seed in range(6)]
+    schedule, init, offsets = disjoint_union(graphs, inits, 50.0)
+    trace, _ = simulate(schedule, SimConfig(t_end=50.0), init)
+    signals = [SampledSignal.from_trace(trace, off + a) for off in offsets for a in range(12)]
+    p5 = p5_trace()
+    return signals + [SampledSignal.from_trace(p5, a) for a in range(5)]
+
+
+def test_n12_and_p5_estimates_take_pencil_path_unchanged(greedy_calls):
+    """The 77 signals of the projected-pencil test below, at n_max = 14: no
+    greedy call, every estimate flagged, and the estimates unchanged."""
+    ests = [estimate_frequencies(sig, FreqEstimatorConfig(n_max=14)).to_dict()
+            for sig in n12_and_p5_signals()]
+    assert not greedy_calls
+    assert all(e["flag"] for e in ests)
+    digest = hashlib.sha256(json.dumps(ests, sort_keys=True).encode()).hexdigest()
+    assert digest == PENCIL_DIGEST
 
 
 def test_short_window_is_answered_by_the_pencil(greedy_calls):
@@ -659,9 +704,8 @@ def test_short_window_is_answered_by_the_pencil(greedy_calls):
     2 * 14 + 1: the pencil reads every column and finds the tone, and the
     estimate makes no greedy call."""
     sig = tone(3.0, 100 / FS)
-    lo, hi, _ = search_range(sig.samples, sig.ts)
     for n_max in (8, 14):
-        seed = _pencil_seed(sig.samples, sig.ts, capacity(n_max, len(sig.samples)), lo, hi)
+        seed = _pencil_seed(sig, capacity(n_max, len(sig.samples)))
         assert len(seed) == 1 and abs(seed[0] - 3.0) < 1e-9, (n_max, seed)
     est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=14, window=100 / FS))
     assert not greedy_calls
@@ -676,20 +720,20 @@ def collapsed_pair():
 
 def test_collapsed_pencil_pair_merges_into_one_line(greedy_calls):
     """Two tones 1e-4 rad/s apart over 50 s are distinct poles to the
-    pencil but closer than ls_fit's distinguishability limit: the refined
-    seed collapses, its upper line is dropped, and the one line left is
-    refined again, without raising or a greedy call. The greedy loop, run
-    directly, returns the same line bit for bit."""
+    pencil but closer than ls_fit's distinguishability limit: refining the
+    two-line seed collapses them, refine_frequencies drops the upper line
+    and refines the one left again, and the estimate returns that line
+    without raising or a greedy call. The greedy loop, run directly,
+    returns the same line bit for bit."""
     sig = collapsed_pair()
-    y, ts = sig.samples, sig.ts
-    lo, hi, gap = search_range(y, ts)
-    seed = _pencil_seed(y, ts, capacity(8, len(y)), lo, hi)
-    refined = np.sort(refine_frequencies(y, ts, seed, omega_min=lo, omega_max=hi))
-    assert len(refined) == 2 and refined[1] - refined[0] < gap
+    k_max = capacity(8, len(sig.samples))
+    seed = _pencil_seed(sig, k_max)
+    merged = refine_frequencies(sig, seed)
+    assert len(seed) == 2 and len(merged) == 1
     est = estimate_frequencies(sig, FreqEstimatorConfig())
     assert not greedy_calls
     assert est.n == 1 and est.flag
-    assert est.omega.tolist() == _greedy_omegas(y, ts, capacity(8, len(y)) // 2, lo, hi, gap)
+    assert est.omega.tobytes() == merged.tobytes() == _greedy_omegas(sig, k_max // 2).tobytes()
 
 
 def two_tones(slow, n_samples=796):
@@ -783,11 +827,12 @@ def test_greedy_loop_runs_exactly_when_the_pencil_declines(case, monkeypatch):
     assert tuple(name for name, _, _ in calls) == helpers, (case, est.omega)
     assert est.n == lines, (case, est.omega)
     if helpers:
-        _, (y, _, k_max, _, _), seed = calls[0]
-        assert k_max == capacity(n_max, len(y))
+        _, (win, k_max), seed = calls[0]
+        assert (*win.band, win.merge_gap) == search_range(win.samples, win.ts)
+        assert k_max == capacity(n_max, len(win.samples))
         assert (seed is None) == ("greedy" in helpers)
     if "greedy" in helpers:
-        assert calls[1][1][2] == k_max // 2
+        assert calls[1][1] == (win, k_max // 2)
     if lines == 0:
         assert not est.flag
         assert est.residual_percent == (100.0 if np.any(sig.samples) else 0.0)
@@ -812,27 +857,28 @@ def test_constant_window_has_no_line_at_any_length(greedy_calls):
 
 def test_greedy_loop_rejects_a_collapsing_candidate(monkeypatch):
     """Agent 0 of a 60-agent path over the whole trace span shows no gap, and
-    one greedy candidate refines onto a line already held: it is rejected,
-    the loop goes on, and the 7 lines returned stay at least the merge gap
-    apart."""
+    one greedy candidate refines onto a line already held, so
+    refine_frequencies hands back no more lines than the loop held: the
+    candidate is rejected, the loop goes on, and the 7 lines returned stay
+    at least the merge gap apart."""
     sched = TopologySchedule.single(path_graph(60), 50.0)
     trace, _ = simulate(sched, SimConfig(t_end=50.0), random_init(60, 0))
     sig = SampledSignal.from_trace(trace, 0)
     calls = helper_calls(monkeypatch)
     refined = []
 
-    def spy(*args):
-        omegas = refine_frequencies(*args)
-        refined.append(np.sort(omegas))
-        return omegas
+    def spy(win, omegas):
+        out = refine_frequencies(win, omegas)
+        refined.append((len(omegas), len(out)))
+        return out
 
     monkeypatch.setattr(estimation, "refine_frequencies", spy)
     window = float(trace.times[-1] - trace.times[0])
     est = estimate_frequencies(sig, FreqEstimatorConfig(n_max=8, window=window))
     assert [name for name, _, _ in calls] == ["pencil", "greedy"]
-    _, _, gap = search_range(calls[0][1][0], sig.ts)
-    collapsed = [w for w in refined if len(w) > 1 and np.min(np.diff(w)) < gap]
-    assert len(collapsed) == 1, collapsed
+    gap = calls[0][1][0].merge_gap
+    collapsed = [(given, kept) for given, kept in refined if kept < given]
+    assert len(collapsed) == 1 and collapsed[0][1] == collapsed[0][0] - 1, refined
     assert est.n == 7 and np.min(np.diff(est.omega)) >= gap, est.omega
     assert not est.flag
 
@@ -913,7 +959,7 @@ def full_hankel_seed(y, ts, n_max, omega_min, omega_max):
     return k, gap, np.sort(np.clip(np.angle(poles) / ts, omega_min, omega_max))
 
 
-def traced_pencil_seed(monkeypatch, y, ts, n_max, omega_min, omega_max):
+def traced_pencil_seed(monkeypatch, sig, n_max):
     """_pencil_seed's result, with the order and gap ratio of the singular
     values its SVD returned."""
     svd = np.linalg.svd
@@ -926,17 +972,16 @@ def traced_pencil_seed(monkeypatch, y, ts, n_max, omega_min, omega_max):
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "svd", spy)
-        seed = _pencil_seed(y, ts, capacity(n_max, len(y)), omega_min, omega_max)
+        seed = _pencil_seed(sig, capacity(n_max, len(sig.samples)))
     return seed, *order_and_gap(spectra[0], 2 * n_max + 1)
 
 
-def assert_matches_full_hankel(monkeypatch, y, ts, n_max, tol=1e-6):
+def assert_matches_full_hankel(monkeypatch, sig, n_max, tol=1e-6):
     """The projected seed keeps the full matrix's order, at least half its
     gap ratio, and frequencies within tol rad/s of its own; it is accepted
     exactly when the full matrix's gap clears ORDER_GAP. Returns the seed."""
-    lo, hi, _ = search_range(y, ts)
-    seed, k, gap = traced_pencil_seed(monkeypatch, y, ts, n_max, lo, hi)
-    ref_k, ref_gap, ref_omegas = full_hankel_seed(y, ts, n_max, lo, hi)
+    seed, k, gap = traced_pencil_seed(monkeypatch, sig, n_max)
+    ref_k, ref_gap, ref_omegas = full_hankel_seed(sig.samples, sig.ts, n_max, *sig.band)
     assert k == ref_k, (k, ref_k)
     assert gap >= 0.5 * ref_gap, (gap, ref_gap)
     assert (seed is not None) == (ref_gap > ORDER_GAP), (gap, ref_gap)
@@ -960,22 +1005,14 @@ def sampled_columns(monkeypatch, n_samples, n_max):
         m.setattr(np.linalg, "qr", stop)
         with pytest.raises(_Sampled) as sampled:
             k_max = capacity(n_max, n_samples)
-            _pencil_seed(np.arange(float(n_samples)), 1.0, k_max, 0.0, math.pi)
+            _pencil_seed(SampledSignal(samples=np.arange(float(n_samples)), f_s=1.0), k_max)
     return sampled.value.args[0].astype(int)
 
 
 def test_projected_pencil_matches_full_hankel_on_n12_graphs_and_p5(monkeypatch):
     """Every agent of six random n = 12 graphs and of P5 (n_max = 14)."""
-    rng = np.random.default_rng(14)
-    graphs = [random_connected_graph(rng, 12) for _ in range(6)]
-    inits = [random_init(12, seed) for seed in range(6)]
-    schedule, init, offsets = disjoint_union(graphs, inits, 50.0)
-    trace, _ = simulate(schedule, SimConfig(t_end=50.0), init)
-    signals = [SampledSignal.from_trace(trace, off + a) for off in offsets for a in range(12)]
-    p5 = p5_trace()
-    signals += [SampledSignal.from_trace(p5, a) for a in range(5)]
-    for sig in signals:
-        assert_matches_full_hankel(monkeypatch, sig.samples, sig.ts, 14)
+    for sig in n12_and_p5_signals():
+        assert_matches_full_hankel(monkeypatch, sig, 14)
 
 
 @pytest.mark.parametrize("sigma", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
@@ -988,7 +1025,7 @@ def test_projected_pencil_matches_full_hankel_under_noise(monkeypatch, sigma):
                         random_init(12, 12))
     sig = SampledSignal.from_trace(trace, 0)
     y = sig.samples + np.random.default_rng(5).normal(0.0, sigma, len(sig.samples))
-    assert_matches_full_hankel(monkeypatch, y, sig.ts, 14)
+    assert_matches_full_hankel(monkeypatch, SampledSignal(samples=y, f_s=sig.f_s), 14)
 
 
 def test_projected_pencil_separates_lines_aliased_at_the_column_step(monkeypatch):
@@ -1001,7 +1038,7 @@ def test_projected_pencil_separates_lines_aliased_at_the_column_step(monkeypatch
     t = np.arange(n_samples) / FS
     y = np.sin(2.0 * t) + 0.5 * np.sin((2.0 + 2.0 * math.pi * FS / step) * t + 1.0)
     y += np.random.default_rng(6).normal(0.0, 1e-9, n_samples)
-    assert_matches_full_hankel(monkeypatch, y, 1.0 / FS, n_max)
+    assert_matches_full_hankel(monkeypatch, SampledSignal(samples=y, f_s=FS), n_max)
 
 
 def test_pencil_samples_distinct_columns_over_the_whole_width(monkeypatch):
@@ -1027,8 +1064,8 @@ def test_pencil_on_the_narrowest_hankel_samples_every_column(monkeypatch, n_max)
     n_samples = 4 * k_max
     assert sampled_columns(monkeypatch, n_samples, n_max).tolist() == list(range(k_max + 1))
     t = np.arange(n_samples) / FS
-    y = sum(np.sin((1.5 + 7.0 * j) * t + j) for j in range(n_max))
-    assert len(assert_matches_full_hankel(monkeypatch, y, 1.0 / FS, n_max, tol=1e-9)) == n_max
+    sig = SampledSignal(samples=sum(np.sin((1.5 + 7.0 * j) * t + j) for j in range(n_max)), f_s=FS)
+    assert len(assert_matches_full_hankel(monkeypatch, sig, n_max, tol=1e-9)) == n_max
 
 
 # --- frequency-to-eigenvalue mapping -------------------------------------------------
@@ -1055,7 +1092,7 @@ def test_freqs_to_eigenvalues_band_edge_is_the_estimators():
     assert freqs_to_eigenvalues([1.0 - LAMBDA_TOL]).tolist() == [0.0]
     assert freqs_to_eigenvalues([0.95]).tolist() == [0.0]
     sig = tone(0.5, 50.0)
-    clipped = refine_frequencies(sig.samples, sig.ts, [0.96], 1.0 - LAMBDA_TOL, 10.0)
+    clipped = refine_frequencies(sig, [0.96])
     assert clipped.tolist() == [1.0 - LAMBDA_TOL]
     assert freqs_to_eigenvalues(clipped).tolist() == [0.0]
     with pytest.raises(EstimationError, match="spurious peak at omega=0.9499 rad/s"):
