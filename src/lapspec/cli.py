@@ -138,19 +138,19 @@ def _emit(payload: dict, args, name: str) -> None:
         _write_json(payload, _out_dir(args) / name)
 
 
-def _run(args) -> tuple[TopologySchedule, SimConfig, Trace, MessageCounter]:
-    """Simulate args.schedule up to --t-end (default: the schedule's end)
+def _run(args, schedule: TopologySchedule) -> tuple[SimConfig, Trace, MessageCounter]:
+    """Simulate the schedule up to --t-end (default: the schedule's end)
     from the --init state."""
-    schedule = _load_schedule(args.schedule, args.t_end)
     t_end = args.t_end if args.t_end is not None else schedule.t_end
     cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
     n = schedule.n
     init = (np.ones(n), np.ones(n)) if args.init == "ones" else random_init(n, args.seed)
-    return (schedule, cfg, *simulate(schedule, cfg, init))
+    return (cfg, *simulate(schedule, cfg, init))
 
 
 def cmd_simulate(args) -> int:
-    schedule, cfg, trace, counter = _run(args)
+    schedule = _load_schedule(args.schedule, args.t_end)
+    cfg, trace, counter = _run(args, schedule)
     out = _out_dir(args)
     trace_path = out / "trace.csv"
     messages_path = out / "messages.json"
@@ -267,7 +267,10 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
 
 
 def cmd_validate(args) -> int:
-    _, _, trace, _ = _run(args)
+    schedule = _load_schedule(args.schedule, args.t_end)
+    if not 0 <= args.agent < schedule.n:
+        raise ValueError(f"agent {args.agent} out of range [0, {schedule.n})")
+    _, trace, _ = _run(args, schedule)
 
     energy = trace.x**2 + trace.z**2
     total = energy.sum(axis=1)

@@ -27,6 +27,7 @@ from lapspec import (
     star_graph,
     TopologySchedule,
 )
+from lapspec import cli
 from lapspec.cli import build_parser, main, read_trace_csv, write_trace_csv
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace
 
@@ -512,6 +513,18 @@ def test_validate_switching_uses_each_segment_start_state(capsys):
         got = seg["per_eigenvalue"]
         assert np.allclose([e["coefficient"] for e in got], amps, rtol=0, atol=1e-12)
         assert [e["estimable"] for e in got] == flags.tolist()
+
+
+@pytest.mark.parametrize("agent", [-1, 5])
+@pytest.mark.parametrize("schedule", ["p5.txt", "switching.json"])
+def test_validate_rejects_out_of_range_agent_before_simulating(
+        monkeypatch, capsys, schedule, agent):
+    def no_simulate(*args):
+        raise AssertionError("validate simulated before checking --agent")
+
+    monkeypatch.setattr(cli, "simulate", no_simulate)
+    assert run(["validate", SCENARIOS / schedule, "--agent", agent]) == 1
+    assert capsys.readouterr().err == f"error: agent {agent} out of range [0, 5)\n"
 
 
 def test_validate_path60_is_full_rank(tmp_path, capsys):

@@ -30,14 +30,9 @@ from lapspec import (
     simulate,
     star_graph,
 )
-from lapspec.dynamics import (
-    DEFAULT_SAMPLE_RATE,
-    _flat_edges,
-    _rk4_core,
-    _stage_rates,
-)
+from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _flat_edges
 from lapspec.graph import directed_edges
-from conftest import disjoint_union, random_connected_graph
+from conftest import disjoint_union, random_connected_graph, simple_spectrum_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
 P5 = path_graph(5)
@@ -56,6 +51,40 @@ def matrix_rk4_reference(laplacian, x, z, h, steps):
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     n = len(x)
     return state[:n], state[n:]
+
+
+def _stage_rates(w: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Reference stage round, one call per round: [z + A_z, (-x) + (-A_x)],
+    acc = [A_z, A_x]. simulate's step must match it bit for bit."""
+    s2, d2, t2, swap, sgn = edges
+    acc = np.bincount(t2, w[s2] - w[d2], minlength=w.size)
+    k = w[swap]
+    k *= sgn
+    k += acc * sgn  # not acc *= sgn: with no edges, bincount returns int zeros
+    return k
+
+
+def _rk4_core(w: np.ndarray, edges: tuple[np.ndarray, ...], h: float) -> np.ndarray:
+    """Reference classical RK4 step on the flat state via four stage rounds."""
+    k1 = _stage_rates(w, edges)
+    k2 = _stage_rates(w + 0.5 * h * k1, edges)
+    k3 = _stage_rates(w + 0.5 * h * k2, edges)
+    k4 = _stage_rates(w + h * k3, edges)
+    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_run(g: Graph, cfg: SimConfig, x0, z0) -> np.ndarray:
+    """Reference simulate on one fixed graph: _rk4_core step by step, one
+    [x, z] row per sample."""
+    edges, _ = _flat_edges(g)
+    h, m = cfg.step_size(), cfg.steps_per_sample()
+    w = np.concatenate((x0, z0))
+    rows = [w]
+    for step in range(1, (cfg.num_samples() - 1) * m + 1):
+        w = _rk4_core(w, edges, h)
+        if step % m == 0:
+            rows.append(w)
+    return np.array(rows)
 
 
 # --- initialization -------------------------------------------------------------
@@ -131,20 +160,30 @@ def _ascending_neighbors(g):
 
 def test_stage_rates_bitexact_with_local_rule():
     """The vectorized stage round must reproduce the per-agent loop bit for
-    bit (same accumulation order, same signed zeros), for many states."""
+    bit (same accumulation order, same signed zeros), for many states: the
+    reference round against local_derivative, and one step of simulate,
+    whose loop body holds the rounds, against the reference step and the
+    per-agent RK4."""
     rng = np.random.default_rng(0)
     sparse = random_connected_graph(np.random.default_rng(7), 240)  # near the cli size
+    h = 0.01
+    cfg = SimConfig(t_end=h, f_s=1.0 / h, h=h)  # one step, sampled
     for g in (P5, star_graph(6), complete_graph(5), sparse):
         edges, _ = _flat_edges(g)
         neighbors = _ascending_neighbors(g)
+        sched = TopologySchedule.single(g, h)
         for x, z in _stage_test_states(rng, g.n):
-            rates = _stage_rates(np.concatenate((x, z)), edges)
+            w = np.concatenate((x, z))
+            rates = _stage_rates(w, edges)
             expected = np.empty(2 * g.n)
             for i in range(g.n):
                 expected[i], expected[g.n + i] = local_derivative(
                     i, x[i], z[i], [(x[j], z[j]) for j in neighbors[i]]
                 )
             assert rates.tobytes() == expected.tobytes()
+            trace, _ = simulate(sched, cfg, (x, z))
+            assert trace.states[1].tobytes() == _rk4_core(w, edges, h).tobytes()
+            assert trace.states.tobytes() == _per_agent_rk4([g], x, z, h, 1).tobytes()
 
 
 # --- system matrix -----------------------------------------------------------------
@@ -179,9 +218,18 @@ def test_rk4_single_agent_rotation():
 
 
 def test_rk4_zero_step_identity():
+    """A step whose update h * rate is below half an ulp of every component
+    leaves the state bit for bit, as a zero step would: simulate adds the
+    weighted stage sum to w. The reference step at h = 0 is the identity."""
     edges, _ = _flat_edges(K2)
     w = np.array([0.3, -0.7, 1.1, 0.0])
     assert np.array_equal(_rk4_core(w, edges, 0.0), w)
+    w = np.array([0.3, -0.7, 1.1, -0.4])
+    h = 1e-20
+    cfg = SimConfig(t_end=10 * h, f_s=1.0 / h, h=h)
+    trace, _ = simulate(TopologySchedule.single(K2, 1.0), cfg, (w[:2], w[2:]))
+    assert trace.num_samples == 11
+    assert trace.states.tobytes() == np.tile(w, (11, 1)).tobytes()
 
 
 def test_rk4_k2_closed_form():
@@ -293,6 +341,30 @@ def test_simulate_bitexact_with_per_agent_rk4():
             expected = _per_agent_rk4(steps, x0, z0, h, m)
             assert trace.x.tobytes() == expected[:, :n].tobytes()
             assert trace.z.tobytes() == expected[:, n:].tobytes()
+
+
+def _full_run_inputs():
+    """Simple-spectrum graphs with n = 3..12, the 240-agent sparse graph and
+    an edgeless agent, each from a random and a signed-zero (+/-0, +/-1) init."""
+    rng = np.random.default_rng(20)
+    graphs = [simple_spectrum_graph(rng, n) for n in range(3, 13)]
+    graphs += [random_connected_graph(np.random.default_rng(7), 240), Graph.from_edges(1, [])]
+    values = np.array([0.0, -0.0, 1.0, -1.0])
+    for g in graphs:
+        yield pytest.param(
+            g, rng.standard_normal(g.n), rng.standard_normal(g.n), id=f"n{g.n}-random")
+        yield pytest.param(
+            g, rng.choice(values, size=g.n), rng.choice(values, size=g.n), id=f"n{g.n}-signed")
+
+
+@pytest.mark.parametrize("g, x0, z0", _full_run_inputs())
+def test_simulate_full_run_bitexact_with_reference_loop(g, x0, z0):
+    """A whole default 50 s run (7950 steps, 796 samples) of simulate equals
+    the reference loop of _rk4_core byte for byte."""
+    cfg = SimConfig(t_end=50.0)
+    trace, _ = simulate(TopologySchedule.single(g, 50.0), cfg, (x0, z0))
+    assert trace.num_samples == 796
+    assert trace.states.tobytes() == _reference_run(g, cfg, x0, z0).tobytes()
 
 
 # --- simulate --------------------------------------------------------------------
