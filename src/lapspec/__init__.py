@@ -51,7 +51,6 @@ from .oracle import (
     modal_coefficients,
     observability_rank,
     oracle_report,
-    system_eigenpairs,
     verify_rank_relation,
 )
 from .estimation import (

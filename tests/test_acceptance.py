@@ -37,6 +37,7 @@ from lapspec import (
 from lapspec.cli import main as cli_main
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
 from lapspec.graph import directed_edges
+from lapspec.oracle import CLUSTER_TOL, RANK_TOL
 from conftest import (
     disjoint_union,
     random_connected_graph,
@@ -223,11 +224,29 @@ def test_criterion_05_integrator_matches_closed_form():
            f"max err {worst:.2e}")
 
 
+def system_pbh_rank(lap: np.ndarray, out: np.ndarray) -> int:
+    """PBH rank of the paired system with output kron(I2, C), from a dense
+    eigendecomposition of the assembled system matrix: eigh of the
+    Hermitian 1j * A, eigenvalues clustered at CLUSTER_TOL, singular values
+    of kron(I2, C) W_j counted above RANK_TOL * ||C||_2."""
+    vals, vecs = np.linalg.eigh(1j * build_system_matrix(lap))
+    out_sys = np.kron(np.eye(2), out)
+    floor = RANK_TOL * np.linalg.norm(out, 2)
+    edges = np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1
+    return sum(
+        int(np.sum(np.linalg.svd(out_sys @ w, compute_uv=False) > floor))
+        for w in np.split(vecs, edges, axis=1)
+    )
+
+
 def test_criterion_06_observability_rank_relation():
     """rank(O_system) = 2 rank(O_laplacian) exactly, over 50 random
-    (graph, output) pairs with single-agent rows and random 2-row outputs."""
+    (graph, output) pairs with single-agent rows and random 2-row outputs,
+    plus the repeated-eigenvalue star hub and leaf, the P5 centre and K8.
+    The system rank is counted from the assembled 2n x 2n system, not from
+    the oracle's Laplacian eigenbasis."""
     rng = np.random.default_rng(41)
-    mismatches = []
+    pairs = []
     for k in range(50):
         n = int(rng.integers(2, 11))
         g = random_connected_graph(rng, n)
@@ -236,11 +255,18 @@ def test_criterion_06_observability_rank_relation():
             out[0, int(rng.integers(0, n))] = 1.0
         else:
             out = rng.standard_normal((2, n))
-        rep = verify_rank_relation(build_laplacian(g), out)
-        if rep.rank_system != 2 * rep.rank_laplacian:
-            mismatches.append((n, rep.rank_laplacian, rep.rank_system))
-    report(6, "observability rank doubling holds exactly on 50 pairs",
-           not mismatches, f"mismatches: {mismatches}" if mismatches else "50/50")
+        pairs.append((g, out))
+    pairs += [(STAR4, np.eye(4)[[0]]), (STAR4, np.eye(4)[[1]]), (P5, np.eye(5)[[2]]),
+              (complete_graph(8), np.eye(8)[[3]])]
+    mismatches = []
+    for g, out in pairs:
+        lap = build_laplacian(g)
+        rep = verify_rank_relation(lap, out)
+        want = system_pbh_rank(lap, out)
+        if rep.rank_system != want or 2 * rep.rank_laplacian != want:
+            mismatches.append((g.n, rep.rank_laplacian, rep.rank_system, want))
+    report(6, "observability rank doubling holds exactly on 54 pairs",
+           not mismatches, f"mismatches: {mismatches}" if mismatches else "54/54")
 
 
 def test_criterion_07_energy_conservation():

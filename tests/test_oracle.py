@@ -1,5 +1,6 @@
-"""Dense-oracle checks: eigendecomposition, induced system eigenstructure,
-closed-form trajectories, modal coefficients, and observability ranks."""
+"""Dense-oracle checks: eigendecomposition, the system eigenstructure the
+oracle's ranks rest on, closed-form trajectories, modal coefficients, and
+observability ranks."""
 from __future__ import annotations
 
 import numpy as np
@@ -25,9 +26,9 @@ from lapspec import (
     path_graph,
     random_init,
     star_graph,
-    system_eigenpairs,
     verify_rank_relation,
 )
+from lapspec.oracle import RESIDUAL_TOL
 from conftest import random_connected_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -88,53 +89,43 @@ def test_eig_clustering_merges_near_values():
 
 # --- induced system eigenstructure ----------------------------------------------
 
-def test_system_eigenpairs_single_node():
-    lap = np.array([[0.0]])
-    pairs = system_eigenpairs(eig_sym(lap), lap)
-    assert sorted(complex(p[0]).imag for p in pairs) == [-1.0, 1.0]
-
-
-def test_system_eigenpairs_k2_values():
-    pairs = system_eigenpairs(eigendecompose(K2), build_laplacian(K2))
-    got = sorted(complex(p[0]).imag for p in pairs)
-    assert np.allclose(got, [-3.0, -1.0, 1.0, 3.0], atol=1e-12)
-    # cross-check against a complex eigensolver on the assembled matrix
-    ev = np.linalg.eigvals(build_system_matrix(build_laplacian(K2)))
-    assert np.allclose(sorted(ev.imag), got, atol=1e-10)
-    assert np.max(np.abs(ev.real)) < 1e-10
-
-
-def test_system_eigenpairs_p5_shift():
-    pairs = system_eigenpairs(eigendecompose(P5), build_laplacian(P5))
-    pos = sorted(p[0].imag for p in pairs if p[0].imag > 0)
-    assert np.allclose(pos, 1.0 + np.array([0.0, 0.3819660113, 1.3819660113,
-                                            2.6180339887, 3.6180339887]), atol=1e-9)
-
-
-def test_system_eigenpairs_residual_verified():
+def test_system_eigenvectors_from_laplacian_eigenbasis():
+    """build_system_matrix(L) maps [V; +/- jV] / sqrt(2) to +/- j(1 + lambda)
+    times itself: the identity the oracle's stated system rank rests on."""
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
-        system_eigenpairs(eigendecompose(g), build_laplacian(g))  # raises on failure
+        sys_mat = build_system_matrix(build_laplacian(g))
+        dec = eigendecompose(g)
+        basis, lam = dec.full_basis(), dec.full_values()
+        for sign in (1.0, -1.0):
+            vecs = np.vstack([basis, sign * 1j * basis]) / np.sqrt(2.0)
+            resid = sys_mat @ vecs - vecs * (sign * 1j * (1.0 + lam))
+            assert np.max(np.abs(resid)) < RESIDUAL_TOL
 
 
-def test_system_eigenpairs_detects_corruption():
-    dec = eigendecompose(K2)
+def test_rank_report_detects_corrupted_eigenpairs():
+    """verify_rank_relation's path checks every eigenpair's residual."""
+    lap = build_laplacian(K2)
+    dec = eig_sym(lap)
     bad = type(dec)(
         values=dec.values + 0.5,  # wrong eigenvalues
         multiplicities=dec.multiplicities,
         vectors=dec.vectors,
     )
-    with pytest.raises(OracleError):
-        system_eigenpairs(bad, build_laplacian(K2))
+    lapspec.oracle._rank_report(dec, lap, np.eye(2))
+    with pytest.raises(OracleError, match="eigenpair residual"):
+        lapspec.oracle._rank_report(bad, lap, np.eye(2))
 
 
 def test_lemma_eigenvalue_multiset_random():
     """Complex eigenvalues of the assembled system equal the shifted
-    Laplacian spectrum on both half axes, as multisets."""
+    Laplacian spectrum on both half axes, as multisets: a single node
+    (+/- j), K2, P5 and random graphs."""
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        g = random_connected_graph(rng, int(rng.integers(2, 13)))
+    graphs = [Graph.from_edges(1, []), K2, P5]
+    graphs += [random_connected_graph(rng, int(rng.integers(2, 13))) for _ in range(10)]
+    for g in graphs:
         lam = np.linalg.eigvalsh(build_laplacian(g))
         expected = np.sort(np.concatenate([1.0 + lam, -(1.0 + lam)]))
         got = np.linalg.eigvals(build_system_matrix(build_laplacian(g)))
@@ -397,11 +388,29 @@ def test_observability_rank_rejects_non_symmetric():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: eig_sym(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: eig_sym([[1.0, -np.inf], [-np.inf, 1.0]]), "expected a matrix of finite entries"),
+    (lambda: eig_sym([[np.nan, 0.0], [0.0, 0.0]]), "expected a matrix of finite entries"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), 5),
      "agent 5 out of range [0, 5)"),
+    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), True),
+     "agent must be an integer, got True"),
+    (lambda: check_estimability(eigendecompose(P5), np.ones(5), np.ones(5), 2.5),
+     "agent must be an integer, got 2.5"),
+    (lambda: modal_coefficients(eigendecompose(P5), np.ones(4), np.ones(5), 0),
+     "states must have shape (5,), got (4,) and (5,)"),
+    (lambda: check_estimability(eigendecompose(P5), np.ones(5), np.ones((5, 1)), 0),
+     "states must have shape (5,), got (5,) and (5, 1)"),
+    (lambda: modal_coefficients(eigendecompose(P5), np.full(5, np.nan), np.ones(5), 0),
+     "states must be finite"),
     (lambda: observability_rank(build_laplacian(P5), np.ones((1, 4))),
      "output matrix has 4 columns, expected 5"),
-], ids=["not square", "agent out of range", "output width"])
+    (lambda: observability_rank(build_laplacian(P5), [[np.inf, 0, 0, 0, 0]]),
+     "output matrix has non-finite entries"),
+    (lambda: verify_rank_relation(build_laplacian(P5), [[np.nan, 0, 0, 0, 0]]),
+     "output matrix has non-finite entries"),
+], ids=["not square", "inf matrix", "nan matrix", "agent out of range", "bool agent",
+        "fractional agent", "state length", "state shape", "nan state", "output width",
+        "inf output", "nan output"])
 def test_oracle_errors_are_named(call, message):
     with pytest.raises(ValueError) as exc:
         call()
