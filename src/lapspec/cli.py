@@ -142,9 +142,9 @@ def _run(args, schedule: TopologySchedule) -> tuple[SimConfig, Trace, MessageCou
     """Simulate the schedule up to --t-end (default: the schedule's end)
     from the --init state."""
     t_end = args.t_end if args.t_end is not None else schedule.t_end
-    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
     n = schedule.n
     init = (np.ones(n), np.ones(n)) if args.init == "ones" else random_init(n, args.seed)
+    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
     return (cfg, *simulate(schedule, cfg, init))
 
 
@@ -365,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="RNG seed for +/-1 init")
     sim.add_argument("--step", type=float, default=None,
                      help="RK4 step in seconds (default: sampling period / 10)")
+    sim.add_argument("--t-end", type=float, default=None,
+                     help="simulation end (default: schedule end, or 50 s)")
+    sim.add_argument("--init", choices=("random", "ones"), default="random")
     est = argparse.ArgumentParser(add_help=False)
     est.add_argument("--window", type=float, default=None,
                      help="estimation window in seconds")
@@ -378,9 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[out, rate, sim],
                            help="run the interaction rule over a schedule")
     p_sim.add_argument("schedule", help="JSON schedule or edge-list file")
-    p_sim.add_argument("--t-end", type=float, default=None,
-                       help="simulation end (default: schedule end, or 50 s)")
-    p_sim.add_argument("--init", choices=("random", "ones"), default="random")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", parents=[out, est],
@@ -397,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="simulate and compare against the dense oracle")
     p_val.add_argument("schedule", help="JSON schedule or edge-list file")
     p_val.add_argument("--agent", type=int, default=0)
-    p_val.add_argument("--t-end", type=float, default=None)
-    p_val.add_argument("--init", choices=("random", "ones"), default="random")
     p_val.set_defaults(func=cmd_validate)
 
     p_spec = sub.add_parser("spectrogram", parents=[out],

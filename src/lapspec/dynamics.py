@@ -35,6 +35,10 @@ with c times k is c * k elementwise, IEEE sums and products commute exactly,
 and k1 += 2*k2 is k1 + 2*k2, so accumulating ((k1 + 2*k2) + 2*k3) + k4 in
 place in k1 gives the textbook w + (h/6) * (k1 + 2*k2 + 2*k3 + k4) bit for
 bit.
+
+Each setting is checked once, by its owner: SimConfig checks its fields when
+built, and simulate only what needs its other arguments: the Nyquist guard,
+t_end within the schedule, and the initial state.
 """
 from __future__ import annotations
 
@@ -59,23 +63,25 @@ DEFAULT_SAMPLE_RATE = 100.0 / (2.0 * math.pi)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration and sampling parameters.
+    """Integration and sampling parameters, checked when built.
 
-    The sampling period 1/f_s must be an integer multiple of the RK4 step h
-    (default: 10 steps per sample), and the sampling angular frequency
-    2*pi*f_s must exceed twice the largest possible signal frequency
-    1 + 2*max_degree (checked against the schedule at simulate time).
-    t_end, f_s and the step must be positive and finite.
+    t_end, f_s and the step h (default: 1/f_s over 10) must be finite and
+    positive, the sampling period 1/f_s an integer multiple of h, and the
+    run at least 2 samples long; a violation raises ConfigError. The Nyquist
+    guard needs the schedule's max degree, so simulate checks it.
     """
 
     t_end: float
     f_s: float = DEFAULT_SAMPLE_RATE
     h: float | None = None
 
-    def step_size(self) -> float:
-        return self.h if self.h is not None else 1.0 / (self.f_s * 10.0)
-
-    def steps_per_sample(self) -> int:
+    def __post_init__(self) -> None:
+        for name in ("t_end", "f_s", "step h"):
+            value = self.step_size() if name == "step h" else getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         ratio = 1.0 / (self.f_s * self.step_size())
         if not math.isfinite(ratio):
             raise ConfigError(f"steps per sample 1 / (f_s * h) = {ratio} is not finite")
@@ -85,33 +91,22 @@ class SimConfig:
                 f"sampling period 1/f_s = {1.0 / self.f_s:g} is not an integer "
                 f"multiple of the step h = {self.step_size():g} (ratio {ratio:g})"
             )
-        return m
-
-    def num_samples(self) -> int:
-        periods = self.t_end * self.f_s
-        if not math.isfinite(periods):
-            raise ConfigError(f"sample count t_end * f_s = {periods} is not finite")
-        return int(math.floor(periods + 1e-9)) + 1
-
-    def validate(self, delta_max: int) -> None:
-        for name, value in (("t_end", self.t_end), ("f_s", self.f_s), ("step h", self.step_size())):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        self.steps_per_sample()
+        if not math.isfinite(self.t_end * self.f_s):
+            raise ConfigError(f"sample count t_end * f_s = {self.t_end * self.f_s} is not finite")
         if self.num_samples() < 2:
             raise ConfigError(
                 f"t_end={self.t_end:g} is shorter than one sampling period "
                 f"1/f_s = {1.0 / self.f_s:g}; a trace needs at least 2 samples"
             )
-        top = 2.0 * (1.0 + 2.0 * delta_max)
-        if not 2.0 * math.pi * self.f_s > top:
-            raise ConfigError(
-                f"Nyquist guard violated: sampling angular rate "
-                f"{2.0 * math.pi * self.f_s:g} rad/s must exceed "
-                f"{top:g} rad/s (= 2*(1 + 2*max_degree))"
-            )
+
+    def step_size(self) -> float:
+        return self.h if self.h is not None else 1.0 / (self.f_s * 10.0)
+
+    def steps_per_sample(self) -> int:
+        return round(1.0 / (self.f_s * self.step_size()))
+
+    def num_samples(self) -> int:
+        return int(math.floor(self.t_end * self.f_s + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -211,17 +206,18 @@ def simulate(
     snapped to the RK4 step grid so no switch lands mid-step (documented
     behavior). The run is bit-deterministic given (schedule, cfg, init).
     """
-    cfg.validate(delta_max=schedule.max_degree())
+    top = 2.0 * (1.0 + 2.0 * schedule.max_degree())
+    if not 2.0 * math.pi * cfg.f_s > top:
+        raise ConfigError(f"Nyquist guard violated: sampling angular rate {2.0 * math.pi * cfg.f_s:g}"
+                          f" rad/s must exceed {top:g} rad/s (= 2*(1 + 2*max_degree))")
     if cfg.t_end > schedule.t_end + TIME_TOL:
-        raise ConfigError(
-            f"t_end={cfg.t_end:g} exceeds schedule span [0, {schedule.t_end:g}]"
-        )
+        raise ConfigError(f"t_end={cfg.t_end:g} exceeds schedule span [0, {schedule.t_end:g}]")
     x, z = (np.array(init[0], dtype=float), np.array(init[1], dtype=float))
     n = schedule.n
     if x.shape != (n,) or z.shape != (n,):
-        raise ConfigError(
-            f"initial condition has shape {x.shape}/{z.shape}, expected ({n},)"
-        )
+        raise ConfigError(f"initial condition has shape {x.shape}/{z.shape}, expected ({n},)")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise ConfigError("initial condition has non-finite entries")
 
     h = cfg.step_size()
     m = cfg.steps_per_sample()

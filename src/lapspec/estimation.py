@@ -112,6 +112,8 @@ class SampledSignal:
         A span that holds no sample raises, naming the span and the trace's
         last time.
         """
+        if isinstance(agent, bool) or not isinstance(agent, (int, np.integer)):
+            raise EstimationError(f"agent must be an integer, got {agent!r}")
         if not 0 <= agent < trace.n:
             raise EstimationError(f"agent {agent} out of range [0, {trace.n})")
         t_start = trace.times[0] if t_start is None else t_start
@@ -300,6 +302,14 @@ def _fit(
     return design, theta, y - design @ theta, sv
 
 
+def _frequencies(omegas) -> np.ndarray:
+    """omegas as a 1-D float array, checked finite."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if not np.all(np.isfinite(omegas)):
+        raise EstimationError(f"frequencies must be finite, got {omegas.tolist()}")
+    return omegas
+
+
 def _closest_pair(omegas: np.ndarray) -> tuple[float, float]:
     order = np.sort(omegas)
     gaps = np.diff(order)
@@ -318,7 +328,7 @@ def ls_fit(
     Near-duplicate frequencies make the design ill-conditioned and raise,
     naming the offending pair.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _frequencies(omegas)
     if len(omegas) == 0:
         raise EstimationError("frequency list is empty")
     y = sig.samples
@@ -357,7 +367,7 @@ def refine_frequencies(sig: SampledSignal, omegas) -> np.ndarray:
     basin of the initial peaks. It stops after GN_MAX_ITER iterations or
     once no frequency moves by GN_TOL.
     """
-    omegas = np.array(np.atleast_1d(omegas), dtype=float)
+    omegas = _frequencies(omegas)
     y = sig.samples
     t = np.arange(len(y)) * sig.ts
     max_step = 0.5 * 2.0 * math.pi / (len(y) * sig.ts)
@@ -387,9 +397,7 @@ def freqs_to_eigenvalues(omegas) -> np.ndarray:
     is an oscillation slower than the structural minimum (1 rad/s) and is
     rejected as a spurious peak, as is a non-finite frequency.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.all(np.isfinite(omegas)):
-        raise EstimationError(f"frequencies must be finite, got {omegas.tolist()}")
+    omegas = _frequencies(omegas)
     if np.any(np.diff(omegas) < 0):
         raise EstimationError("frequencies must be sorted ascending")
     if np.any(omegas < 1.0 - LAMBDA_TOL):

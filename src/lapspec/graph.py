@@ -37,6 +37,7 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
         for i, j in self.edges:
@@ -48,7 +49,6 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph, canonicalizing pairs and collapsing duplicates."""
-        n = _integer(n, "n")
         pairs = [(_integer(i, "edges"), _integer(j, "edges")) for i, j in edges]
         return cls(n=n, edges=frozenset((min(p), max(p)) for p in pairs))
 

@@ -122,12 +122,7 @@ def eig_sym(laplacian: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # practically unreachable at desk scale
         raise OracleError(f"eigensolver failed to converge: {exc}") from None
 
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, len(vals)):
-        if vals[k] - vals[clusters[-1][-1]] <= CLUSTER_TOL:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
+    clusters = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
 
     distinct = []
     mults = []
@@ -211,7 +206,7 @@ def modal_coefficients(
     """
     x0 = np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
-    if isinstance(agent, (bool, np.bool_)) or not isinstance(agent, (int, np.integer)):
+    if isinstance(agent, bool) or not isinstance(agent, (int, np.integer)):
         raise ValueError(f"agent must be an integer, got {agent!r}")
     if not 0 <= agent < dec.n:
         raise ValueError(f"agent {agent} out of range [0, {dec.n})")

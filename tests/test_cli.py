@@ -411,6 +411,8 @@ def test_non_finite_settings_rejected_by_name(argv, setting, p5_file, tmp_path, 
           ("step-1e-320", ["--step", "1e-320"],
            "steps per sample 1 / (f_s * h) = inf is not finite"),
           ("t-end-1e15", ["--t-end", "1e15"], "Unable to allocate"),
+          ("fs-0", ["--fs", "0"], "f_s must be positive, got 0.0"),
+          ("fs-1e-320", ["--fs", "1e-320"], "step h must be finite, got inf"),
       )),
 ])
 def test_out_of_range_settings_rejected_by_name(argv, message, p5_file, tmp_path, capsys):

@@ -242,9 +242,10 @@ def test_rk4_k2_closed_form():
 
 @pytest.mark.filterwarnings("error")
 def test_rk4_nonfinite_abort():
+    """A finite state that overflows mid-run aborts at the first sample."""
     cfg = SimConfig(t_end=1.0, f_s=10.0, h=0.1)
-    init = (np.array([np.inf, 0.0]), np.zeros(2))
-    with np.errstate(invalid="ignore"), pytest.raises(
+    init = (np.array([1e308, -1e308]), np.zeros(2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         SimulationError, match="non-finite state at t=0.1, first at agent 0"
     ):
         simulate(TopologySchedule.single(K2, 1.0), cfg, init)
@@ -253,11 +254,10 @@ def test_rk4_nonfinite_abort():
 def test_simulate_rejects_run_shorter_than_one_sample():
     """A one-sample trace is no trace: simulate rejects it up front."""
     sched, init = TopologySchedule.single(K2, 1.0), ([1.0, 0.0], [0.0, 0.0])
-    cfg = SimConfig(t_end=0.05)
-    assert cfg.num_samples() == 1
     with pytest.raises(ConfigError, match="at least 2 samples"):
-        simulate(sched, cfg, init)
-    trace, _ = simulate(sched, SimConfig(t_end=0.07), init)
+        SimConfig(t_end=0.05)
+    cfg = SimConfig(t_end=0.07)
+    trace, _ = simulate(sched, cfg, init)
     assert trace.num_samples == 2
     assert trace.segments == (Segment(0.0, 10 * cfg.step_size(), K2),)
 
@@ -400,10 +400,8 @@ def test_simulate_nyquist_guard():
 
 
 def test_simulate_step_must_divide_sampling_period():
-    sched = TopologySchedule.single(K2, 5.0)
-    cfg = SimConfig(t_end=5.0, f_s=10.0, h=0.03)
     with pytest.raises(ConfigError, match="integer multiple"):
-        simulate(sched, cfg, random_init(2, 0))
+        SimConfig(t_end=5.0, f_s=10.0, h=0.03)
 
 
 def test_simulate_t_end_beyond_schedule():
@@ -418,15 +416,28 @@ def test_simulate_bad_init_shape():
         simulate(sched, SimConfig(t_end=5.0), (np.ones(3), np.ones(3)))
 
 
-@pytest.mark.parametrize("cfg, message", [
-    (SimConfig(t_end=-1.0), "t_end must be positive, got -1.0"),
-    (SimConfig(t_end=0.0), "t_end must be positive, got 0.0"),
-    (SimConfig(t_end=10.0, f_s=-2.0), "f_s must be positive, got -2.0"),
-    (SimConfig(t_end=10.0, h=-0.01), "step h must be positive, got -0.01"),
-], ids=["negative t_end", "zero t_end", "negative f_s", "negative step"])
-def test_simulate_errors_are_named(cfg, message):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_rejects_non_finite_init(bad):
+    """A non-finite initial state is a named error before any step, not an
+    abort at the first sample."""
+    x0 = np.ones(2)
+    x0[1] = bad
+    with pytest.raises(ConfigError, match="^initial condition has non-finite entries$"):
+        simulate(TopologySchedule.single(K2, 5.0), SimConfig(t_end=5.0), (np.ones(2), x0))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(t_end=-1.0), "t_end must be positive, got -1.0"),
+    (dict(t_end=0.0), "t_end must be positive, got 0.0"),
+    (dict(t_end=10.0, f_s=-2.0), "f_s must be positive, got -2.0"),
+    (dict(t_end=10.0, f_s=0.0), "f_s must be positive, got 0.0"),
+    (dict(t_end=10.0, h=-0.01), "step h must be positive, got -0.01"),
+], ids=["negative t_end", "zero t_end", "negative f_s", "zero f_s", "negative step"])
+def test_simulate_errors_are_named(kwargs, message):
+    """SimConfig checks its own fields when built: f_s before the step it
+    resolves, so a zero rate is named, not a ZeroDivisionError."""
     with pytest.raises(ConfigError) as exc:
-        simulate(TopologySchedule.single(P5, 10.0), cfg, random_init(5, 0))
+        SimConfig(**kwargs)
     assert type(exc.value) is ConfigError and message in str(exc.value)
 
 

@@ -452,6 +452,16 @@ def test_signal_rejects_bad_sample_rate_by_name(f_s):
 @pytest.mark.parametrize("call, message", [
     (lambda: SampledSignal(samples=np.zeros(1), f_s=FS), "signal needs at least 2 samples"),
     (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), 5), "agent 5 out of range [0, 5)"),
+    (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), True),
+     "agent must be an integer, got True"),
+    (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), 2.5),
+     "agent must be an integer, got 2.5"),
+    (lambda: ls_fit(tone(2.0, 10.0), [np.nan]), "frequencies must be finite, got [nan]"),
+    (lambda: ls_fit(tone(2.0, 10.0), [2.0, np.inf]), "frequencies must be finite, got [2.0, inf]"),
+    (lambda: refine_frequencies(tone(2.0, 10.0), [np.nan]),
+     "frequencies must be finite, got [nan]"),
+    (lambda: refine_frequencies(tone(2.0, 10.0), [2.0, -np.inf]),
+     "frequencies must be finite, got [2.0, -inf]"),
     (lambda: spectrogram(tone(2.0, 10.0), 8, 1, window="flat"),
      "unknown window 'flat' (expected 'rect' or 'hann')"),
     (lambda: spectrogram(tone(2.0, 10.0), 3, 1), "window_len must be at least 4, got 3"),
@@ -460,7 +470,8 @@ def test_signal_rejects_bad_sample_rate_by_name(f_s):
      "signal samples must be a 1-D real array, got shape (796,) of complex128"),
     (lambda: SampledSignal(samples=np.zeros((796, 2)), f_s=FS),
      "signal samples must be a 1-D real array, got shape (796, 2) of float64"),
-], ids=["one sample", "agent out of range", "unknown window", "window_len 3", "hop 0",
+], ids=["one sample", "agent out of range", "bool agent", "fractional agent", "ls_fit nan",
+        "ls_fit inf", "refine nan", "refine -inf", "unknown window", "window_len 3", "hop 0",
         "complex samples", "two columns"])
 def test_estimation_errors_are_named(call, message):
     with pytest.raises(EstimationError) as exc:

@@ -266,7 +266,7 @@ def test_parse_schedule_bad_json_and_fields():
     ('"t_start": 2, "t_end": 3, "edges_file": null',
      "segment 1: field 'edges_file' must be a path string, got null"),
     # int() would read 2.9 agents as 2, an endpoint 1.7 as 1 and true as 1
-    ('"t_start": 2, "t_end": 3, "n": 2.9, "edges": [[0, 1.7]]',
+    ('"t_start": 2, "t_end": 3, "n": 2.9, "edges": [[0, 1]]',
      "segment 1: field 'n': 2.9 is not an integer"),
     ('"t_start": 2, "t_end": 3, "n": true, "edges": []', "segment 1: field 'n': true is not an integer"),
     ('"t_start": 2, "t_end": 3, "n": 2.0', "segment 1: field 'n': 2.0 is not an integer"),
@@ -310,6 +310,15 @@ def test_from_edges_rejects_non_integers_and_keeps_numpy_integers():
     g = Graph.from_edges(np.int64(3), np.array([[2, 0], [1, 2]]))
     assert g == Graph.from_edges(3, [(0, 2), (1, 2)])
     assert all(type(v) is int for v in (g.n, *(v for e in g.edges for v in e)))
+
+
+@pytest.mark.parametrize("n, text", [(2.5, "2.5"), (True, "true"), (np.float64(3.0), "3.0")])
+def test_graph_checks_its_agent_count(n, text):
+    """The constructor owns the agent-count rule, so a Graph built directly
+    is held to it too; a numpy integer is stored as a Python int."""
+    with pytest.raises(TypeError, match=f"^field 'n': {text} is not an integer$"):
+        Graph(n=n, edges=frozenset())
+    assert type(Graph(n=np.int64(3), edges=frozenset()).n) is int
 
 
 def _schedule_reading(tmp_path, edges_file_text):

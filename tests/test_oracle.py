@@ -87,6 +87,17 @@ def test_eig_clustering_merges_near_values():
     assert np.array_equal(dec.multiplicities, [1, 2, 1])
 
 
+def test_eig_clustering_chains_consecutive_gaps():
+    """Clusters split where one sorted eigenvalue is more than CLUSTER_TOL
+    above the one before it: a chain of small gaps stays one cluster, whose
+    value is its mean, even when it spans more than CLUSTER_TOL."""
+    tol = lapspec.oracle.CLUSTER_TOL
+    mat = np.diag([2.0, 2.0 + 0.75 * tol, 2.0 + 1.5 * tol, 5.0])
+    dec = eig_sym(mat)
+    assert np.array_equal(dec.multiplicities, [3, 1])
+    assert dec.values[0] == np.mean(np.diag(mat)[:3]) and dec.values[1] == 5.0
+
+
 # --- induced system eigenstructure ----------------------------------------------
 
 def test_system_eigenvectors_from_laplacian_eigenbasis():
@@ -394,6 +405,8 @@ def test_observability_rank_rejects_non_symmetric():
      "agent 5 out of range [0, 5)"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), True),
      "agent must be an integer, got True"),
+    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), np.bool_(False)),
+     "agent must be an integer, got "),
     (lambda: check_estimability(eigendecompose(P5), np.ones(5), np.ones(5), 2.5),
      "agent must be an integer, got 2.5"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(4), np.ones(5), 0),
@@ -409,7 +422,7 @@ def test_observability_rank_rejects_non_symmetric():
     (lambda: verify_rank_relation(build_laplacian(P5), [[np.nan, 0, 0, 0, 0]]),
      "output matrix has non-finite entries"),
 ], ids=["not square", "inf matrix", "nan matrix", "agent out of range", "bool agent",
-        "fractional agent", "state length", "state shape", "nan state", "output width",
+        "numpy bool agent", "fractional agent", "state length", "state shape", "nan state", "output width",
         "inf output", "nan output"])
 def test_oracle_errors_are_named(call, message):
     with pytest.raises(ValueError) as exc:
