@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import TIME_TOL, Graph, Segment, TopologySchedule, directed_edges
+from .graph import TIME_TOL, Graph, Segment, TopologySchedule, _integer, directed_edges
 
 
 class ConfigError(ValueError):
@@ -159,11 +159,13 @@ class MessageCounter:
         }
 
 
-def random_init(n: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Independent uniform +/-1 initial values, deterministic given seed."""
+def random_init(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Independent uniform +/-1 initial values, deterministic given seed.
+    A non-integer n or seed raises TypeError (True would read as 1)."""
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < 1:
         raise ValueError(f"agent count must be positive, got {n}")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     x0 = rng.choice(np.array([-1.0, 1.0]), size=n)

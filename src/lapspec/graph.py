@@ -31,13 +31,19 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: agent count plus a canonical edge set."""
+    """Undirected simple graph: agent count plus a canonical edge set.
+
+    edges may be any iterable of integer pairs in either order; the graph
+    stores them as a frozenset of (min, max) pairs, duplicates collapsed.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        pairs = [(_integer(i, "edges"), _integer(j, "edges")) for i, j in self.edges]
         object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "edges", frozenset((min(p), max(p)) for p in pairs))
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
         for i, j in self.edges:
@@ -48,9 +54,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph, canonicalizing pairs and collapsing duplicates."""
-        pairs = [(_integer(i, "edges"), _integer(j, "edges")) for i, j in edges]
-        return cls(n=n, edges=frozenset((min(p), max(p)) for p in pairs))
+        """Build a graph from an iterable of pairs in any order."""
+        return cls(n=n, edges=edges)
 
 
 def _integer(value, field: str) -> int:
@@ -140,7 +145,7 @@ def parse_edge_list(text: str) -> Graph:
     out-of-range endpoints, and self-loops.
     """
     n = None
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -166,10 +171,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: self-loop on agent {i}")
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(f"line {lineno}: endpoint out of range [0, {n})")
-        edges.add((min(i, j), max(i, j)))
+        edges.append((i, j))
     if n is None:
         raise ParseError("empty input: missing 'n <count>' header")
-    return Graph(n=n, edges=frozenset(edges))
+    return Graph(n=n, edges=edges)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -3,8 +3,9 @@
 Everything here is allowed to see the whole network at once; it exists to
 validate what the decentralized side produces. The building blocks:
 
-- dense symmetric eigendecomposition of the Laplacian, with eigenvalues
-  clustered into distinct values and per-cluster orthonormal bases;
+- dense symmetric eigendecomposition of the Laplacian: eigh's sorted
+  output split once at the gaps above CLUSTER_TOL into distinct values,
+  multiplicities and eigh's own orthonormal column blocks;
 - the dense paired (x, z) system matrix (build_system_matrix), the tests'
   reference: neither the simulator nor the oracle forms it at run time;
 - closed-form trajectories x_i(t), z_i(t) as finite sums of sinusoids, and
@@ -16,7 +17,8 @@ validate what the decentralized side produces. The building blocks:
   paired system's eigenspaces are [V_j; +/- j V_j] / sqrt(2), which
   [C 0; 0 C] maps to blocks with the singular values of C V_j, so its rank
   is twice the Laplacian rank by construction and is stated, not
-  recomputed; each eigenpair's residual is checked against L;
+  recomputed; each eigenpair's residual is checked against L, and
+  observability_rank is that same route's Laplacian-side rank;
 - oracle_report, the one ground-truth report validate prints per segment,
   taken from the state at that segment's start.
 
@@ -104,9 +106,10 @@ def eig_sym(laplacian: np.ndarray) -> EigenDecomposition:
 
     Eigenvalues closer than CLUSTER_TOL (consecutive-gap clustering of the
     sorted spectrum) merge into one distinct eigenvalue whose multiplicity is
-    the cluster size; the cluster value is the mean. Cluster bases are
-    re-orthonormalized for safety. Integer-entry Laplacians at desk scale
-    separate distinct eigenvalues far above that tolerance. A
+    the cluster size; the cluster value is the mean, and one within
+    CLUSTER_TOL of zero is exactly 0. Each cluster basis is eigh's own
+    column block, orthonormal as eigh returns it. Integer-entry Laplacians
+    at desk scale separate distinct eigenvalues far above that tolerance. A
     non-symmetric matrix raises ValueError (eigh would read only its lower
     triangle), and so does one with a non-finite entry.
     """
@@ -122,24 +125,13 @@ def eig_sym(laplacian: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # practically unreachable at desk scale
         raise OracleError(f"eigensolver failed to converge: {exc}") from None
 
-    clusters = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
-
-    distinct = []
-    mults = []
-    bases = []
-    for idx in clusters:
-        value = float(np.mean(vals[idx]))
-        block = vecs[:, idx]
-        q, _ = np.linalg.qr(block)
-        # eigh returns orthonormal columns; QR only guards rounding and fixes
-        # nothing structural, so signs may flip — coefficients are basis-free.
-        distinct.append(0.0 if abs(value) <= CLUSTER_TOL else value)
-        mults.append(len(idx))
-        bases.append(q)
+    cuts = np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1
+    clusters = np.split(vals, cuts)
+    means = np.array([np.mean(c) for c in clusters])
     return EigenDecomposition(
-        values=np.array(distinct),
-        multiplicities=np.array(mults, dtype=int),
-        vectors=tuple(bases),
+        values=np.where(np.abs(means) <= CLUSTER_TOL, 0.0, means),
+        multiplicities=np.array([len(c) for c in clusters]),
+        vectors=tuple(np.split(vecs, cuts, axis=1)),
     )
 
 
@@ -234,42 +226,18 @@ def check_estimability(
     return modal_coefficients(dec, x0, z0, agent).line_amplitudes() > ESTIMABLE_TOL
 
 
-def _output_matrix(out_mat: np.ndarray, n: int) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(out_mat, dtype=float))
-    if out.shape[1] != n:
-        raise ValueError(f"output matrix has {out.shape[1]} columns, expected {n}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("output matrix has non-finite entries")
-    return out
-
-
-def _eigenspace_ranks(out: np.ndarray, bases) -> np.ndarray:
-    """rank(C V_j) for each eigenspace basis V_j: the PBH (Hautus) test.
-
-    Singular values of C V_j count above RANK_TOL * ||C||_2, an absolute
-    scale, so an eigenspace that C does not see (C V_j at rounding level)
-    counts zero rather than one.
-    """
-    floor = RANK_TOL * np.linalg.norm(out, 2)
-    return np.array(
-        [int(np.sum(np.linalg.svd(out @ b, compute_uv=False) > floor)) for b in bases],
-        dtype=int,
-    )
-
-
 def observability_rank(mat: np.ndarray, out_mat: np.ndarray) -> int:
     """Rank of the observability matrix [C; CM; ...; CM^(d-1)] of symmetric M.
 
-    Computed in M's eigenbasis as the sum over eigenspaces V_j of
+    The Laplacian-side rank of verify_rank_relation, so its eigenpair
+    residuals are checked too: the sum over M's eigenspaces V_j of
     rank(C V_j), which equals the rank of the power stack without forming
     matrix powers (whose dynamic range swamps an SVD from about n = 10).
-    Eigenvalues closer than CLUSTER_TOL count as one
-    eigenspace, and singular values count above RANK_TOL * ||C||_2. A
-    non-symmetric M raises ValueError.
+    Eigenvalues closer than CLUSTER_TOL count as one eigenspace, and
+    singular values count above RANK_TOL * ||C||_2. A non-symmetric M
+    raises ValueError.
     """
-    dec = eig_sym(mat)
-    out = _output_matrix(out_mat, dec.n)
-    return int(_eigenspace_ranks(out, dec.vectors).sum())
+    return verify_rank_relation(mat, out_mat).rank_laplacian
 
 
 def verify_rank_relation(laplacian: np.ndarray, out_mat: np.ndarray) -> ObservabilityReport:
@@ -291,10 +259,19 @@ def verify_rank_relation(laplacian: np.ndarray, out_mat: np.ndarray) -> Observab
 def _rank_report(
     dec: EigenDecomposition, lap: np.ndarray, out_mat: np.ndarray
 ) -> ObservabilityReport:
-    """verify_rank_relation over an existing decomposition of lap. The system
-    eigenpair residual of (lambda, v) is max|L v - lambda v| / sqrt(2), so a
-    residual above RESIDUAL_TOL, checked from L @ V, raises OracleError."""
-    out = _output_matrix(out_mat, dec.n)
+    """verify_rank_relation over an existing decomposition of lap.
+
+    The system eigenpair residual of (lambda, v) is max|L v - lambda v| /
+    sqrt(2), so a residual above RESIDUAL_TOL, checked from L @ V, raises
+    OracleError. rank(C V_j) counts singular values above RANK_TOL * ||C||_2,
+    an absolute scale, so an eigenspace that C does not see (C V_j at
+    rounding level) counts zero rather than one.
+    """
+    out = np.atleast_2d(np.asarray(out_mat, dtype=float))
+    if out.shape[1] != dec.n:
+        raise ValueError(f"output matrix has {out.shape[1]} columns, expected {dec.n}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("output matrix has non-finite entries")
     basis = dec.full_basis()
     lap_vals = dec.full_values()
     resid = np.max(np.abs(lap @ basis - basis * lap_vals), axis=0) / np.sqrt(2.0)
@@ -304,7 +281,11 @@ def _rank_report(
             f"eigenpair residual {resid[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} "
             f"for lambda = {lap_vals[worst]}"
         )
-    ranks = _eigenspace_ranks(out, dec.vectors)
+    floor = RANK_TOL * np.linalg.norm(out, 2)
+    ranks = np.array(
+        [int(np.sum(np.linalg.svd(out @ v, compute_uv=False) > floor)) for v in dec.vectors],
+        dtype=int,
+    )
     rank_lap = int(ranks.sum())
     return ObservabilityReport(
         rank_laplacian=rank_lap,

@@ -1,6 +1,15 @@
 """Shared test helpers: random graph generation, well-conditioned inits and
-disjoint unions for running many graphs as one simulation."""
+disjoint unions for running many graphs as one simulation.
+
+OpenBLAS is pinned to one thread before numpy loads, as the benchmark
+does: the pencil seed's product basis.T @ hankel differs in its last bits
+between one and several threads, and a pinned estimate digest moves with it.
+"""
 from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import pytest

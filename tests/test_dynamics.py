@@ -113,11 +113,17 @@ def test_random_init_mean_within_3_sigma():
 def test_random_init_rejects_zero_agents():
     with pytest.raises(ValueError):
         random_init(0, 1)
+    for n, text in ((2.5, "2.5"), (True, "true")):
+        with pytest.raises(TypeError, match=f"^field 'n': {text} is not an integer$"):
+            random_init(n, 0)
 
 
 def test_random_init_rejects_negative_seed_by_name():
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         random_init(5, -1)
+    for seed, text in ((1.5, "1.5"), (True, "true")):
+        with pytest.raises(TypeError, match=f"^field 'seed': {text} is not an integer$"):
+            random_init(2, seed)
 
 
 # --- local rule -------------------------------------------------------------------

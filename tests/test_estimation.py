@@ -683,8 +683,9 @@ def test_dense_signal_takes_greedy_path_unchanged():
 
 
 # sha256 of the sorted JSON list of every estimate in the pencil test below,
-# measured before the band and the merge gap moved into SampledSignal.
-PENCIL_DIGEST = "d782f925ae61f656be175ac30d4893fa158da81ee12d6714f32e2acd43444175"
+# with OpenBLAS on the one thread conftest sets: the pencil seed's
+# basis.T @ hankel moves in its last bits with the thread count.
+PENCIL_DIGEST = "be1cd0f1046ea2d6dfb0b50326762d626185b14bfa74b1912e01851a2732c409"
 
 
 def n12_and_p5_signals():

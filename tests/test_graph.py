@@ -116,6 +116,8 @@ def test_graph_rejects_self_loop_and_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
         Graph(n=2, edges=frozenset({(0, 2)}))
+    # the constructor canonicalises: a reversed pair is the same edge
+    assert Graph(n=2, edges=frozenset({(1, 0)})).edges == frozenset({(0, 1)})
 
 
 def test_connectivity():
@@ -332,6 +334,10 @@ def _schedule_reading(tmp_path, edges_file_text):
 
 @pytest.mark.parametrize("call, kind, message", [
     (lambda tmp: Graph(n=0, edges=frozenset()), ValueError, "agent count must be positive, got 0"),
+    (lambda tmp: Graph(n=3, edges=frozenset({(0, 1.5)})), TypeError,
+     "field 'edges': 1.5 is not an integer"),
+    (lambda tmp: Graph(n=3, edges=frozenset({(True, 2)})), TypeError,
+     "field 'edges': true is not an integer"),
     (lambda tmp: parse_edge_list("n five\n"), ParseError,
      "line 1: agent count 'five' is not an integer"),
     (lambda tmp: parse_edge_list("n 0\n"), ParseError, "line 1: agent count must be positive"),
@@ -347,9 +353,9 @@ def _schedule_reading(tmp_path, edges_file_text):
      "g.txt: line 1: expected 'n <count>', got '0 1'"),
     (lambda tmp: parse_schedule('[{"t_start": 0, "t_end": 1, "edges": [[0, 1]]}]'), ParseError,
      "segment 0: inline 'edges' requires 'n'"),
-], ids=["zero agents", "count not integer", "count zero", "endpoint not integer",
-        "empty segment", "no segments", "not an array", "segment not object",
-        "edges file missing", "edges file malformed", "edges without n"])
+], ids=["zero agents", "fractional endpoint", "bool endpoint", "count not integer",
+        "count zero", "endpoint not integer", "empty segment", "no segments", "not an array",
+        "segment not object", "edges file missing", "edges file malformed", "edges without n"])
 def test_graph_errors_are_named(call, kind, message, tmp_path):
     with pytest.raises(kind) as exc:
         call(tmp_path)

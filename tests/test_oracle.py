@@ -81,6 +81,17 @@ def test_eig_residual_and_orthonormality():
         assert np.max(np.abs(recon)) < 1e-10
 
 
+def test_eig_bases_are_eighs_own_column_blocks():
+    """Each cluster basis is eigh's column block as returned, with no
+    re-orthonormalization, and it is orthonormal to rounding even where one
+    eigenvalue has multiplicity 48 or 49."""
+    for g in (star_graph(50), complete_graph(50), path_graph(60)):
+        lap = build_laplacian(g)
+        basis = np.hstack(eig_sym(lap).vectors)
+        assert np.array_equal(basis, np.linalg.eigh(lap)[1])
+        assert np.max(np.abs(basis.T @ basis - np.eye(g.n))) <= 1e-13
+
+
 def test_eig_clustering_merges_near_values():
     mat = np.diag([0.0, 1.0, 1.0 + 1e-12, 3.0])
     dec = eig_sym(mat)
@@ -342,8 +353,10 @@ def test_rank_relation_random_pairs():
             out = e_row(n, int(rng.integers(0, n)))
         else:
             out = rng.standard_normal((2, n))
-        report = verify_rank_relation(build_laplacian(g), out)
+        lap = build_laplacian(g)
+        report = verify_rank_relation(lap, out)
         assert report.rank_system == 2 * report.rank_laplacian
+        assert observability_rank(lap, out) == report.rank_laplacian
 
 
 def test_per_eigenvalue_observability_flags():
