@@ -41,7 +41,6 @@ from .estimation import (
 from .graph import (
     TIME_TOL,
     ParseError,
-    ScheduleError,
     TopologySchedule,
     parse_edge_list,
     parse_schedule,
@@ -431,8 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ScheduleError, ConfigError, EstimationError,
-            SimulationError, OSError, ValueError, MemoryError) as exc:
+    except (SimulationError, oracle.OracleError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

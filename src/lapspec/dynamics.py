@@ -293,10 +293,11 @@ def round_bound(delta_max: int, t_min: float, f_s: float) -> int:
 
     Over a window of length t_min sampled at f_s with one RK4 step per
     sample, an agent exchanges at most this many messages with neighbors.
-    t_min and f_s must be positive and finite; delta_max must be
-    non-negative, and an edgeless graph (delta_max 0) gives a bound of 0.
+    t_min and f_s must be positive and finite; delta_max must be a
+    non-negative integer (TypeError for a float or bool, which would round
+    or read as 1), and an edgeless graph (delta_max 0) gives a bound of 0.
     """
-    if not 0 <= delta_max < math.inf:
+    if _integer(delta_max, "delta_max") < 0:
         raise ValueError(f"delta_max must be non-negative and finite, got {delta_max}")
     for name, value in (("t_min", t_min), ("f_s", f_s)):
         if not 0 < value < math.inf:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trace
-from .graph import TIME_TOL
+from .graph import TIME_TOL, _integer
 
 PEAK_THRESHOLD = 0.005
 ZERO_PAD = 8
@@ -231,7 +231,9 @@ def _amplitude_spectrum(
 def spectrogram(
     sig: SampledSignal, window_len: int, hop: int, window: str = "hann"
 ) -> SpectrogramData:
-    """Short-time Fourier magnitudes over sliding windows."""
+    """Short-time Fourier magnitudes over sliding windows. A window_len or
+    hop that is not an integer (a float, or a bool read as 1) raises TypeError."""
+    window_len, hop = _integer(window_len, "window_len"), _integer(hop, "hop")
     n = len(sig.samples)
     if window_len > n:
         raise EstimationError(f"window of {window_len} samples exceeds signal length {n}")

@@ -4,8 +4,9 @@ Everything here is allowed to see the whole network at once; it exists to
 validate what the decentralized side produces. The building blocks:
 
 - dense symmetric eigendecomposition of the Laplacian: eigh's sorted
-  output split once at the gaps above CLUSTER_TOL into distinct values,
-  multiplicities and eigh's own orthonormal column blocks;
+  output split once at the gaps above EIG_TOL into distinct values,
+  multiplicities and eigh's own orthonormal column blocks, each pair's
+  residual checked against L at that same EIG_TOL before it is returned;
 - the dense paired (x, z) system matrix (build_system_matrix), the tests'
   reference: neither the simulator nor the oracle forms it at run time;
 - closed-form trajectories x_i(t), z_i(t) as finite sums of sinusoids, and
@@ -17,15 +18,14 @@ validate what the decentralized side produces. The building blocks:
   paired system's eigenspaces are [V_j; +/- j V_j] / sqrt(2), which
   [C 0; 0 C] maps to blocks with the singular values of C V_j, so its rank
   is twice the Laplacian rank by construction and is stated, not
-  recomputed; each eigenpair's residual is checked against L, and
-  observability_rank is that same route's Laplacian-side rank;
+  recomputed; observability_rank is that same route's Laplacian-side rank;
 - oracle_report, the one ground-truth report validate prints per segment,
   taken from the state at that segment's start.
 
-CLUSTER_TOL (eigenvalue clustering), RANK_TOL (rank threshold relative to
-||C||_2), ESTIMABLE_TOL (smallest estimable line amplitude) and
-RESIDUAL_TOL (eigenpair residual bound) are fixed constants. All functions
-are pure over immutable inputs.
+EIG_TOL (eigenvalue clustering, zero clamp and eigenpair residual bound),
+RANK_TOL (rank threshold relative to ||C||_2) and ESTIMABLE_TOL (smallest
+estimable line amplitude) are fixed constants. All functions are pure over
+immutable inputs.
 """
 from __future__ import annotations
 
@@ -35,10 +35,9 @@ import numpy as np
 
 from .graph import Graph, build_laplacian
 
-CLUSTER_TOL = 1e-8
+EIG_TOL = 1e-10
 RANK_TOL = 1e-9
 ESTIMABLE_TOL = 1e-6
-RESIDUAL_TOL = 1e-10
 
 
 class OracleError(RuntimeError):
@@ -51,7 +50,8 @@ class EigenDecomposition:
 
     values[j] are strictly increasing; vectors[j] is an (n, multiplicity[j])
     matrix whose columns form an orthonormal basis of the j-th eigenspace.
-    The full basis across clusters is orthonormal.
+    The full basis across clusters is orthonormal, and every pair
+    (values[j], column of vectors[j]) passed eig_sym's residual check.
     """
 
     values: np.ndarray
@@ -102,20 +102,23 @@ class ObservabilityReport:
 
 
 def eig_sym(laplacian: np.ndarray) -> EigenDecomposition:
-    """Full symmetric eigendecomposition with multiplicity detection.
+    """Full symmetric eigendecomposition with multiplicity detection, checked.
 
-    Eigenvalues closer than CLUSTER_TOL (consecutive-gap clustering of the
+    Eigenvalues closer than EIG_TOL (consecutive-gap clustering of the
     sorted spectrum) merge into one distinct eigenvalue whose multiplicity is
-    the cluster size; the cluster value is the mean, and one within
-    CLUSTER_TOL of zero is exactly 0. Each cluster basis is eigh's own
-    column block, orthonormal as eigh returns it. Integer-entry Laplacians
-    at desk scale separate distinct eigenvalues far above that tolerance. A
-    non-symmetric matrix raises ValueError (eigh would read only its lower
-    triangle), and so does one with a non-finite entry.
+    the cluster size; the cluster value is the mean, and one within EIG_TOL
+    of zero is exactly 0. Each cluster basis is eigh's own column block,
+    orthonormal as eigh returns it. Every pair (cluster value, column) is
+    then checked: its paired-system residual max|L v - lambda v| / sqrt(2)
+    above EIG_TOL raises OracleError, so a cluster too wide to be one
+    eigenspace is never returned. An empty, non-symmetric (eigh would read
+    only its lower triangle) or non-finite matrix raises ValueError.
     """
     lap = np.asarray(laplacian, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {lap.shape}")
+    if lap.size == 0:
+        raise ValueError("expected a non-empty matrix")
     if not np.all(np.isfinite(lap)):
         raise ValueError("expected a matrix of finite entries")
     if not np.array_equal(lap, lap.T):
@@ -125,14 +128,20 @@ def eig_sym(laplacian: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # practically unreachable at desk scale
         raise OracleError(f"eigensolver failed to converge: {exc}") from None
 
-    cuts = np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1
+    cuts = np.flatnonzero(np.diff(vals) > EIG_TOL) + 1
     clusters = np.split(vals, cuts)
     means = np.array([np.mean(c) for c in clusters])
-    return EigenDecomposition(
-        values=np.where(np.abs(means) <= CLUSTER_TOL, 0.0, means),
-        multiplicities=np.array([len(c) for c in clusters]),
-        vectors=tuple(np.split(vecs, cuts, axis=1)),
-    )
+    values = np.where(np.abs(means) <= EIG_TOL, 0.0, means)
+    multiplicities = np.array([len(c) for c in clusters])
+    full = np.repeat(values, multiplicities)
+    resid = np.max(np.abs(lap @ vecs - vecs * full), axis=0) / np.sqrt(2.0)
+    worst = int(np.argmax(resid))
+    if resid[worst] > EIG_TOL:
+        raise OracleError(
+            f"eigenpair residual {resid[worst]:.3e} exceeds {EIG_TOL:.1e} "
+            f"for lambda = {full[worst]}"
+        )
+    return EigenDecomposition(values, multiplicities, tuple(np.split(vecs, cuts, axis=1)))
 
 
 def eigendecompose(g: Graph) -> EigenDecomposition:
@@ -229,11 +238,11 @@ def check_estimability(
 def observability_rank(mat: np.ndarray, out_mat: np.ndarray) -> int:
     """Rank of the observability matrix [C; CM; ...; CM^(d-1)] of symmetric M.
 
-    The Laplacian-side rank of verify_rank_relation, so its eigenpair
-    residuals are checked too: the sum over M's eigenspaces V_j of
-    rank(C V_j), which equals the rank of the power stack without forming
-    matrix powers (whose dynamic range swamps an SVD from about n = 10).
-    Eigenvalues closer than CLUSTER_TOL count as one eigenspace, and
+    The Laplacian-side rank of verify_rank_relation, over eig_sym's checked
+    eigenspaces: the sum over M's eigenspaces V_j of rank(C V_j), which
+    equals the rank of the power stack without forming matrix powers (whose
+    dynamic range swamps an SVD from about n = 10).
+    Eigenvalues closer than EIG_TOL count as one eigenspace, and
     singular values count above RANK_TOL * ||C||_2. A non-symmetric M
     raises ValueError.
     """
@@ -252,35 +261,21 @@ def verify_rank_relation(laplacian: np.ndarray, out_mat: np.ndarray) -> Observab
     eigenspace: rank(C V_j) equals its multiplicity. Ranks count singular
     values above RANK_TOL * ||C||_2.
     """
-    lap = np.asarray(laplacian, dtype=float)
-    return _rank_report(eig_sym(lap), lap, out_mat)
+    return _rank_report(eig_sym(laplacian), out_mat)
 
 
-def _rank_report(
-    dec: EigenDecomposition, lap: np.ndarray, out_mat: np.ndarray
-) -> ObservabilityReport:
-    """verify_rank_relation over an existing decomposition of lap.
+def _rank_report(dec: EigenDecomposition, out_mat: np.ndarray) -> ObservabilityReport:
+    """verify_rank_relation over an existing, already checked decomposition.
 
-    The system eigenpair residual of (lambda, v) is max|L v - lambda v| /
-    sqrt(2), so a residual above RESIDUAL_TOL, checked from L @ V, raises
-    OracleError. rank(C V_j) counts singular values above RANK_TOL * ||C||_2,
-    an absolute scale, so an eigenspace that C does not see (C V_j at
-    rounding level) counts zero rather than one.
+    rank(C V_j) counts singular values above RANK_TOL * ||C||_2, an
+    absolute scale, so an eigenspace that C does not see (C V_j at rounding
+    level) counts zero rather than one.
     """
     out = np.atleast_2d(np.asarray(out_mat, dtype=float))
     if out.shape[1] != dec.n:
         raise ValueError(f"output matrix has {out.shape[1]} columns, expected {dec.n}")
     if not np.all(np.isfinite(out)):
         raise ValueError("output matrix has non-finite entries")
-    basis = dec.full_basis()
-    lap_vals = dec.full_values()
-    resid = np.max(np.abs(lap @ basis - basis * lap_vals), axis=0) / np.sqrt(2.0)
-    worst = int(np.argmax(resid))
-    if resid[worst] > RESIDUAL_TOL:
-        raise OracleError(
-            f"eigenpair residual {resid[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} "
-            f"for lambda = {lap_vals[worst]}"
-        )
     floor = RANK_TOL * np.linalg.norm(out, 2)
     ranks = np.array(
         [int(np.sum(np.linalg.svd(out @ v, compute_uv=False) > floor)) for v in dec.vectors],
@@ -310,13 +305,12 @@ def oracle_report(g: Graph, x: np.ndarray, z: np.ndarray, agent: int) -> dict:
     decomposition serves the eigenvalues and the ranks, and
     one set of modal coefficients the amplitudes and the estimable flags.
     """
-    lap = build_laplacian(g)
-    dec = eig_sym(lap)
+    dec = eigendecompose(g)
     amps = modal_coefficients(dec, x, z, agent).line_amplitudes()
     estimable = amps > ESTIMABLE_TOL
     out_row = np.zeros((1, g.n))
     out_row[0, agent] = 1.0
-    rank = _rank_report(dec, lap, out_row)
+    rank = _rank_report(dec, out_row)
 
     warnings: list[str] = []
     if not rank.full_rank:

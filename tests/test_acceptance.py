@@ -37,7 +37,7 @@ from lapspec import (
 from lapspec.cli import main as cli_main
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE
 from lapspec.graph import directed_edges
-from lapspec.oracle import CLUSTER_TOL, RANK_TOL
+from lapspec.oracle import EIG_TOL, RANK_TOL
 from conftest import (
     disjoint_union,
     random_connected_graph,
@@ -227,12 +227,12 @@ def test_criterion_05_integrator_matches_closed_form():
 def system_pbh_rank(lap: np.ndarray, out: np.ndarray) -> int:
     """PBH rank of the paired system with output kron(I2, C), from a dense
     eigendecomposition of the assembled system matrix: eigh of the
-    Hermitian 1j * A, eigenvalues clustered at CLUSTER_TOL, singular values
+    Hermitian 1j * A, eigenvalues clustered at EIG_TOL, singular values
     of kron(I2, C) W_j counted above RANK_TOL * ||C||_2."""
     vals, vecs = np.linalg.eigh(1j * build_system_matrix(lap))
     out_sys = np.kron(np.eye(2), out)
     floor = RANK_TOL * np.linalg.norm(out, 2)
-    edges = np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1
+    edges = np.flatnonzero(np.diff(vals) > EIG_TOL) + 1
     return sum(
         int(np.sum(np.linalg.svd(out_sys @ w, compute_uv=False) > floor))
         for w in np.split(vecs, edges, axis=1)

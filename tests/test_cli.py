@@ -529,6 +529,17 @@ def test_validate_rejects_out_of_range_agent_before_simulating(
     assert capsys.readouterr().err == f"error: agent {agent} out of range [0, 5)\n"
 
 
+def test_validate_reports_oracle_error_by_name(monkeypatch, capsys):
+    """An eigensolver failure inside the oracle is an error line and exit 1,
+    not a traceback."""
+    def no_convergence(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert run(["validate", SCENARIOS / "p5.txt"]) == 1
+    assert capsys.readouterr().err.startswith("error: eigensolver failed to converge")
+
+
 def test_validate_path60_is_full_rank(tmp_path, capsys):
     path = tmp_path / "path60.txt"
     path.write_text(serialize_edge_list(path_graph(60)))

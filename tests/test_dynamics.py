@@ -572,6 +572,9 @@ def test_round_bound_trivial():
     assert round_bound(0, 1.0, 1.0) == 0  # an edgeless graph sends nothing
     with pytest.raises(ValueError, match="delta_max must be non-negative"):
         round_bound(-1, 1.0, 1.0)
+    for delta_max, text in ((2.5, "2.5"), (True, "true")):
+        with pytest.raises(TypeError, match=f"^field 'delta_max': {text} is not an integer$"):
+            round_bound(delta_max, 1.0, 1.0)
 
 
 def test_round_bound_is_ceiling():

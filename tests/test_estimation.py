@@ -479,6 +479,16 @@ def test_estimation_errors_are_named(call, message):
     assert type(exc.value) is EstimationError and message in str(exc.value)
 
 
+@pytest.mark.parametrize("window_len, hop, text", [
+    (64.5, 8, "'window_len': 64.5"), (64, 2.5, "'hop': 2.5"), (64, True, "'hop': true"),
+])
+def test_spectrogram_rejects_non_integer_sizes(window_len, hop, text):
+    """A fractional size would reach numpy as an index, and True would run
+    as hop 1."""
+    with pytest.raises(TypeError, match=f"^field {text} is not an integer$"):
+        spectrogram(tone(2.0, 10.0), window_len, hop)
+
+
 def test_signal_stores_real_samples_as_float64():
     """Int and bool samples are stored as float64; a float64 array is kept
     as it is, not copied."""

@@ -28,7 +28,7 @@ from lapspec import (
     star_graph,
     verify_rank_relation,
 )
-from lapspec.oracle import RESIDUAL_TOL
+from lapspec.oracle import EIG_TOL
 from conftest import random_connected_graph
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -99,14 +99,24 @@ def test_eig_clustering_merges_near_values():
 
 
 def test_eig_clustering_chains_consecutive_gaps():
-    """Clusters split where one sorted eigenvalue is more than CLUSTER_TOL
+    """Clusters split where one sorted eigenvalue is more than EIG_TOL
     above the one before it: a chain of small gaps stays one cluster, whose
-    value is its mean, even when it spans more than CLUSTER_TOL."""
-    tol = lapspec.oracle.CLUSTER_TOL
-    mat = np.diag([2.0, 2.0 + 0.75 * tol, 2.0 + 1.5 * tol, 5.0])
+    value is its mean, even when it spans more than EIG_TOL."""
+    mat = np.diag([2.0, 2.0 + 0.75 * EIG_TOL, 2.0 + 1.5 * EIG_TOL, 5.0])
     dec = eig_sym(mat)
     assert np.array_equal(dec.multiplicities, [3, 1])
     assert dec.values[0] == np.mean(np.diag(mat)[:3]) and dec.values[1] == 5.0
+
+
+def test_eig_splits_values_the_residual_check_would_reject():
+    """Eigenvalues 5e-9 apart are two eigenspaces, not one cluster whose
+    mean misses both by 2.5e-9 and fails the residual check, so the rank
+    route runs."""
+    mat = np.diag([0.0, 1.0, 1.0 + 5e-9, 3.0])
+    dec = eig_sym(mat)
+    assert dec.values.tolist() == [0.0, 1.0, 1.0 + 5e-9, 3.0]
+    assert np.array_equal(dec.multiplicities, [1, 1, 1, 1])
+    assert verify_rank_relation(mat, e_row(4, 0)).rank_laplacian == 1
 
 
 # --- induced system eigenstructure ----------------------------------------------
@@ -123,21 +133,26 @@ def test_system_eigenvectors_from_laplacian_eigenbasis():
         for sign in (1.0, -1.0):
             vecs = np.vstack([basis, sign * 1j * basis]) / np.sqrt(2.0)
             resid = sys_mat @ vecs - vecs * (sign * 1j * (1.0 + lam))
-            assert np.max(np.abs(resid)) < RESIDUAL_TOL
+            assert np.max(np.abs(resid)) < EIG_TOL
 
 
-def test_rank_report_detects_corrupted_eigenpairs():
-    """verify_rank_relation's path checks every eigenpair's residual."""
+def test_eig_sym_detects_corrupted_eigenpairs(monkeypatch):
+    """eig_sym checks every pair it returns, so a solver whose eigenvalues
+    do not match its vectors raises, through eigendecompose as well."""
+    real = np.linalg.eigh
+
+    def shifted(mat):
+        vals, vecs = real(mat)
+        return vals + 0.5, vecs  # wrong eigenvalues
+
     lap = build_laplacian(K2)
-    dec = eig_sym(lap)
-    bad = type(dec)(
-        values=dec.values + 0.5,  # wrong eigenvalues
-        multiplicities=dec.multiplicities,
-        vectors=dec.vectors,
-    )
-    lapspec.oracle._rank_report(dec, lap, np.eye(2))
+    eig_sym(lap)
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    message = "eigenpair residual 2.500e-01 exceeds 1.0e-10 for lambda = 0.5"
+    with pytest.raises(OracleError, match=message):
+        eig_sym(lap)
     with pytest.raises(OracleError, match="eigenpair residual"):
-        lapspec.oracle._rank_report(bad, lap, np.eye(2))
+        eigendecompose(K2)
 
 
 def test_lemma_eigenvalue_multiset_random():
@@ -414,6 +429,8 @@ def test_observability_rank_rejects_non_symmetric():
     (lambda: eig_sym(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
     (lambda: eig_sym([[1.0, -np.inf], [-np.inf, 1.0]]), "expected a matrix of finite entries"),
     (lambda: eig_sym([[np.nan, 0.0], [0.0, 0.0]]), "expected a matrix of finite entries"),
+    (lambda: eig_sym(np.zeros((0, 0))), "expected a non-empty matrix"),
+    (lambda: observability_rank(np.zeros((0, 0)), np.zeros((1, 0))), "expected a non-empty matrix"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), 5),
      "agent 5 out of range [0, 5)"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), True),
@@ -434,7 +451,8 @@ def test_observability_rank_rejects_non_symmetric():
      "output matrix has non-finite entries"),
     (lambda: verify_rank_relation(build_laplacian(P5), [[np.nan, 0, 0, 0, 0]]),
      "output matrix has non-finite entries"),
-], ids=["not square", "inf matrix", "nan matrix", "agent out of range", "bool agent",
+], ids=["not square", "inf matrix", "nan matrix", "empty matrix", "empty rank matrix",
+        "agent out of range", "bool agent",
         "numpy bool agent", "fractional agent", "state length", "state shape", "nan state", "output width",
         "inf output", "nan output"])
 def test_oracle_errors_are_named(call, message):
