@@ -42,6 +42,7 @@ from .graph import (
     TIME_TOL,
     ParseError,
     TopologySchedule,
+    _integer,
     parse_edge_list,
     parse_schedule,
 )
@@ -96,34 +97,66 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     _write_rows(path, _trace_header(trace.n), "%.17g", trace.times, trace.states)
 
 
-def read_trace_csv(path: Path) -> Trace:
+def _counted_rows(lines, path: Path, cells: int):
+    """Yield the data lines, raising on a row whose cell count is not the
+    header's: loadtxt's usecols reads a row with extra cells without a word.
+    Lines loadtxt skips (empty, or a comment alone) pass unchecked."""
+    for k, line in enumerate(lines, start=2):
+        end = line.find("#")
+        row = line if end < 0 else line[:end]
+        if row.count(",") != cells - 1 and row.rstrip("\r\n"):
+            raise ParseError(
+                f"{path}: line {k} has {row.count(',') + 1} columns, header has {cells}")
+        yield line
+
+
+def read_trace_csv(path: Path, agent: int | None = None):
     """Load a trace written by write_trace_csv, whose header it must have
-    exactly (segments are not recorded)."""
+    exactly (segments are not recorded).
+
+    With an agent, return (n, trace): the header's agent count and a
+    one-agent trace of that agent's x and z columns, the only cells parsed
+    besides t. An agent outside the header's [0, n) is rejected before any
+    data row is read. The cell count of every row and the time grid are
+    checked over the whole file either way; the non-finite check covers the
+    columns parsed and names the line and column the full read would.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
-    cells = header.split(",")
-    if header != _trace_header((len(cells) - 1) // 2):
-        raise ParseError(f"{path}: not a trace CSV (header {cells[:3]}...)")
-    with warnings.catch_warnings():
-        # A file with no data rows gets its named error below.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        cells = header.split(",")
+        n = (len(cells) - 1) // 2
+        if header != _trace_header(n):
+            raise ParseError(f"{path}: not a trace CSV (header {cells[:3]}...)")
+        if agent is not None and not 0 <= _integer(agent, "agent") < n:
+            raise ValueError(f"agent {agent} out of range [0, {n})")
+        with warnings.catch_warnings():
+            # A file with no data rows gets its named error below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            if agent is None:
+                columns = range(len(cells))
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            else:
+                columns = (0, 1 + agent, 1 + n + agent)
+                data = np.loadtxt(_counted_rows(fh, path, len(cells)), delimiter=",",
+                                  usecols=columns, ndmin=2)
     times = data[:, 0]
     if len(times) < 2:
         raise ParseError(f"{path}: trace needs at least 2 samples")
-    if data.shape[1] != len(cells):
+    if data.shape[1] != len(columns):
         raise ParseError(f"{path}: rows have {data.shape[1]} columns, header has {len(cells)}")
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
-        raise ParseError(f"{path}: non-finite value at line {row + 2}, column {col + 1}")
+        raise ParseError(
+            f"{path}: non-finite value at line {row + 2}, column {columns[col] + 1}")
     period = times[1] - times[0]
     # Timestamps are written with %.17g, so a uniform grid deviates from its
     # first period only by rounding.
     tol = 1e-9 * period + 4.0 * np.spacing(np.abs(times).max())
     if not period > 0 or np.any(np.abs(np.diff(times) - period) > tol):
         raise ParseError(f"{path}: time column is not a uniform increasing grid")
-    return Trace(times=times, states=data[:, 1:], f_s=1.0 / period, segments=())
+    trace = Trace(times=times, states=data[:, 1:], f_s=1.0 / period, segments=())
+    return trace if agent is None else (n, trace)
 
 
 def _write_json(obj: dict, path: Path) -> None:
@@ -182,10 +215,10 @@ def cmd_simulate(args) -> int:
 
 
 def _estimate_span(
-    trace: Trace, args, t_start: float | None = None, t_end: float | None = None
+    trace: Trace, agent: int, args, t_start: float | None = None, t_end: float | None = None
 ) -> SpectrumEstimate:
-    """args.agent's estimate over [t_start, t_end] (None, None: the whole
-    trace) with a --window-second window.
+    """The estimate of the trace's agent over [t_start, t_end] (None, None:
+    the whole trace) with a --window-second window.
 
     Unset, the window is min(50 s, trace length) over the whole trace, else
     the segment's length L, shrunk to the samples the segment holds when it
@@ -196,7 +229,7 @@ def _estimate_span(
     window = args.window
     if t_start is not None and window is not None and window > t_end - t_start + TIME_TOL:
         raise EstimationError(f"window {window:g} s exceeds segment length {t_end - t_start:g} s")
-    sig = SampledSignal.from_trace(trace, args.agent, t_start=t_start, t_end=t_end)
+    sig = SampledSignal.from_trace(trace, agent, t_start=t_start, t_end=t_end)
     if window is None and t_start is None:
         window = min(FreqEstimatorConfig.window, trace.times[-1] - trace.times[0])
     elif window is None:
@@ -213,26 +246,25 @@ def cmd_estimate(args) -> int:
     if args.per_segment != bool(args.schedule):
         raise EstimationError(
             "--per-segment and --schedule go together: the schedule sets the segments")
-    trace = read_trace_csv(Path(args.trace))
-    if not 0 <= args.agent < trace.n:
-        raise EstimationError(f"agent {args.agent} out of range [0, {trace.n})")
+    # The one-agent trace holds args.agent as its agent 0; n is the header's.
+    n, trace = read_trace_csv(Path(args.trace), args.agent)
 
     if args.per_segment:
         schedule = _load_schedule(args.schedule, None)
-        if schedule.n != trace.n:
-            raise EstimationError(f"schedule has {schedule.n} agents, trace has {trace.n}")
+        if schedule.n != n:
+            raise EstimationError(f"schedule has {schedule.n} agents, trace has {n}")
         blocks = []
         for seg in schedule.segments:
             entry: dict = {"t_start": seg.t_start, "t_end": seg.t_end}
             try:
-                est = _estimate_span(trace, args, seg.t_start, seg.t_end)
+                est = _estimate_span(trace, 0, args, seg.t_start, seg.t_end)
                 entry["estimate"] = est.to_dict()
             except EstimationError as exc:
                 entry["error"] = str(exc)
             blocks.append(entry)
         payload = {"agent": args.agent, "per_segment": blocks}
     else:
-        est = _estimate_span(trace, args)
+        est = _estimate_span(trace, 0, args)
         payload = {"agent": args.agent, "estimate": est.to_dict()}
     _emit(payload, args, "estimate.json")
     return 0
@@ -244,7 +276,7 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
     lam_hat: list[float] = []
     amp_hat: list[float] = []
     try:
-        est = _estimate_span(trace, args, t_start, t_end)
+        est = _estimate_span(trace, args.agent, args, t_start, t_end)
         lam_hat = [float(v) for v in est.lambdas]
         amp_hat = [float(a) for a in est.amplitudes]
         seg["estimate"] = est.to_dict()
@@ -266,7 +298,10 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
 
 
 def cmd_validate(args) -> int:
-    schedule = _load_schedule(args.schedule, args.t_end)
+    # The schedule's own warnings (a disconnected segment) go in the report.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        schedule = _load_schedule(args.schedule, args.t_end)
     if not 0 <= args.agent < schedule.n:
         raise ValueError(f"agent {args.agent} out of range [0, {schedule.n})")
     _, trace, _ = _run(args, schedule)
@@ -276,13 +311,13 @@ def cmd_validate(args) -> int:
     drift = float(np.max(np.abs(total - total[0])) / total[0]) if total[0] > 0 else 0.0
 
     segments = []
-    warnings: list[str] = []
+    notes = [str(w.message) for w in caught]
     for span in trace.segments:
         # Lines over the segment start from the state at its first sample,
         # the same sample the segment's estimate starts from.
         lo, _ = trace.sample_range(span.t_start, span.t_end)
         seg = oracle.oracle_report(span.graph, trace.x[lo], trace.z[lo], args.agent)
-        warnings.extend(seg.pop("warnings"))
+        notes.extend(seg.pop("warnings"))
         _validate_segment(seg, trace, span.t_start, span.t_end, args)
         segments.append(seg)
 
@@ -296,7 +331,7 @@ def cmd_validate(args) -> int:
             "relative_drift": drift,
         },
         "segments": segments,
-        "warnings": warnings,
+        "warnings": notes,
     }
     _emit(payload, args, "validation.json")
     return 0
@@ -305,8 +340,8 @@ def cmd_validate(args) -> int:
 def cmd_spectrogram(args) -> int:
     if not math.isfinite(args.threshold):
         raise EstimationError(f"threshold must be finite, got {args.threshold}")
-    trace = read_trace_csv(Path(args.trace))
-    sig = SampledSignal.from_trace(trace, args.agent)
+    _, trace = read_trace_csv(Path(args.trace), args.agent)
+    sig = SampledSignal.from_trace(trace, 0)
     window_len = args.window_len
     hop = args.hop if args.hop is not None else max(1, window_len // 8)
     data = spectrogram(sig, window_len, hop, window=args.stft_window)

@@ -235,7 +235,7 @@ class TopologySchedule:
                 warnings.warn(
                     f"segment {k} graph is disconnected; its observable spectrum "
                     "splits per component",
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass __init__, to its caller
                 )
 
     @property

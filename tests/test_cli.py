@@ -165,6 +165,150 @@ def test_trace_csv_rejects_nan_cell(p5_file, tmp_path):
         read_trace_csv(path)
 
 
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """Trace CSVs of P5 at seed 12345 and scenarios/switching.json at seed 11."""
+    root = tmp_path_factory.mktemp("traces")
+    p5 = root / "p5.txt"
+    p5.write_text(serialize_edge_list(path_graph(5)))
+    for name, schedule, seed in (("p5", p5, 12345), ("sw", SCENARIOS / "switching.json", 11)):
+        assert run(["simulate", schedule, "--seed", seed, "--out-dir", root / name]) == 0
+    return {"p5": root / "p5" / "trace.csv", "sw": root / "sw" / "trace.csv"}
+
+
+@pytest.mark.parametrize("name", ["p5", "sw"])
+def test_one_agent_read_matches_full_read(traces, name):
+    full = read_trace_csv(traces[name])
+    for agent in range(full.n):
+        n, one = read_trace_csv(traces[name], agent)
+        assert n == full.n and one.n == 1
+        assert one.f_s == full.f_s
+        assert one.times.tobytes() == full.times.tobytes()
+        assert one.x[:, 0].tobytes() == full.x[:, agent].tobytes()
+        assert one.z[:, 0].tobytes() == full.z[:, agent].tobytes()
+
+
+def test_one_agent_read_passes_lines_loadtxt_skips(traces, tmp_path):
+    """A comment, a trailing comment and an empty line are skipped by both
+    reads, not counted as rows of the wrong width."""
+    lines = traces["p5"].read_text().splitlines(keepends=True)
+    path = tmp_path / "trace.csv"
+    path.write_text("".join([lines[0], "# note\n", lines[1].rstrip("\n") + " # a, b\n",
+                             *lines[2:], "\n"]))
+    full = read_trace_csv(path)
+    _, one = read_trace_csv(path, 3)
+    assert full.states.tobytes() == read_trace_csv(traces["p5"]).states.tobytes()
+    assert one.states.tobytes() == full.states[:, [3, 8]].tobytes()
+
+
+def _full_read_sliced(path, agent):
+    """The one-agent read's contract, built from the full read."""
+    full = read_trace_csv(path)
+    states = full.states[:, [agent, full.n + agent]]
+    return full.n, Trace(times=full.times, states=states, f_s=full.f_s, segments=())
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{p5}", "--agent", "0"],
+    ["estimate", "{p5}", "--agent", "4", "--window", "20", "--nmax", "6"],
+    ["estimate", "{sw}", "--agent", "1", "--per-segment", "--schedule", "{schedule}"],
+    ["estimate", "{sw}", "--agent", "0", "--per-segment", "--schedule", "{schedule}",
+     "--nmax", "14", "--out-dir", "{out}"],
+    ["spectrogram", "{sw}", "--agent", "1", "--window-len", "64", "--hop", "8",
+     "--out-dir", "{out}"],
+    ["spectrogram", "{p5}", "--agent", "3", "--window-len", "600", "--hop", "49",
+     "--stft-window", "rect", "--out-dir", "{out}"],
+], ids=["p5", "p5-window", "sw-segments", "sw-nmax14", "sw-spectrogram", "p5-spectrogram"])
+def test_one_agent_outputs_match_full_read(argv, traces, tmp_path, monkeypatch, capsys):
+    """estimate stdout and spectrogram files are byte for byte those built
+    from a full-read trace."""
+    outputs = []
+    for side, reader in (("one", read_trace_csv), ("full", _full_read_sliced)):
+        monkeypatch.setattr(cli, "read_trace_csv", reader)
+        out = tmp_path / side
+        fields = dict(traces, schedule=SCENARIOS / "switching.json", out=out)
+        capsys.readouterr()
+        assert run([a.format(**fields) for a in argv]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+    assert outputs[0] == outputs[1]
+
+
+def _read_error(path, agent=None):
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(path) if agent is None else read_trace_csv(path, agent)
+    return info.value
+
+
+def _edited(lines, line, column, value):
+    cells = lines[line].split(",")
+    cells[column] = value
+    return [*lines[:line], ",".join(cells), *lines[line + 1:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["time" + lines[0][1:], *lines[1:]], "not a trace CSV"),
+    (lambda lines: lines[:1], "trace needs at least 2 samples"),
+    (lambda lines: lines[:2], "trace needs at least 2 samples"),
+    (lambda lines: _edited(lines, 300, 0, "18.85"), "time column is not a uniform increasing grid"),
+    (lambda lines: _edited(lines, 42, 2, "nan"), "non-finite value at line 43, column 3"),
+    (lambda lines: _edited(lines, 42, 7, "-inf"), "non-finite value at line 43, column 8"),
+], ids=["foreign header", "header only", "one row", "non-uniform grid", "nan in x_1",
+        "inf in z_1"])
+def test_one_agent_read_raises_the_full_reads_errors(edit, message, traces, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(edit(traces["p5"].read_text().splitlines())) + "\n")
+    full, one = _read_error(path), _read_error(path, 1)
+    assert type(one) is type(full) is ParseError
+    assert message in str(full) and str(one) == str(full)
+
+
+@pytest.mark.parametrize("cells", [10, 12], ids=["short row", "long row"])
+def test_one_agent_read_checks_every_rows_cell_count(cells, traces, tmp_path):
+    """A row with a cell fewer or more than the header fails both reads; the
+    one-agent read names its line. usecols alone reads the long row."""
+    lines = traces["p5"].read_text().splitlines()
+    row = lines[42].split(",")
+    lines[42] = ",".join((row + row)[:cells])
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert "columns" in str(_read_error(path))
+    for agent in (0, 4):
+        one = _read_error(path, agent)
+        assert type(one) is ParseError
+        assert str(one) == f"{path}: line 43 has {cells} columns, header has 11"
+
+
+def test_one_agent_read_rejects_agent_before_reading_rows(tmp_path):
+    """The header sets the agent range; no data row is parsed, so a file of
+    garbage rows still reports the agent."""
+    path = tmp_path / "trace.csv"
+    path.write_text("t,x_0,x_1,z_0,z_1\n" + "garbage\n" * 3)
+    for agent in (-1, 2):
+        error = _read_error(path, agent)
+        assert type(error) is ValueError
+        assert str(error) == f"agent {agent} out of range [0, 2)"
+    with pytest.raises(TypeError, match="field 'agent'"):
+        read_trace_csv(path, True)
+
+
+def test_estimate_reads_only_its_agents_cells(traces, tmp_path, capsys):
+    """A nan in z_1 stops agent 1's estimate, naming its cell, and leaves
+    agent 0's output unchanged: that estimate reads nothing from the cell."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(traces["p5"].read_bytes())
+    _rewrite_cell(path, 42, 7, "nan")
+    capsys.readouterr()
+    assert run(["estimate", traces["p5"], "--agent", "0"]) == 0
+    clean = capsys.readouterr().out
+    assert run(["estimate", path, "--agent", "0"]) == 0
+    assert capsys.readouterr().out == clean
+    assert run(["estimate", path, "--agent", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: non-finite value at line 43, column 8\n"
+
+
 def test_estimate_stationary_p5(p5_file, tmp_path, capsys):
     out = tmp_path / "out"
     run(["simulate", p5_file, "--seed", "12345", "--out-dir", out])
@@ -486,6 +630,25 @@ def test_validate_ones_init_warns_degenerate(p5_file, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert any("lambda > 0 vanish" in w for w in payload["warnings"])
+
+
+def test_validate_lists_disconnected_segment_warning(tmp_path, capsys):
+    """validate reports the schedule's own warning in its JSON and lets no
+    warning escape; elsewhere the warning names the schedule's builder,
+    not the dataclass-generated __init__ ("<string>")."""
+    path = tmp_path / "two_k2.txt"
+    path.write_text("n 4\n0 1\n2 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["validate", path, "--agent", "0", "--seed", "3", "--t-end", "20"]) == 0
+    assert not caught, [str(w.message) for w in caught]
+    notes = json.loads(capsys.readouterr().out)["warnings"]
+    assert notes[0] == ("segment 0 graph is disconnected; its observable spectrum "
+                        "splits per component")
+    assert any("rank deficiency" in w for w in notes[1:])
+    with pytest.warns(UserWarning, match="disconnected") as caught:
+        assert run(["simulate", path, "--out-dir", tmp_path / "out"]) == 0
+    assert [Path(w.filename).name for w in caught] == ["graph.py"]
 
 
 def test_validate_p5_matches_oracle(p5_file, capsys):
