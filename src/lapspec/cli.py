@@ -10,9 +10,15 @@ byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import re
+import shutil
+import signal
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -55,14 +61,26 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_schedule(path: str, t_end: float | None) -> TopologySchedule:
-    """Accept either a JSON schedule or a single edge-list file."""
+def _load_schedule(path: str, t_end: float | None) -> tuple[TopologySchedule, list[str]]:
+    """Accept either a JSON schedule or a single edge-list file. Return it
+    with the text of each warning its loading raised (a disconnected segment)."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return parse_schedule(text, base_dir=Path(path).parent)
-    graph = parse_edge_list(text)
-    return TopologySchedule.single(graph, t_end if t_end is not None else 50.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        if text.lstrip().startswith("["):
+            schedule = parse_schedule(text, base_dir=Path(path).parent)
+        else:
+            graph = parse_edge_list(text)
+            schedule = TopologySchedule.single(graph, t_end if t_end is not None else 50.0)
+    return schedule, [str(w.message) for w in caught]
+
+
+def _schedule(path: str, t_end: float | None) -> TopologySchedule:
+    """_load_schedule's schedule; each warning is one `warning: ...` line on stderr."""
+    schedule, notes = _load_schedule(path, t_end)
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    return schedule
 
 
 def _schedule_dict(schedule: TopologySchedule) -> list[dict]:
@@ -77,14 +95,109 @@ def _schedule_dict(schedule: TopologySchedule) -> list[dict]:
     ]
 
 
+# Cells (the time column included) each row block must hold before the rows
+# are split across forked workers. Forking, joining and appending a part file
+# cost a few ms, but a worker shares the host with its parent: on a 2-core
+# host a two-way split lost 9 of 9 interleaved runs at 80k cells, drew about
+# even at 160k-240k and won 9 of 9 at 400k (200k per block).
+FORK_CELLS = 200_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray) -> None:
+    # Row by row, so a large table is never held as Python numbers at once.
+    for t, row in zip(times.tolist(), rows):
+        fh.write(line % (t, *row.tolist()))
+
+
+def _fork_block(part: str, line: str, times: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
+    """Fork a worker that writes the rows into the file part. Return its pid
+    and the read end of a pipe that holds its failure reason (empty if none).
+
+    The worker calls only tolist, % formatting and file writes, so no BLAS
+    runs after the fork, and it leaves through os._exit: it never unwinds
+    into its caller's frames."""
+    reason_r, reason_w = os.pipe()
+    pid, status = None, 1
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                with open(part, "w") as fh:
+                    _format_rows(fh, line, times, rows)
+                status = 0
+            except BaseException as exc:  # the worker exits below, whatever it was
+                # One short write: the pipe holds it without a reader.
+                os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
+    finally:
+        if pid == 0:
+            os._exit(status)
+        os.close(reason_w)
+        if pid is None:
+            os.close(reason_r)
+    return pid, reason_r
+
+
 def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
-    """CSV: the header, then per row its time (%.17g) and cells in printf format cell."""
+    """CSV: the header, then per row its time (%.17g) and cells in printf format cell.
+
+    The rows are cut into contiguous blocks: one per usable CPU, but no more
+    than leave each block FORK_CELLS cells, nor more blocks than rows. The
+    header and block 0 are written here. Each other block goes to a forked
+    worker (_fork_block) that writes it to its own part file beside path;
+    the part files are then appended in block order and deleted. Every row
+    is formatted by the same line whichever block holds it, so the bytes do
+    not depend on the block count, and so not on the CPU count. With one
+    block (one CPU, a small table, or no os.fork) nothing is forked. A failed
+    worker raises OSError with its reason. On every exit, workers still
+    running are killed, every worker is reaped and every part file removed.
+    """
     line = ",".join(["%.17g"] + [cell] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        # Row by row, so a large table is never held as Python numbers at once.
-        for t, row in zip(times.tolist(), rows):
-            fh.write(line % (t, *row.tolist()))
+    blocks = 1
+    if hasattr(os, "fork"):
+        cells = len(times) * (rows.shape[1] + 1)
+        blocks = max(1, min(_usable_cpus(), len(times), cells // FORK_CELLS))
+    bounds = [k * len(times) // blocks for k in range(blocks + 1)]
+    parts: list[str] = []
+    workers: list[tuple[int | None, int]] = []  # (pid until reaped, reason pipe), block order
+    try:
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                fd, part = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".part",
+                                            dir=os.path.dirname(path))
+                os.close(fd)
+                parts.append(part)
+                workers.append(_fork_block(part, line, times[lo:hi], rows[lo:hi]))
+            _format_rows(fh, line, times[: bounds[1]], rows[: bounds[1]])
+            fh.flush()  # the part files go to the byte buffer below the text
+            for k, part in enumerate(parts, start=1):
+                pid, reason_r = workers[0]
+                _, status = os.waitpid(pid, 0)
+                workers[0] = (None, reason_r)
+                reason = os.read(reason_r, 4096).decode(errors="replace")
+                if status or reason:
+                    raise OSError(f"{path}: writing row block {k} of {blocks} failed: "
+                                  f"{reason or f'wait status {status}'}")
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+                os.close(workers.pop(0)[1])
+    finally:
+        for pid, reason_r in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(reason_r)
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)
 
 
 def _trace_header(n: int) -> str:
@@ -97,17 +210,29 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     _write_rows(path, _trace_header(trace.n), "%.17g", trace.times, trace.states)
 
 
-def _counted_rows(lines, path: Path, cells: int):
+def _counted_rows(lines, path: Path, cells: int, skipped: list[int]):
     """Yield the data lines, raising on a row whose cell count is not the
     header's: loadtxt's usecols reads a row with extra cells without a word.
-    Lines loadtxt skips (empty, or a comment alone) pass unchecked."""
+    Lines loadtxt skips (empty, or a comment alone; a text-mode file ends
+    every line in "\\n") pass unchecked, and their numbers go to skipped."""
     for k, line in enumerate(lines, start=2):
         end = line.find("#")
         row = line if end < 0 else line[:end]
-        if row.count(",") != cells - 1 and row.rstrip("\r\n"):
+        if row in ("", "\n"):
+            skipped.append(k)
+        elif row.count(",") != cells - 1:
             raise ParseError(
                 f"{path}: line {k} has {row.count(',') + 1} columns, header has {cells}")
         yield line
+
+
+def _file_line(row: int, skipped: list[int]) -> int:
+    """The file line of loadtxt's 0-based data row, given the lines it skipped
+    in ascending order: each one at or before the line pushes it down one."""
+    line = row + 2
+    for k in skipped:
+        line += k <= line
+    return line
 
 
 def read_trace_csv(path: Path, agent: int | None = None):
@@ -117,10 +242,12 @@ def read_trace_csv(path: Path, agent: int | None = None):
     With an agent, return (n, trace): the header's agent count and a
     one-agent trace of that agent's x and z columns, the only cells parsed
     besides t. An agent outside the header's [0, n) is rejected before any
-    data row is read. The cell count of every row and the time grid are
-    checked over the whole file either way; the non-finite check covers the
-    columns parsed and names the line and column the full read would.
+    data row is read. Both reads take one route: the cell count of every row
+    and the time grid are checked over the whole file, and an unparsable or
+    non-finite cell among the columns parsed is named by its file line
+    (comment and empty lines counted) and column.
     """
+    skipped: list[int] = []
     with open(path) as fh:
         header = fh.readline().strip()
         cells = header.split(",")
@@ -129,26 +256,29 @@ def read_trace_csv(path: Path, agent: int | None = None):
             raise ParseError(f"{path}: not a trace CSV (header {cells[:3]}...)")
         if agent is not None and not 0 <= _integer(agent, "agent") < n:
             raise ValueError(f"agent {agent} out of range [0, {n})")
+        columns = range(len(cells)) if agent is None else (0, 1 + agent, 1 + n + agent)
         with warnings.catch_warnings():
             # A file with no data rows gets its named error below.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            if agent is None:
-                columns = range(len(cells))
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            else:
-                columns = (0, 1 + agent, 1 + n + agent)
-                data = np.loadtxt(_counted_rows(fh, path, len(cells)), delimiter=",",
+            try:
+                data = np.loadtxt(_counted_rows(fh, path, len(cells), skipped), delimiter=",",
                                   usecols=columns, ndmin=2)
+            except ParseError:
+                raise
+            except ValueError as exc:
+                found = re.search(r"string (.*) to \w+ at row (\d+), column (\d+)", str(exc))
+                if found is None:
+                    raise ParseError(f"{path}: {exc}") from None
+                raise ParseError(f"{path}: unparsable value {found[1]} at line "
+                                 f"{_file_line(int(found[2]), skipped)}, column {found[3]}") from None
     times = data[:, 0]
     if len(times) < 2:
         raise ParseError(f"{path}: trace needs at least 2 samples")
-    if data.shape[1] != len(columns):
-        raise ParseError(f"{path}: rows have {data.shape[1]} columns, header has {len(cells)}")
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
-        raise ParseError(
-            f"{path}: non-finite value at line {row + 2}, column {columns[col] + 1}")
+        raise ParseError(f"{path}: non-finite value at line {_file_line(row, skipped)}, "
+                         f"column {columns[col] + 1}")
     period = times[1] - times[0]
     # Timestamps are written with %.17g, so a uniform grid deviates from its
     # first period only by rounding.
@@ -181,7 +311,7 @@ def _run(args, schedule: TopologySchedule) -> tuple[SimConfig, Trace, MessageCou
 
 
 def cmd_simulate(args) -> int:
-    schedule = _load_schedule(args.schedule, args.t_end)
+    schedule = _schedule(args.schedule, args.t_end)
     cfg, trace, counter = _run(args, schedule)
     out = _out_dir(args)
     trace_path = out / "trace.csv"
@@ -250,7 +380,7 @@ def cmd_estimate(args) -> int:
     n, trace = read_trace_csv(Path(args.trace), args.agent)
 
     if args.per_segment:
-        schedule = _load_schedule(args.schedule, None)
+        schedule = _schedule(args.schedule, None)
         if schedule.n != n:
             raise EstimationError(f"schedule has {schedule.n} agents, trace has {n}")
         blocks = []
@@ -299,9 +429,7 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
 
 def cmd_validate(args) -> int:
     # The schedule's own warnings (a disconnected segment) go in the report.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        schedule = _load_schedule(args.schedule, args.t_end)
+    schedule, notes = _load_schedule(args.schedule, args.t_end)
     if not 0 <= args.agent < schedule.n:
         raise ValueError(f"agent {args.agent} out of range [0, {schedule.n})")
     _, trace, _ = _run(args, schedule)
@@ -311,7 +439,6 @@ def cmd_validate(args) -> int:
     drift = float(np.max(np.abs(total - total[0])) / total[0]) if total[0] > 0 else 0.0
 
     segments = []
-    notes = [str(w.message) for w in caught]
     for span in trace.segments:
         # Lines over the segment start from the state at its first sample,
         # the same sample the segment's estimate starts from.
@@ -372,7 +499,7 @@ def cmd_spectrogram(args) -> int:
 def cmd_rounds(args) -> int:
     if bool(args.schedule) == (args.delta_max is not None):
         raise ConfigError("give either a schedule file or --delta-max, not both")
-    delta_max = _load_schedule(args.schedule, None).max_degree() if args.schedule else args.delta_max
+    delta_max = _schedule(args.schedule, None).max_degree() if args.schedule else args.delta_max
     bound = round_bound(delta_max, args.t_min, args.fs)
     payload = {
         "delta_max": delta_max,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -111,27 +112,148 @@ def _reference_write_trace_csv(trace, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def test_trace_csv_writer_matches_per_cell_format(tmp_path):
+def _special_trace(rows=6):
+    """A 3-agent trace of rows samples holding signed zeros, subnormals, huge
+    and long-mantissa values."""
     rng = np.random.default_rng(9)
     special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1.2345678901234567e17, -9.87e300,
                1.0 / 3.0, 2.0**-1074 * 3, 1e-5, -1.5]
-    x = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-320, 300, size=(6, 3))
-    z = rng.standard_normal((6, 3))
+    x = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-320, 300, size=(rows, 3))
+    z = rng.standard_normal((rows, 3))
     x.flat[: len(special)] = special
     z.flat[-7:] = special[:7]
-    times = np.arange(6) * 0.0625
+    times = np.arange(rows) * 0.0625
     times[0] = -0.0
-    trace = Trace(times=times, states=np.hstack((x, z)), f_s=16.0, segments=())
+    return Trace(times=times, states=np.hstack((x, z)), f_s=16.0, segments=())
+
+
+def test_trace_csv_writer_matches_per_cell_format(tmp_path):
+    trace = _special_trace()
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trace_csv(trace, got)
     _reference_write_trace_csv(trace, want)
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.fixture()
+def forks(monkeypatch):
+    """Count the writer's forks. The CPU count and cell floor are set by the
+    test through force_blocks, so a small table is split like a large one."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(cli.os, "fork", lambda: calls.append(1) or fork())
+
+    def force_blocks(cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "FORK_CELLS", 1)
+    return calls, force_blocks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, rows, workers", [
+    (1, 6, 0), (2, 6, 1), (3, 6, 2), (4, 7, 3), (16, 5, 4),
+], ids=["1 block", "2 blocks", "3 blocks", "7 rows in 4 uneven blocks", "more CPUs than rows"])
+def test_block_writer_matches_per_cell_format(cpus, rows, workers, forks, tmp_path):
+    """Whatever the block count, the file is the reference writer's byte for
+    byte, one worker is forked per block after the first, and no part file
+    or child process is left."""
+    calls, force_blocks = forks
+    force_blocks(cpus)
+    trace = _special_trace(rows)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trace_csv(trace, got)
+    assert len(calls) == workers
+    _reference_write_trace_csv(trace, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
+    _assert_no_children()
+
+
+def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, monkeypatch):
+    """With the real floor, a table of 100 rows one row-width short of two
+    blocks' worth is one block on any CPU count; with one usable CPU, or
+    without os.fork, nothing is forked."""
+    calls, _ = forks
+    width = 2 * cli.FORK_CELLS // 100  # cells per row, the time column included
+    for cells_per_row, cpus, has_fork, workers in ((width - 1, 8, True, 0), (width, 1, True, 0),
+                                                   (width, 8, True, 1), (width, 8, False, 0)):
+        calls.clear()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        if not has_fork:
+            monkeypatch.delattr(cli.os, "fork")
+        cli._write_rows(tmp_path / "got.csv", "h", "%d", np.arange(100.0),
+                        np.zeros((100, cells_per_row - 1), dtype=int))
+        assert len(calls) == workers
+
+
+def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path, capsys):
+    """The spectrogram's %.8g and %d tables take the same writer: three blocks
+    write the bytes one block does."""
+    _, force_blocks = forks
+    argv = ["spectrogram", traces["sw"], "--agent", "1", "--window-len", "64", "--hop", "8"]
+    assert run([*argv, "--out-dir", tmp_path / "one"]) == 0
+    force_blocks(3)
+    assert run([*argv, "--out-dir", tmp_path / "three"]) == 0
+    for name in ("spectrogram.csv", "spectrogram_mask.csv"):
+        assert (tmp_path / "three" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatch, capsys):
+    """A worker that raises gives the parent a named OSError with its reason,
+    which main prints as one error line; the worker exits without unwinding
+    into this process's frames, and no part file or child is left."""
+    _, force_blocks = forks
+    force_blocks(3)
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def failing(fh, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("disk on fire")
+        format_rows(fh, *args)
+    monkeypatch.setattr(cli, "_format_rows", failing)
+    got = tmp_path / "got" / "got.csv"
+    got.parent.mkdir()
+    with pytest.raises(OSError, match=r"got\.csv: writing row block 1 of 3 failed: "
+                                      r"RuntimeError: disk on fire$"):
+        write_trace_csv(_special_trace(), got)
+    assert [p.name for p in got.parent.iterdir()] == ["got.csv"]
+    _assert_no_children()
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["simulate", p5_file, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'trace.csv'}: writing row block 1 of 3 failed: "
+        "RuntimeError: disk on fire\n")
+    assert [p.name for p in out.iterdir()] == ["trace.csv"]
+    _assert_no_children()
+
+
+def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch):
+    """An interrupt in the parent's own block kills and reaps the workers and
+    removes their part files."""
+    _, force_blocks = forks
+    force_blocks(3)
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def interrupted(fh, *args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        format_rows(fh, *args)
+    monkeypatch.setattr(cli, "_format_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_trace_csv(_special_trace(), tmp_path / "got.csv")
+    assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
+    _assert_no_children()
+
+
 def test_trace_csv_rejects_column_count_mismatch(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("t,x_0,z_0\n" + "".join(f"{k * 0.0625},1,2,3,4\n" for k in range(3)))
-    with pytest.raises(ParseError, match="rows have 5 columns, header has 3"):
+    with pytest.raises(ParseError, match="line 2 has 5 columns, header has 3"):
         read_trace_csv(path)
 
 
@@ -253,8 +375,15 @@ def _edited(lines, line, column, value):
     (lambda lines: _edited(lines, 300, 0, "18.85"), "time column is not a uniform increasing grid"),
     (lambda lines: _edited(lines, 42, 2, "nan"), "non-finite value at line 43, column 3"),
     (lambda lines: _edited(lines, 42, 7, "-inf"), "non-finite value at line 43, column 8"),
+    (lambda lines: _edited(lines, 42, 2, "abc"), "unparsable value 'abc' at line 43, column 3"),
+    (lambda lines: _edited(lines, 42, 7, ""), "unparsable value '' at line 43, column 8"),
+    (lambda lines: [lines[0], "# note", "", *_edited(lines, 42, 2, "abc")[1:]],
+     "unparsable value 'abc' at line 45, column 3"),
+    (lambda lines: [*lines[:9], "# a, b", *_edited(lines, 42, 7, "nan")[9:]],
+     "non-finite value at line 44, column 8"),
 ], ids=["foreign header", "header only", "one row", "non-uniform grid", "nan in x_1",
-        "inf in z_1"])
+        "inf in z_1", "abc in x_1", "empty z_1", "abc after comment and empty line",
+        "nan after comment"])
 def test_one_agent_read_raises_the_full_reads_errors(edit, message, traces, tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(edit(traces["p5"].read_text().splitlines())) + "\n")
@@ -265,18 +394,17 @@ def test_one_agent_read_raises_the_full_reads_errors(edit, message, traces, tmp_
 
 @pytest.mark.parametrize("cells", [10, 12], ids=["short row", "long row"])
 def test_one_agent_read_checks_every_rows_cell_count(cells, traces, tmp_path):
-    """A row with a cell fewer or more than the header fails both reads; the
-    one-agent read names its line. usecols alone reads the long row."""
+    """A row with a cell fewer or more than the header fails both reads,
+    which name its line. usecols alone reads the long row."""
     lines = traces["p5"].read_text().splitlines()
     row = lines[42].split(",")
     lines[42] = ",".join((row + row)[:cells])
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(lines) + "\n")
-    assert "columns" in str(_read_error(path))
-    for agent in (0, 4):
-        one = _read_error(path, agent)
-        assert type(one) is ParseError
-        assert str(one) == f"{path}: line 43 has {cells} columns, header has 11"
+    for agent in (None, 0, 4):
+        error = _read_error(path, agent)
+        assert type(error) is ParseError
+        assert str(error) == f"{path}: line 43 has {cells} columns, header has 11"
 
 
 def test_one_agent_read_rejects_agent_before_reading_rows(tmp_path):
@@ -634,8 +762,7 @@ def test_validate_ones_init_warns_degenerate(p5_file, capsys):
 
 def test_validate_lists_disconnected_segment_warning(tmp_path, capsys):
     """validate reports the schedule's own warning in its JSON and lets no
-    warning escape; elsewhere the warning names the schedule's builder,
-    not the dataclass-generated __init__ ("<string>")."""
+    warning escape."""
     path = tmp_path / "two_k2.txt"
     path.write_text("n 4\n0 1\n2 3\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -646,9 +773,33 @@ def test_validate_lists_disconnected_segment_warning(tmp_path, capsys):
     assert notes[0] == ("segment 0 graph is disconnected; its observable spectrum "
                         "splits per component")
     assert any("rank deficiency" in w for w in notes[1:])
-    with pytest.warns(UserWarning, match="disconnected") as caught:
-        assert run(["simulate", path, "--out-dir", tmp_path / "out"]) == 0
-    assert [Path(w.filename).name for w in caught] == ["graph.py"]
+
+
+DISCONNECTED = ("warning: segment 0 graph is disconnected; its observable spectrum "
+                "splits per component\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{graph}", "--seed", "3", "--t-end", "20", "--out-dir", "{out}"],
+    ["rounds", "{graph}"],
+    ["estimate", "{trace}", "--agent", "0", "--per-segment", "--schedule", "{graph}"],
+], ids=["simulate", "rounds", "estimate-per-segment"])
+def test_schedule_warning_is_one_stderr_line(argv, tmp_path, capsys):
+    """A disconnected segment's warning is one `warning: ...` line on stderr,
+    not Python's warning form with a source line, and no warning escapes."""
+    graph = tmp_path / "two_k2.txt"
+    graph.write_text("n 4\n0 1\n2 3\n")
+    trace = tmp_path / "trace"
+    assert run(["simulate", graph, "--seed", "3", "--t-end", "20", "--out-dir", trace]) == 0
+    capsys.readouterr()
+    fields = dict(graph=graph, trace=trace / "trace.csv", out=tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([a.format(**fields) for a in argv]) == 0
+    assert not caught, [str(w.message) for w in caught]
+    captured = capsys.readouterr()
+    assert captured.err == DISCONNECTED
+    assert captured.out
 
 
 def test_validate_p5_matches_oracle(p5_file, capsys):
@@ -798,12 +949,10 @@ def test_rounds_on_an_edgeless_schedule_is_zero(tmp_path, capsys):
     messages.json total is, not an error about a delta_max never given."""
     edgeless = tmp_path / "edgeless.txt"
     edgeless.write_text("n 3\n")
-    with pytest.warns(UserWarning, match="disconnected"):
-        assert run(["rounds", edgeless]) == 0
+    assert run(["rounds", edgeless]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["delta_max"] == 0 and payload["bound"] == 0
-    with pytest.warns(UserWarning, match="disconnected"):
-        assert run(["simulate", edgeless, "--out-dir", tmp_path]) == 0
+    assert run(["simulate", edgeless, "--out-dir", tmp_path]) == 0
     assert json.loads((tmp_path / "messages.json").read_text())["total"] == 0
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,8 +239,11 @@ def test_schedule_must_start_at_zero():
 
 
 def test_schedule_disconnected_warns():
-    with pytest.warns(UserWarning, match="disconnected"):
+    """The warning points at graph.py, where the schedule is made, not at
+    the dataclass-generated __init__ ("<string>")."""
+    with pytest.warns(UserWarning, match="disconnected") as caught:
         TopologySchedule.single(Graph.from_edges(4, [(0, 1), (2, 3)]), 10.0)
+    assert [Path(w.filename).name for w in caught] == ["graph.py"]
 
 
 def test_schedule_edges_file_resolution(tmp_path):
