@@ -48,7 +48,7 @@ from .graph import (
     TIME_TOL,
     ParseError,
     TopologySchedule,
-    _integer,
+    _agent,
     parse_edge_list,
     parse_schedule,
 )
@@ -210,59 +210,46 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     _write_rows(path, _trace_header(trace.n), "%.17g", trace.times, trace.states)
 
 
-def _counted_rows(lines, path: Path, cells: int, skipped: list[int]):
-    """Yield the data lines, raising on a row whose cell count is not the
-    header's: loadtxt's usecols reads a row with extra cells without a word.
-    Lines loadtxt skips (empty, or a comment alone; a text-mode file ends
-    every line in "\\n") pass unchecked, and their numbers go to skipped."""
+def _counted_rows(lines, path: Path, cells: int):
+    """Yield the lines after the header, each one data row, raising on a line
+    whose cell count is not the header's: loadtxt's usecols reads a row with
+    extra cells without a word, and an empty or comment line is one cell."""
     for k, line in enumerate(lines, start=2):
-        end = line.find("#")
-        row = line if end < 0 else line[:end]
-        if row in ("", "\n"):
-            skipped.append(k)
-        elif row.count(",") != cells - 1:
+        if line.count(",") != cells - 1:
             raise ParseError(
-                f"{path}: line {k} has {row.count(',') + 1} columns, header has {cells}")
+                f"{path}: line {k} has {line.count(',') + 1} columns, header has {cells}")
         yield line
 
 
-def _file_line(row: int, skipped: list[int]) -> int:
-    """The file line of loadtxt's 0-based data row, given the lines it skipped
-    in ascending order: each one at or before the line pushes it down one."""
-    line = row + 2
-    for k in skipped:
-        line += k <= line
-    return line
-
-
 def read_trace_csv(path: Path, agent: int | None = None):
-    """Load a trace written by write_trace_csv, whose header it must have
-    exactly (segments are not recorded).
+    """Load a trace written by write_trace_csv. The file must be what it
+    writes: its header exactly, then one data row per line, with no comment
+    or empty line (segments are not recorded).
 
     With an agent, return (n, trace): the header's agent count and a
     one-agent trace of that agent's x and z columns, the only cells parsed
     besides t. An agent outside the header's [0, n) is rejected before any
     data row is read. Both reads take one route: the cell count of every row
     and the time grid are checked over the whole file, and an unparsable or
-    non-finite cell among the columns parsed is named by its file line
-    (comment and empty lines counted) and column.
+    non-finite cell among the columns parsed is named by its file line and
+    column.
     """
-    skipped: list[int] = []
     with open(path) as fh:
         header = fh.readline().strip()
         cells = header.split(",")
         n = (len(cells) - 1) // 2
-        if header != _trace_header(n):
+        if n < 1 or header != _trace_header(n):
             raise ParseError(f"{path}: not a trace CSV (header {cells[:3]}...)")
-        if agent is not None and not 0 <= _integer(agent, "agent") < n:
-            raise ValueError(f"agent {agent} out of range [0, {n})")
+        if agent is not None:
+            agent = _agent(agent, n)
         columns = range(len(cells)) if agent is None else (0, 1 + agent, 1 + n + agent)
         with warnings.catch_warnings():
             # A file with no data rows gets its named error below.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                data = np.loadtxt(_counted_rows(fh, path, len(cells), skipped), delimiter=",",
-                                  usecols=columns, ndmin=2)
+                # comments=None: a "#" is an unparsable cell, not the start of a comment.
+                data = np.loadtxt(_counted_rows(fh, path, len(cells)), delimiter=",",
+                                  comments=None, usecols=columns, ndmin=2)
             except ParseError:
                 raise
             except ValueError as exc:
@@ -270,15 +257,14 @@ def read_trace_csv(path: Path, agent: int | None = None):
                 if found is None:
                     raise ParseError(f"{path}: {exc}") from None
                 raise ParseError(f"{path}: unparsable value {found[1]} at line "
-                                 f"{_file_line(int(found[2]), skipped)}, column {found[3]}") from None
+                                 f"{int(found[2]) + 2}, column {found[3]}") from None
     times = data[:, 0]
     if len(times) < 2:
         raise ParseError(f"{path}: trace needs at least 2 samples")
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
-        raise ParseError(f"{path}: non-finite value at line {_file_line(row, skipped)}, "
-                         f"column {columns[col] + 1}")
+        raise ParseError(f"{path}: non-finite value at line {row + 2}, column {columns[col] + 1}")
     period = times[1] - times[0]
     # Timestamps are written with %.17g, so a uniform grid deviates from its
     # first period only by rounding.
@@ -430,8 +416,7 @@ def _validate_segment(seg: dict, trace: Trace, t_start: float, t_end: float, arg
 def cmd_validate(args) -> int:
     # The schedule's own warnings (a disconnected segment) go in the report.
     schedule, notes = _load_schedule(args.schedule, args.t_end)
-    if not 0 <= args.agent < schedule.n:
-        raise ValueError(f"agent {args.agent} out of range [0, {schedule.n})")
+    _agent(args.agent, schedule.n)
     _, trace, _ = _run(args, schedule)
 
     energy = trace.x**2 + trace.z**2

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trace
-from .graph import TIME_TOL, _integer
+from .graph import TIME_TOL, _agent, _integer
 
 PEAK_THRESHOLD = 0.005
 ZERO_PAD = 8
@@ -110,12 +110,9 @@ class SampledSignal:
         """Extract one agent's x series, optionally time-sliced.
 
         A span that holds no sample raises, naming the span and the trace's
-        last time.
+        last time; an agent raises as graph._agent does.
         """
-        if isinstance(agent, bool) or not isinstance(agent, (int, np.integer)):
-            raise EstimationError(f"agent must be an integer, got {agent!r}")
-        if not 0 <= agent < trace.n:
-            raise EstimationError(f"agent {agent} out of range [0, {trace.n})")
+        agent = _agent(agent, trace.n)
         t_start = trace.times[0] if t_start is None else t_start
         t_end = trace.times[-1] if t_end is None else t_end
         lo, hi = trace.sample_range(t_start, t_end)
@@ -155,9 +152,8 @@ class FreqEstimatorConfig:
     window: float = 50.0
 
     def __post_init__(self) -> None:
-        n_max = self.n_max
-        if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-            raise EstimationError(f"n_max must be an integer of at least 1, got {n_max!r}")
+        if _integer(self.n_max, "n_max") < 1:
+            raise EstimationError(f"n_max must be at least 1, got {self.n_max}")
         for name, value in (("error threshold se", self.se), ("window", self.window)):
             if not math.isfinite(value):
                 raise EstimationError(f"{name} must be finite, got {value}")

@@ -65,6 +65,15 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _agent(value, n: int) -> int:
+    """An agent index of an n-agent system, checked: _integer's TypeError,
+    then ValueError outside [0, n)."""
+    agent = _integer(value, "agent")
+    if not 0 <= agent < n:
+        raise ValueError(f"agent {agent} out of range [0, {n})")
+    return agent
+
+
 def _seconds(entry: dict, k: int, field: str) -> float:
     """Segment k's time field, checked: float() reads false as 0.0, "10" as 10."""
     if field not in entry:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_laplacian
+from .graph import Graph, _agent, build_laplacian
 
 EIG_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -202,15 +202,12 @@ def modal_coefficients(
     P_j = V_j V_j^T projects onto the j-th eigenspace, so neither depends on
     the basis chosen within it; z_i(t) has b_j on cos and -a_j on sin. For a
     connected graph the zero-eigenvalue pair is the initial averages.
-    A non-integer agent, states not of shape (n,) and non-finite states
-    raise ValueError.
+    An agent outside [0, n), states not of shape (n,) and non-finite states
+    raise ValueError; a non-integer agent raises TypeError.
     """
     x0 = np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
-    if isinstance(agent, bool) or not isinstance(agent, (int, np.integer)):
-        raise ValueError(f"agent must be an integer, got {agent!r}")
-    if not 0 <= agent < dec.n:
-        raise ValueError(f"agent {agent} out of range [0, {dec.n})")
+    agent = _agent(agent, dec.n)
     if x0.shape != (dec.n,) or z0.shape != (dec.n,):
         raise ValueError(f"states must have shape ({dec.n},), got {x0.shape} and {z0.shape}")
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(z0))):

@@ -310,17 +310,28 @@ def test_one_agent_read_matches_full_read(traces, name):
         assert one.z[:, 0].tobytes() == full.z[:, agent].tobytes()
 
 
-def test_one_agent_read_passes_lines_loadtxt_skips(traces, tmp_path):
-    """A comment, a trailing comment and an empty line are skipped by both
-    reads, not counted as rows of the wrong width."""
-    lines = traces["p5"].read_text().splitlines(keepends=True)
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0], "# note", *lines[1:]], "line 2 has 1 columns, header has 11"),
+    (lambda lines: [*lines[:9], "", *lines[9:]], "line 10 has 1 columns, header has 11"),
+    (lambda lines: [*lines, ""], "line 798 has 1 columns, header has 11"),
+    (lambda lines: [lines[0], lines[1] + " # a, b", *lines[2:]],
+     "line 2 has 12 columns, header has 11"),
+    (lambda lines: [*lines[:42], lines[42] + " # note", *lines[43:]],
+     "unparsable value '{cell} # note' at line 43, column 11"),
+], ids=["comment line", "empty line", "trailing empty line", "trailing comment with commas",
+        "trailing comment without commas"])
+def test_reads_reject_comment_and_empty_lines(edit, message, traces, tmp_path):
+    """Every line after the header is a data row, as write_trace_csv writes
+    it: a comment or empty line is a row of the wrong width, and a trailing
+    comment is part of the last cell. Agent 4 parses that cell, z_4."""
+    lines = traces["p5"].read_text().splitlines()
+    assert len(lines) == 797
     path = tmp_path / "trace.csv"
-    path.write_text("".join([lines[0], "# note\n", lines[1].rstrip("\n") + " # a, b\n",
-                             *lines[2:], "\n"]))
-    full = read_trace_csv(path)
-    _, one = read_trace_csv(path, 3)
-    assert full.states.tobytes() == read_trace_csv(traces["p5"]).states.tobytes()
-    assert one.states.tobytes() == full.states[:, [3, 8]].tobytes()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    full, one = _read_error(path), _read_error(path, 4)
+    assert type(one) is type(full) is ParseError
+    assert str(full) == f"{path}: " + message.format(cell=lines[42].split(",")[-1])
+    assert str(one) == str(full)
 
 
 def _full_read_sliced(path, agent):
@@ -378,12 +389,13 @@ def _edited(lines, line, column, value):
     (lambda lines: _edited(lines, 42, 2, "abc"), "unparsable value 'abc' at line 43, column 3"),
     (lambda lines: _edited(lines, 42, 7, ""), "unparsable value '' at line 43, column 8"),
     (lambda lines: [lines[0], "# note", "", *_edited(lines, 42, 2, "abc")[1:]],
-     "unparsable value 'abc' at line 45, column 3"),
+     "line 2 has 1 columns, header has 11"),
     (lambda lines: [*lines[:9], "# a, b", *_edited(lines, 42, 7, "nan")[9:]],
-     "non-finite value at line 44, column 8"),
+     "line 10 has 2 columns, header has 11"),
+    (lambda lines: ["t", *(line.split(",")[0] for line in lines[1:])], "not a trace CSV"),
 ], ids=["foreign header", "header only", "one row", "non-uniform grid", "nan in x_1",
         "inf in z_1", "abc in x_1", "empty z_1", "abc after comment and empty line",
-        "nan after comment"])
+        "nan after comment", "no agent columns"])
 def test_one_agent_read_raises_the_full_reads_errors(edit, message, traces, tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(edit(traces["p5"].read_text().splitlines())) + "\n")

@@ -451,11 +451,6 @@ def test_signal_rejects_bad_sample_rate_by_name(f_s):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SampledSignal(samples=np.zeros(1), f_s=FS), "signal needs at least 2 samples"),
-    (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), 5), "agent 5 out of range [0, 5)"),
-    (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), True),
-     "agent must be an integer, got True"),
-    (lambda: SampledSignal.from_trace(p5_trace(t_end=10.0), 2.5),
-     "agent must be an integer, got 2.5"),
     (lambda: ls_fit(tone(2.0, 10.0), [np.nan]), "frequencies must be finite, got [nan]"),
     (lambda: ls_fit(tone(2.0, 10.0), [2.0, np.inf]), "frequencies must be finite, got [2.0, inf]"),
     (lambda: refine_frequencies(tone(2.0, 10.0), [np.nan]),
@@ -470,13 +465,26 @@ def test_signal_rejects_bad_sample_rate_by_name(f_s):
      "signal samples must be a 1-D real array, got shape (796,) of complex128"),
     (lambda: SampledSignal(samples=np.zeros((796, 2)), f_s=FS),
      "signal samples must be a 1-D real array, got shape (796, 2) of float64"),
-], ids=["one sample", "agent out of range", "bool agent", "fractional agent", "ls_fit nan",
+], ids=["one sample", "ls_fit nan",
         "ls_fit inf", "refine nan", "refine -inf", "unknown window", "window_len 3", "hop 0",
         "complex samples", "two columns"])
 def test_estimation_errors_are_named(call, message):
     with pytest.raises(EstimationError) as exc:
         call()
     assert type(exc.value) is EstimationError and message in str(exc.value)
+
+
+@pytest.mark.parametrize("agent, error, message", [
+    (5, ValueError, "agent 5 out of range [0, 5)"),
+    (-1, ValueError, "agent -1 out of range [0, 5)"),
+    (True, TypeError, "field 'agent': true is not an integer"),
+    (2.5, TypeError, "field 'agent': 2.5 is not an integer"),
+], ids=["agent out of range", "negative agent", "bool agent", "fractional agent"])
+def test_from_trace_checks_its_agent_as_the_graph_does(agent, error, message):
+    """One agent check (graph._agent) serves the trace, the oracle and the CLI."""
+    with pytest.raises(error) as exc:
+        SampledSignal.from_trace(p5_trace(t_end=10.0), agent)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("window_len, hop, text", [
@@ -1146,7 +1154,7 @@ def test_config_rejects_bad_bounds():
         FreqEstimatorConfig(se=0.0)
     # n_max is a count: 2.5 would reach a slice, "3" a comparison, and True read as 1
     for bad in (2.5, "3", True, None, 3.0):
-        with pytest.raises(EstimationError, match="n_max must be an integer"):
+        with pytest.raises(TypeError, match="field 'n_max': .* is not an integer"):
             FreqEstimatorConfig(n_max=bad)
     assert FreqEstimatorConfig(n_max=np.int64(3)).n_max == 3
 

@@ -433,12 +433,6 @@ def test_observability_rank_rejects_non_symmetric():
     (lambda: observability_rank(np.zeros((0, 0)), np.zeros((1, 0))), "expected a non-empty matrix"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), 5),
      "agent 5 out of range [0, 5)"),
-    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), True),
-     "agent must be an integer, got True"),
-    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), np.bool_(False)),
-     "agent must be an integer, got "),
-    (lambda: check_estimability(eigendecompose(P5), np.ones(5), np.ones(5), 2.5),
-     "agent must be an integer, got 2.5"),
     (lambda: modal_coefficients(eigendecompose(P5), np.ones(4), np.ones(5), 0),
      "states must have shape (5,), got (4,) and (5,)"),
     (lambda: check_estimability(eigendecompose(P5), np.ones(5), np.ones((5, 1)), 0),
@@ -452,13 +446,24 @@ def test_observability_rank_rejects_non_symmetric():
     (lambda: verify_rank_relation(build_laplacian(P5), [[np.nan, 0, 0, 0, 0]]),
      "output matrix has non-finite entries"),
 ], ids=["not square", "inf matrix", "nan matrix", "empty matrix", "empty rank matrix",
-        "agent out of range", "bool agent",
-        "numpy bool agent", "fractional agent", "state length", "state shape", "nan state", "output width",
+        "agent out of range", "state length", "state shape", "nan state", "output width",
         "inf output", "nan output"])
 def test_oracle_errors_are_named(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError and message in str(exc.value)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), True), "true"),
+    (lambda: modal_coefficients(eigendecompose(P5), np.ones(5), np.ones(5), np.bool_(False)),
+     f'"{np.bool_(False)!r}"'),
+    (lambda: check_estimability(eigendecompose(P5), np.ones(5), np.ones(5), 2.5), "2.5"),
+], ids=["bool agent", "numpy bool agent", "fractional agent"])
+def test_oracle_rejects_a_non_integer_agent_as_the_graph_does(call, value):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"field 'agent': {value} is not an integer"
 
 
 def test_oracle_report_shape():
