@@ -95,11 +95,11 @@ def _schedule_dict(schedule: TopologySchedule) -> list[dict]:
     ]
 
 
-# Cells (the time column included) each row block must hold before the rows
-# are split across forked workers. Forking, joining and appending a part file
-# cost a few ms, but a worker shares the host with its parent: on a 2-core
-# host a two-way split lost 9 of 9 interleaved runs at 80k cells, drew about
-# even at 160k-240k and won 9 of 9 at 400k (200k per block).
+# Cells (the time column included) each row block holds at least. Forking,
+# joining and appending a part file cost a few ms, but a worker shares the
+# host with its parent: on a 2-core host a two-way split lost 9 of 9
+# interleaved runs at 80k cells, drew about even at 160k-240k and won 9 of 9
+# at 400k (200k per block).
 FORK_CELLS = 200_000
 
 
@@ -111,10 +111,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray) -> None:
-    # Row by row, so a large table is never held as Python numbers at once.
+def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray, each_row=None) -> None:
+    # Row by row, so a large table is never held as Python numbers at once;
+    # each_row, if given, is called after each row.
     for t, row in zip(times.tolist(), rows):
         fh.write(line % (t, *row.tolist()))
+        if each_row is not None:
+            each_row()
 
 
 def _fork_block(part: str, line: str, times: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
@@ -123,7 +126,7 @@ def _fork_block(part: str, line: str, times: np.ndarray, rows: np.ndarray) -> tu
 
     The worker calls only tolist, % formatting and file writes, so no BLAS
     runs after the fork, and it leaves through os._exit: it never unwinds
-    into its caller's frames."""
+    into its caller's frames, and it flushes no buffer it inherited."""
     reason_r, reason_w = os.pipe()
     pid, status = None, 1
     try:
@@ -145,59 +148,141 @@ def _fork_block(part: str, line: str, times: np.ndarray, rows: np.ndarray) -> tu
     return pid, reason_r
 
 
-def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
-    """CSV: the header, then per row its time (%.17g) and cells in printf format cell.
+class _RowWriter:
+    """The one CSV row writer: the header, then per row its time (%.17g) and
+    cells in printf format cell. Use it in a with block. While a table is
+    being filled, rows_final(times, rows, k) says that rows [0, k) are final
+    (simulate's per-sample hook); finish(times, rows) writes the file once
+    every row is.
 
-    The rows are cut into contiguous blocks: one per usable CPU, but no more
-    than leave each block FORK_CELLS cells, nor more blocks than rows. The
-    header and block 0 are written here. Each other block goes to a forked
-    worker (_fork_block) that writes it to its own part file beside path;
-    the part files are then appended in block order and deleted. Every row
-    is formatted by the same line whichever block holds it, so the bytes do
-    not depend on the block count, and so not on the CPU count. With one
-    block (one CPU, a small table, or no os.fork) nothing is forked. A failed
-    worker raises OSError with its reason. On every exit, workers still
-    running are killed, every worker is reaped and every part file removed.
+    The rows are cut into contiguous blocks of at least FORK_CELLS cells,
+    but no more blocks than rows, and one block with one usable CPU or
+    without os.fork. One block is formatted by the parent in finish, and
+    nothing is forked. Otherwise each block goes to its own part file beside
+    path. While the rows are filled, each final block but the last goes to a
+    worker forked by _fork_block, with at most usable CPUs - 1 running; in
+    finish the parent formats blocks from the back while workers take them
+    from the front. The header and the blocks, in order, go to a temporary
+    file beside path, which os.replace moves onto path only once every block
+    is written, so a failure or an interrupt leaves path as it was. Each row
+    is formatted by the same line in any block, so the bytes depend neither
+    on the block count nor on the CPU count. A failed worker raises OSError
+    with its reason. On every exit, workers still running are killed, every
+    worker is reaped and every part and temporary file removed.
     """
-    line = ",".join(["%.17g"] + [cell] * rows.shape[1]) + "\n"
-    blocks = 1
-    if hasattr(os, "fork"):
-        cells = len(times) * (rows.shape[1] + 1)
-        blocks = max(1, min(_usable_cpus(), len(times), cells // FORK_CELLS))
-    bounds = [k * len(times) // blocks for k in range(blocks + 1)]
-    parts: list[str] = []
-    workers: list[tuple[int | None, int]] = []  # (pid until reaped, reason pipe), block order
-    try:
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                fd, part = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".part",
-                                            dir=os.path.dirname(path))
-                os.close(fd)
-                parts.append(part)
-                workers.append(_fork_block(part, line, times[lo:hi], rows[lo:hi]))
-            _format_rows(fh, line, times[: bounds[1]], rows[: bounds[1]])
-            fh.flush()  # the part files go to the byte buffer below the text
-            for k, part in enumerate(parts, start=1):
-                pid, reason_r = workers[0]
-                _, status = os.waitpid(pid, 0)
-                workers[0] = (None, reason_r)
-                reason = os.read(reason_r, 4096).decode(errors="replace")
-                if status or reason:
-                    raise OSError(f"{path}: writing row block {k} of {blocks} failed: "
-                                  f"{reason or f'wait status {status}'}")
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-                os.close(workers.pop(0)[1])
-    finally:
-        for pid, reason_r in workers:
+
+    def __init__(self, path: Path, header: str, cell: str) -> None:
+        self.path, self.header, self.cell = Path(path), header, cell
+        self.bounds: list[int] = []  # block k is rows bounds[k]:bounds[k + 1]
+        self.front = 0  # the next block a worker takes
+        self.workers: dict[int, tuple[int | None, int]] = {}  # block: (pid until reaped, reason pipe)
+        self.parts: dict[int, str] = {}
+        self.tmp: str | None = None
+
+    def __enter__(self) -> "_RowWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pid, reason_r in self.workers.values():
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.close(reason_r)
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(part)
+        for name in [*self.parts.values(), self.tmp]:
+            if name is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(name)
+
+    def _start(self, times: np.ndarray, rows: np.ndarray) -> None:
+        self.times, self.rows = times, rows
+        self.line = ",".join(["%.17g"] + [self.cell] * rows.shape[1]) + "\n"
+        self.slots = _usable_cpus() - 1 if hasattr(os, "fork") else 0
+        blocks = 1
+        if self.slots:
+            blocks = max(1, min(len(times), len(times) * (rows.shape[1] + 1) // FORK_CELLS))
+        self.bounds = [k * len(times) // blocks for k in range(blocks + 1)]
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+
+    def _mkstemp(self, suffix: str) -> tuple[int, str]:
+        return tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=suffix, dir=self.path.parent)
+
+    def _reap(self, k: int, wait: bool) -> None:
+        """Reap block k's worker if it has exited (with wait, once it has);
+        raise OSError if it failed."""
+        pid, reason_r = self.workers[k]
+        done, status = os.waitpid(pid, 0 if wait else os.WNOHANG)
+        if not done:
+            return
+        self.workers[k] = (None, reason_r)
+        reason = os.read(reason_r, 4096).decode(errors="replace")
+        if status or reason:
+            raise OSError(f"{self.path}: writing row block {k} of {len(self.bounds) - 1} failed: "
+                          f"{reason or f'wait status {status}'}")
+        os.close(self.workers.pop(k)[1])
+
+    def _fork_front(self, limit: int, final: int) -> None:
+        """Fork a worker for each block from the front that lies below block
+        limit and in the first final rows, while fewer than self.slots run,
+        after reaping the workers that have exited."""
+        if not (self.front < limit and self.bounds[self.front + 1] <= final):
+            return
+        for k in list(self.workers):
+            self._reap(k, wait=False)
+        while (self.front < limit and self.bounds[self.front + 1] <= final
+               and len(self.workers) < self.slots):
+            k, (lo, hi) = self.front, self.bounds[self.front : self.front + 2]
+            fd, self.parts[k] = self._mkstemp(".part")
+            os.close(fd)
+            self.workers[k] = _fork_block(self.parts[k], self.line, self.times[lo:hi], self.rows[lo:hi])
+            self.front += 1
+
+    def rows_final(self, times: np.ndarray, rows: np.ndarray, final: int) -> None:
+        """Rows [0, final) of times and rows are final: hand each final
+        block but the last to a worker while a slot is free."""
+        if not self.bounds:
+            self._start(times, rows)
+        self._fork_front(len(self.bounds) - 2, final)
+
+    def finish(self, times: np.ndarray, rows: np.ndarray) -> None:
+        """Every row is final: write the blocks no worker took, from the
+        back, then the file, and move it onto path."""
+        if not self.bounds:
+            self._start(times, rows)
+        times, rows = self.times, self.rows
+        blocks = back = len(self.bounds) - 1
+        while self.front < back:
+            back -= 1
+            self._fork_front(back, len(times))
+            if blocks > 1:
+                lo, hi = self.bounds[back : back + 2]
+                fd, self.parts[back] = self._mkstemp(".part")
+                with open(fd, "w") as fh:
+                    # After each row, a worker that has exited is replaced at once.
+                    _format_rows(fh, self.line, times[lo:hi], rows[lo:hi],
+                                 lambda: self._fork_front(back, len(times)))
+        for k in sorted(self.workers):
+            self._reap(k, wait=True)
+        fd, self.tmp = self._mkstemp(".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+        with open(fd, "w") as fh:
+            fh.write(self.header + "\n")
+            if blocks == 1:
+                _format_rows(fh, self.line, times, rows)
+            else:
+                fh.flush()  # the part files go to the byte buffer below the text
+                for k in range(blocks):
+                    with open(self.parts[k], "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+        os.replace(self.tmp, self.path)
+        self.tmp = None
+
+
+def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
+    """_RowWriter's CSV of a finished table, whose rows are all final at once."""
+    with _RowWriter(path, header, cell) as writer:
+        writer.finish(times, rows)
 
 
 def _trace_header(n: int) -> str:
@@ -286,24 +371,26 @@ def _emit(payload: dict, args, name: str) -> None:
         _write_json(payload, _out_dir(args) / name)
 
 
-def _run(args, schedule: TopologySchedule) -> tuple[SimConfig, Trace, MessageCounter]:
+def _run(args, schedule: TopologySchedule, on_rows=None) -> tuple[SimConfig, Trace, MessageCounter]:
     """Simulate the schedule up to --t-end (default: the schedule's end)
-    from the --init state."""
+    from the --init state, calling on_rows as simulate's per-sample hook."""
     t_end = args.t_end if args.t_end is not None else schedule.t_end
     n = schedule.n
     init = (np.ones(n), np.ones(n)) if args.init == "ones" else random_init(n, args.seed)
     cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
-    return (cfg, *simulate(schedule, cfg, init))
+    return (cfg, *simulate(schedule, cfg, init, _on_rows=on_rows))
 
 
 def cmd_simulate(args) -> int:
     schedule = _schedule(args.schedule, args.t_end)
-    cfg, trace, counter = _run(args, schedule)
+    trace_path = Path(args.out_dir or ".") / "trace.csv"
+    # The trace CSV is write_trace_csv's, its row blocks formatted while the run goes on.
+    with _RowWriter(trace_path, _trace_header(schedule.n), "%.17g") as writer:
+        cfg, trace, counter = _run(args, schedule, writer.rows_final)
+        writer.finish(trace.times, trace.states)
     out = _out_dir(args)
-    trace_path = out / "trace.csv"
     messages_path = out / "messages.json"
     manifest_path = out / "manifest.json"
-    write_trace_csv(trace, trace_path)
     _write_json(counter.to_dict(), messages_path)
     manifest = {
         "tool": "lapspec",

@@ -39,6 +39,12 @@ bit.
 Each setting is checked once, by its owner: SimConfig checks its fields when
 built, and simulate only what needs its other arguments: the Nyquist guard,
 t_end within the schedule, and the initial state.
+
+simulate's private hook _on_rows is told each time a sample row is final,
+so a caller can use the rows while the run goes on: the CLI formats each
+finished block of the trace CSV in a forked worker while the parent
+integrates the next. It is called once per sample, never per step, and a
+run without it (sweeps, in-process callers) only tests it for None.
 """
 from __future__ import annotations
 
@@ -201,12 +207,18 @@ def simulate(
     schedule: TopologySchedule,
     cfg: SimConfig,
     init: tuple[np.ndarray, np.ndarray],
+    *,
+    _on_rows=None,
 ) -> tuple[Trace, MessageCounter]:
     """Integrate across all schedule segments, sampling at f_s.
 
     State carries unchanged across topology switches; segment boundaries are
     snapped to the RK4 step grid so no switch lands mid-step (documented
     behavior). The run is bit-deterministic given (schedule, cfg, init).
+
+    _on_rows, when given, is called as _on_rows(times, states, k) once rows
+    [0, k) of the returned trace's arrays are final: after the initial state
+    and after each sample, never for a row that failed the non-finite check.
     """
     top = 2.0 * (1.0 + 2.0 * schedule.max_degree())
     if not 2.0 * math.pi * cfg.f_s > top:
@@ -239,6 +251,9 @@ def simulate(
     size = w.size
     states = np.empty((num_samples, size))
     states[0] = w
+    times = np.arange(num_samples) * (m * h)
+    if _on_rows is not None:
+        _on_rows(times, states, 1)
     sent = np.zeros(n, dtype=np.int64)
     half, full, sixth, two = (np.full(size, c) for c in (0.5 * h, h, h / 6.0, 2.0))
 
@@ -282,8 +297,9 @@ def simulate(
                         f"{bad[0] % n}"
                     )
                 states[step // m] = w
+                if _on_rows is not None:
+                    _on_rows(times, states, step // m + 1)
 
-    times = np.arange(num_samples) * (m * h)
     counter = MessageCounter(total=int(sent.sum()), per_agent=sent, per_sample_rounds=4 * m)
     return Trace(times=times, states=states, f_s=cfg.f_s, segments=spans), counter
 

@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -137,11 +138,28 @@ def test_trace_csv_writer_matches_per_cell_format(tmp_path):
 
 @pytest.fixture()
 def forks(monkeypatch):
-    """Count the writer's forks. The CPU count and cell floor are set by the
-    test through force_blocks, so a small table is split like a large one."""
-    calls = []
-    fork = os.fork
-    monkeypatch.setattr(cli.os, "fork", lambda: calls.append(1) or fork())
+    """Count the writer's forks, and check at each one that fewer than
+    usable CPUs - 1 workers are unreaped, so that at most that many run.
+    The CPU count and cell floor are set by the test through force_blocks,
+    so a small table is split like a large one (FORK_CELLS = 1: one row per
+    block)."""
+    calls, live = [], set()
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        assert len(live) < cli._usable_cpus() - 1
+        pid = fork()
+        if pid:
+            calls.append(pid)
+            live.add(pid)
+        return pid
+
+    def counted_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        live.discard(reaped[0])
+        return reaped
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    monkeypatch.setattr(cli.os, "waitpid", counted_waitpid)
 
     def force_blocks(cpus):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -154,19 +172,19 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus, rows, workers", [
-    (1, 6, 0), (2, 6, 1), (3, 6, 2), (4, 7, 3), (16, 5, 4),
-], ids=["1 block", "2 blocks", "3 blocks", "7 rows in 4 uneven blocks", "more CPUs than rows"])
-def test_block_writer_matches_per_cell_format(cpus, rows, workers, forks, tmp_path):
-    """Whatever the block count, the file is the reference writer's byte for
-    byte, one worker is forked per block after the first, and no part file
-    or child process is left."""
+@pytest.mark.parametrize("cpus, rows", [(1, 6), (2, 6), (3, 6), (4, 7), (16, 5)],
+                         ids=["1 CPU", "2 CPUs", "3 CPUs", "4 CPUs", "more CPUs than rows"])
+def test_block_writer_matches_per_cell_format(cpus, rows, forks, tmp_path):
+    """Whatever the CPU count, the file is the reference writer's byte for
+    byte and no part file or child process is left. One CPU forks nothing;
+    otherwise the parent formats at least the last block and workers take
+    the first cpus - 1 blocks at once, and then more as they finish."""
     calls, force_blocks = forks
     force_blocks(cpus)
     trace = _special_trace(rows)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trace_csv(trace, got)
-    assert len(calls) == workers
+    assert min(cpus - 1, rows - 1) <= len(calls) <= (rows - 1 if cpus > 1 else 0)
     _reference_write_trace_csv(trace, want)
     assert got.read_bytes() == want.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
@@ -190,9 +208,50 @@ def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, mo
         assert len(calls) == workers
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("scenario", ["p5", "switching"])
+def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_file, tmp_path,
+                                                     monkeypatch):
+    """simulate hands each final row block to a worker while it integrates,
+    with at most cpus - 1 running (the forks fixture checks it), and the
+    file is the reference writer's of the returned trace byte for byte.
+    The switching run puts its segment boundaries inside blocks."""
+    calls, force_blocks = forks
+    force_blocks(cpus)
+    monkeypatch.setattr(cli, "FORK_CELLS", 20 * 11)  # 20-row blocks of 11 cells per row
+    runs, during = [], []
+
+    def recorded(*args, **kwargs):
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    def finish(writer, *args):
+        during.append(len(calls))
+        return finish_rows(writer, *args)
+    finish_rows = cli._RowWriter.finish
+    monkeypatch.setattr(cli, "simulate", recorded)
+    monkeypatch.setattr(cli._RowWriter, "finish", finish)
+    schedule = p5_file if scenario == "p5" else SCENARIOS / "switching.json"
+    out = tmp_path / "out"
+    assert run(["simulate", schedule, "--seed", "7", "--out-dir", out]) == 0
+    trace = runs[0][0]
+    if scenario == "switching":
+        assert len(trace.segments) == 3
+    _reference_write_trace_csv(trace, tmp_path / "want.csv")
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "messages.json", "trace.csv"]
+    # The temporary file moved into place has the mode a plain open gives.
+    assert (out / "trace.csv").stat().st_mode == (out / "messages.json").stat().st_mode
+    if cpus == 1:
+        assert calls == []
+    else:
+        assert 1 <= during[0] <= len(calls) <= trace.num_samples - 1
+    _assert_no_children()
+
+
 def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path, capsys):
-    """The spectrogram's %.8g and %d tables take the same writer: three blocks
-    write the bytes one block does."""
+    """The spectrogram's %.8g and %d tables take the same writer: split into
+    blocks, they are the bytes one block writes."""
     _, force_blocks = forks
     argv = ["spectrogram", traces["sw"], "--agent", "1", "--window-len", "64", "--hop", "8"]
     assert run([*argv, "--out-dir", tmp_path / "one"]) == 0
@@ -205,7 +264,8 @@ def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path,
 def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatch, capsys):
     """A worker that raises gives the parent a named OSError with its reason,
     which main prints as one error line; the worker exits without unwinding
-    into this process's frames, and no part file or child is left."""
+    into this process's frames, and no output, part or temporary file and
+    no child is left."""
     _, force_blocks = forks
     force_blocks(3)
     parent, format_rows = os.getpid(), cli._format_rows
@@ -217,24 +277,24 @@ def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_format_rows", failing)
     got = tmp_path / "got" / "got.csv"
     got.parent.mkdir()
-    with pytest.raises(OSError, match=r"got\.csv: writing row block 1 of 3 failed: "
+    with pytest.raises(OSError, match=r"got\.csv: writing row block \d of 6 failed: "
                                       r"RuntimeError: disk on fire$"):
         write_trace_csv(_special_trace(), got)
-    assert [p.name for p in got.parent.iterdir()] == ["got.csv"]
+    assert list(got.parent.iterdir()) == []
     _assert_no_children()
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(["simulate", p5_file, "--out-dir", out]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {out / 'trace.csv'}: writing row block 1 of 3 failed: "
-        "RuntimeError: disk on fire\n")
-    assert [p.name for p in out.iterdir()] == ["trace.csv"]
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(out / 'trace.csv'))}: writing row block \d+ of "
+                        r"796 failed: RuntimeError: disk on fire\n", err), err
+    assert list(out.iterdir()) == []
     _assert_no_children()
 
 
 def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch):
     """An interrupt in the parent's own block kills and reaps the workers and
-    removes their part files."""
+    removes their part files and the temporary file."""
     _, force_blocks = forks
     force_blocks(3)
     parent, format_rows = os.getpid(), cli._format_rows
@@ -246,7 +306,44 @@ def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "_format_rows", interrupted)
     with pytest.raises(KeyboardInterrupt):
         write_trace_csv(_special_trace(), tmp_path / "got.csv")
-    assert [p.name for p in tmp_path.iterdir()] == ["got.csv"]
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("old", [None, "an earlier trace\n"], ids=["no file", "earlier file"])
+@pytest.mark.parametrize("failure", ["overflow", "interrupt"])
+def test_simulate_failing_mid_run_leaves_no_trace(failure, old, p5_file, forks, tmp_path,
+                                                  monkeypatch, capsys):
+    """A run that fails after a row block has gone to a worker, by a state
+    that overflows or by an interrupt, kills its workers and writes no
+    file: no trace.csv, part or temporary file is left, and an earlier
+    trace.csv is kept as it was."""
+    calls, force_blocks = forks
+    force_blocks(2)
+    out = tmp_path / "out"
+    if old is not None:
+        out.mkdir()
+        (out / "trace.csv").write_text(old)
+    if failure == "overflow":
+        # The first RK4 step's stage sums overflow: a non-finite state at sample 1.
+        monkeypatch.setattr(cli, "random_init",
+                            lambda n, seed: tuple(1e308 * v for v in random_init(n, seed)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["simulate", p5_file, "--out-dir", out]) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite state at t=0.0628319, ")
+    else:
+        def interrupted(*args, _on_rows):
+            def hook(times, states, final):
+                if final > 1:
+                    raise KeyboardInterrupt
+                _on_rows(times, states, final)
+            return simulate(*args, _on_rows=hook)
+        monkeypatch.setattr(cli, "simulate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["simulate", p5_file, "--out-dir", out])
+    assert len(calls) == 1  # row 0's block went to a worker before the failure
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == (
+        [] if old is None else [("trace.csv", old)])
     _assert_no_children()
 
 
