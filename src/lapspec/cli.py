@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-import shutil
 import signal
 import sys
 import tempfile
@@ -95,11 +94,12 @@ def _schedule_dict(schedule: TopologySchedule) -> list[dict]:
     ]
 
 
-# Cells (the time column included) each row block holds at least. Forking,
-# joining and appending a part file cost a few ms, but a worker shares the
-# host with its parent: on a 2-core host a two-way split lost 9 of 9
-# interleaved runs at 80k cells, drew about even at 160k-240k and won 9 of 9
-# at 400k (200k per block).
+# Cells (the time column included) a table needs before a forked formatter
+# takes its rows. The fork and the per-row sends cost the parent little, but
+# the formatter shares the host with it. Streaming simulate's rows of a ring
+# on a 2-core host, the formatter lost 8 of 9 interleaved runs at 17k-160k
+# cells, won 7 of 9 at 200k, drew about even at 400k-800k and won every run
+# from 1.6M (3.2M cells, the 2000-agent trace: 1.76 s against 3.00 s).
 FORK_CELLS = 200_000
 
 
@@ -111,41 +111,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray, each_row=None) -> None:
-    # Row by row, so a large table is never held as Python numbers at once;
-    # each_row, if given, is called after each row.
+def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray) -> None:
+    # Row by row, so a large table is never held as Python numbers at once.
     for t, row in zip(times.tolist(), rows):
         fh.write(line % (t, *row.tolist()))
-        if each_row is not None:
-            each_row()
-
-
-def _fork_block(part: str, line: str, times: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
-    """Fork a worker that writes the rows into the file part. Return its pid
-    and the read end of a pipe that holds its failure reason (empty if none).
-
-    The worker calls only tolist, % formatting and file writes, so no BLAS
-    runs after the fork, and it leaves through os._exit: it never unwinds
-    into its caller's frames, and it flushes no buffer it inherited."""
-    reason_r, reason_w = os.pipe()
-    pid, status = None, 1
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:
-                with open(part, "w") as fh:
-                    _format_rows(fh, line, times, rows)
-                status = 0
-            except BaseException as exc:  # the worker exits below, whatever it was
-                # One short write: the pipe holds it without a reader.
-                os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
-    finally:
-        if pid == 0:
-            os._exit(status)
-        os.close(reason_w)
-        if pid is None:
-            os.close(reason_r)
-    return pid, reason_r
 
 
 class _RowWriter:
@@ -155,132 +124,137 @@ class _RowWriter:
     (simulate's per-sample hook); finish(times, rows) writes the file once
     every row is.
 
-    The rows are cut into contiguous blocks of at least FORK_CELLS cells,
-    but no more blocks than rows, and one block with one usable CPU or
-    without os.fork. One block is formatted by the parent in finish, and
-    nothing is forked. Otherwise each block goes to its own part file beside
-    path. While the rows are filled, each final block but the last goes to a
-    worker forked by _fork_block, with at most usable CPUs - 1 running; in
-    finish the parent formats blocks from the back while workers take them
-    from the front. The header and the blocks, in order, go to a temporary
-    file beside path, which os.replace moves onto path only once every block
-    is written, so a failure or an interrupt leaves path as it was. Each row
-    is formatted by the same line in any block, so the bytes depend neither
-    on the block count nor on the CPU count. A failed worker raises OSError
-    with its reason. On every exit, workers still running are killed, every
-    worker is reaped and every part and temporary file removed.
+    A table of at least FORK_CELLS cells, with more than one usable CPU and
+    os.fork, gets one forked formatter at its first row, and each row is
+    sent to it as raw bytes once final; the parent formats any other table
+    in finish. Either way the same line formats each row into a temporary
+    file beside path, which os.replace moves onto path only once every row
+    is written: a failure or an interrupt leaves path as it was. A failed
+    formatter raises OSError with its reason. On every exit a formatter
+    still running is killed and reaped, and the temporary file removed.
     """
 
     def __init__(self, path: Path, header: str, cell: str) -> None:
         self.path, self.header, self.cell = Path(path), header, cell
-        self.bounds: list[int] = []  # block k is rows bounds[k]:bounds[k + 1]
-        self.front = 0  # the next block a worker takes
-        self.workers: dict[int, tuple[int | None, int]] = {}  # block: (pid until reaped, reason pipe)
-        self.parts: dict[int, str] = {}
+        self.line: str | None = None
         self.tmp: str | None = None
+        self.pid: int | None = None  # the formatter, until reaped
+        self.rows = self.reason = None  # its pipes: rows to it, its failure reason back
+        self.sent = 0  # the rows sent to it
 
     def __enter__(self) -> "_RowWriter":
         return self
 
     def __exit__(self, *exc) -> None:
-        for pid, reason_r in self.workers.values():
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            os.close(reason_r)
-        for name in [*self.parts.values(), self.tmp]:
-            if name is not None:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(name)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        for pipe in (self.rows, self.reason):
+            if pipe is not None:
+                pipe.close()
+        if self.tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.tmp)
 
-    def _start(self, times: np.ndarray, rows: np.ndarray) -> None:
-        self.times, self.rows = times, rows
-        self.line = ",".join(["%.17g"] + [self.cell] * rows.shape[1]) + "\n"
-        self.slots = _usable_cpus() - 1 if hasattr(os, "fork") else 0
-        blocks = 1
-        if self.slots:
-            blocks = max(1, min(len(times), len(times) * (rows.shape[1] + 1) // FORK_CELLS))
-        self.bounds = [k * len(times) // blocks for k in range(blocks + 1)]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def _mkstemp(self, suffix: str) -> tuple[int, str]:
-        return tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=suffix, dir=self.path.parent)
-
-    def _reap(self, k: int, wait: bool) -> None:
-        """Reap block k's worker if it has exited (with wait, once it has);
-        raise OSError if it failed."""
-        pid, reason_r = self.workers[k]
-        done, status = os.waitpid(pid, 0 if wait else os.WNOHANG)
-        if not done:
-            return
-        self.workers[k] = (None, reason_r)
-        reason = os.read(reason_r, 4096).decode(errors="replace")
-        if status or reason:
-            raise OSError(f"{self.path}: writing row block {k} of {len(self.bounds) - 1} failed: "
-                          f"{reason or f'wait status {status}'}")
-        os.close(self.workers.pop(k)[1])
-
-    def _fork_front(self, limit: int, final: int) -> None:
-        """Fork a worker for each block from the front that lies below block
-        limit and in the first final rows, while fewer than self.slots run,
-        after reaping the workers that have exited."""
-        if not (self.front < limit and self.bounds[self.front + 1] <= final):
-            return
-        for k in list(self.workers):
-            self._reap(k, wait=False)
-        while (self.front < limit and self.bounds[self.front + 1] <= final
-               and len(self.workers) < self.slots):
-            k, (lo, hi) = self.front, self.bounds[self.front : self.front + 2]
-            fd, self.parts[k] = self._mkstemp(".part")
-            os.close(fd)
-            self.workers[k] = _fork_block(self.parts[k], self.line, self.times[lo:hi], self.rows[lo:hi])
-            self.front += 1
-
-    def rows_final(self, times: np.ndarray, rows: np.ndarray, final: int) -> None:
-        """Rows [0, final) of times and rows are final: hand each final
-        block but the last to a worker while a slot is free."""
-        if not self.bounds:
-            self._start(times, rows)
-        self._fork_front(len(self.bounds) - 2, final)
-
-    def finish(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Every row is final: write the blocks no worker took, from the
-        back, then the file, and move it onto path."""
-        if not self.bounds:
-            self._start(times, rows)
-        times, rows = self.times, self.rows
-        blocks = back = len(self.bounds) - 1
-        while self.front < back:
-            back -= 1
-            self._fork_front(back, len(times))
-            if blocks > 1:
-                lo, hi = self.bounds[back : back + 2]
-                fd, self.parts[back] = self._mkstemp(".part")
-                with open(fd, "w") as fh:
-                    # After each row, a worker that has exited is replaced at once.
-                    _format_rows(fh, self.line, times[lo:hi], rows[lo:hi],
-                                 lambda: self._fork_front(back, len(times)))
-        for k in sorted(self.workers):
-            self._reap(k, wait=True)
-        fd, self.tmp = self._mkstemp(".tmp")
+    def _open_tmp(self):
+        """The temporary file beside path, holding the header."""
+        fd, self.tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp",
+                                        dir=self.path.parent)
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-        with open(fd, "w") as fh:
-            fh.write(self.header + "\n")
-            if blocks == 1:
+        fh = open(fd, "w")
+        fh.write(self.header + "\n")
+        return fh
+
+    def _start(self, times: np.ndarray, rows: np.ndarray) -> None:
+        self.line = ",".join(["%.17g"] + [self.cell] * rows.shape[1]) + "\n"
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if (len(times) * (rows.shape[1] + 1) >= FORK_CELLS and _usable_cpus() > 1
+                and hasattr(os, "fork")):
+            self.record = np.dtype([("t", times.dtype), ("row", rows.dtype, rows.shape[1:])])
+            with self._open_tmp() as fh:
+                fh.flush()  # the header is the parent's: the formatter inherits no text
+                self._fork(fh)
+
+    def _fork(self, fh) -> None:
+        """Fork the formatter, which appends the line of each record read
+        from the rows pipe to fh and writes its failure reason, if any, to
+        the reason pipe. It calls only frombuffer, tolist, % formatting and
+        file writes, so no BLAS runs after the fork, and it leaves through
+        os._exit: it never unwinds into its caller's frames, and it flushes
+        no buffer but fh's."""
+        rows_r, rows_w = os.pipe()
+        reason_r, reason_w = os.pipe()
+        self.rows, self.reason = open(rows_w, "wb", buffering=0), open(reason_r, "rb")
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                status = 1
+                try:
+                    self.rows.close()  # else the pipe never ends
+                    with open(rows_r, "rb") as src:
+                        while data := src.read(self.record.itemsize):
+                            block = np.frombuffer(data, self.record)
+                            _format_rows(fh, self.line, block["t"], block["row"])
+                    fh.flush()
+                    status = 0
+                except BaseException as exc:  # the formatter exits below, whatever it was
+                    # One short write: the pipe holds it without a reader.
+                    os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
+                finally:
+                    os._exit(status)
+        finally:
+            os.close(rows_r)
+            os.close(reason_w)
+
+    def _reap(self) -> None:
+        """End the rows pipe, wait for the formatter, and raise OSError with
+        its reason if it failed."""
+        self.rows.close()
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        reason = self.reason.read().decode(errors="replace")
+        if status or reason:
+            raise OSError(f"{self.path}: the row formatter failed: "
+                          f"{reason or f'wait status {status}'}")
+
+    def rows_final(self, times: np.ndarray, rows: np.ndarray, final: int) -> None:
+        """Rows [0, final) of times and rows are final: send the formatter,
+        if there is one, those not yet sent."""
+        if self.line is None:
+            self._start(times, rows)
+        if self.pid is None:
+            return
+        block = np.empty(final - self.sent, self.record)
+        block["t"], block["row"] = times[self.sent : final], rows[self.sent : final]
+        data = memoryview(block.view(np.uint8))
+        try:
+            while data:  # a signal handler can cut a write short
+                data = data[self.rows.write(data) :]
+        except BrokenPipeError:
+            self._reap()  # the formatter left early: raise its reason
+            raise
+        self.sent = final
+
+    def finish(self, times: np.ndarray, rows: np.ndarray) -> None:
+        """Every row is final: format the rows, or send the formatter the
+        rest and reap it, then move the file onto path."""
+        if self.line is None:
+            self._start(times, rows)
+        if self.pid is None:
+            with self._open_tmp() as fh:
                 _format_rows(fh, self.line, times, rows)
-            else:
-                fh.flush()  # the part files go to the byte buffer below the text
-                for k in range(blocks):
-                    with open(self.parts[k], "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
+        else:
+            self.rows_final(times, rows, len(times))
+            self._reap()
         os.replace(self.tmp, self.path)
         self.tmp = None
 
 
 def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
-    """_RowWriter's CSV of a finished table, whose rows are all final at once."""
+    """_RowWriter's CSV of a finished table, whose rows are all final at
+    once: a formatter, if the table gets one, is sent them all in finish."""
     with _RowWriter(path, header, cell) as writer:
         writer.finish(times, rows)
 
@@ -384,7 +358,7 @@ def _run(args, schedule: TopologySchedule, on_rows=None) -> tuple[SimConfig, Tra
 def cmd_simulate(args) -> int:
     schedule = _schedule(args.schedule, args.t_end)
     trace_path = Path(args.out_dir or ".") / "trace.csv"
-    # The trace CSV is write_trace_csv's, its row blocks formatted while the run goes on.
+    # The trace CSV is write_trace_csv's; a large one's rows are formatted as they become final.
     with _RowWriter(trace_path, _trace_header(schedule.n), "%.17g") as writer:
         cfg, trace, counter = _run(args, schedule, writer.rows_final)
         writer.finish(trace.times, trace.states)

@@ -41,10 +41,11 @@ built, and simulate only what needs its other arguments: the Nyquist guard,
 t_end within the schedule, and the initial state.
 
 simulate's private hook _on_rows is told each time a sample row is final,
-so a caller can use the rows while the run goes on: the CLI formats each
-finished block of the trace CSV in a forked worker while the parent
-integrates the next. It is called once per sample, never per step, and a
-run without it (sweeps, in-process callers) only tests it for None.
+so a caller can use the rows while the run goes on: the CLI sends each
+final row of a large trace to a forked process that formats its CSV line
+while the parent integrates the next. It is called once per sample, never
+per step, and a run without it (sweeps, in-process callers) only tests it
+for None.
 """
 from __future__ import annotations
 
@@ -258,47 +259,50 @@ def simulate(
     half, full, sixth, two = (np.full(size, c) for c in (0.5 * h, h, h / 6.0, 2.0))
 
     # Steps 1..total_steps write each of rows 1..num_samples-1 exactly once.
-    for seg, first, last in zip(schedule.segments, bounds, bounds[1:]):
-        (s2, d2, t2, swap, sgn), deg = _flat_edges(seg.graph)
-        sent += 4 * deg * (last - first)  # one message per neighbor per stage round
-        for step in range(first + 1, last + 1):
-            # Four stage rounds k = w[swap]*sgn + acc*sgn (not acc *= sgn: with
-            # no edges, bincount returns int zeros), each from v = w + c*k.
-            k1 = w[swap]
-            k1 *= sgn
-            k1 += np.bincount(t2, w[s2] - w[d2], minlength=size) * sgn
-            v = half * k1
-            v += w
-            k2 = v[swap]
-            k2 *= sgn
-            k2 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
-            v = half * k2
-            v += w
-            k3 = v[swap]
-            k3 *= sgn
-            k3 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
-            v = full * k3
-            v += w
-            k4 = v[swap]
-            k4 *= sgn
-            k4 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
-            # w + (h/6) * (k1 + 2*k2 + 2*k3 + k4), summed left to right in k1.
-            k1 += two * k2
-            k1 += two * k3
-            k1 += k4
-            k1 *= sixth
-            k1 += w
-            w = k1
-            if step % m == 0:
-                bad = np.flatnonzero(~np.isfinite(w))
-                if len(bad):
-                    raise SimulationError(
-                        f"non-finite state at t={step * h:g}, first at agent "
-                        f"{bad[0] % n}"
-                    )
-                states[step // m] = w
-                if _on_rows is not None:
-                    _on_rows(times, states, step // m + 1)
+    # numpy's overflow warnings are off (set once per run, not per step): a state
+    # that overflows is named by the non-finite check at its sample.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg, first, last in zip(schedule.segments, bounds, bounds[1:]):
+            (s2, d2, t2, swap, sgn), deg = _flat_edges(seg.graph)
+            sent += 4 * deg * (last - first)  # one message per neighbor per stage round
+            for step in range(first + 1, last + 1):
+                # Four stage rounds k = w[swap]*sgn + acc*sgn (not acc *= sgn: with
+                # no edges, bincount returns int zeros), each from v = w + c*k.
+                k1 = w[swap]
+                k1 *= sgn
+                k1 += np.bincount(t2, w[s2] - w[d2], minlength=size) * sgn
+                v = half * k1
+                v += w
+                k2 = v[swap]
+                k2 *= sgn
+                k2 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
+                v = half * k2
+                v += w
+                k3 = v[swap]
+                k3 *= sgn
+                k3 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
+                v = full * k3
+                v += w
+                k4 = v[swap]
+                k4 *= sgn
+                k4 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
+                # w + (h/6) * (k1 + 2*k2 + 2*k3 + k4), summed left to right in k1.
+                k1 += two * k2
+                k1 += two * k3
+                k1 += k4
+                k1 *= sixth
+                k1 += w
+                w = k1
+                if step % m == 0:
+                    bad = np.flatnonzero(~np.isfinite(w))
+                    if len(bad):
+                        raise SimulationError(
+                            f"non-finite state at t={step * h:g}, first at agent "
+                            f"{bad[0] % n}"
+                        )
+                    states[step // m] = w
+                    if _on_rows is not None:
+                        _on_rows(times, states, step // m + 1)
 
     counter = MessageCounter(total=int(sent.sum()), per_agent=sent, per_sample_rounds=4 * m)
     return Trace(times=times, states=states, f_s=cfg.f_s, segments=spans), counter

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -138,33 +139,32 @@ def test_trace_csv_writer_matches_per_cell_format(tmp_path):
 
 @pytest.fixture()
 def forks(monkeypatch):
-    """Count the writer's forks, and check at each one that fewer than
-    usable CPUs - 1 workers are unreaped, so that at most that many run.
-    The CPU count and cell floor are set by the test through force_blocks,
-    so a small table is split like a large one (FORK_CELLS = 1: one row per
-    block)."""
-    calls, live = [], set()
+    """Record the writer's forks, each child's pid with its wait status once
+    reaped, and check at each fork that no child is unreaped, so that at
+    most one formatter runs and each table has its own. force_fork(cpus)
+    sets the usable CPU count and the cell floor to 1, so a small table
+    forks like a large one."""
+    calls = {}
     fork, waitpid = os.fork, os.waitpid
 
     def counted_fork():
-        assert len(live) < cli._usable_cpus() - 1
+        assert None not in calls.values()
         pid = fork()
         if pid:
-            calls.append(pid)
-            live.add(pid)
+            calls[pid] = None
         return pid
 
     def counted_waitpid(pid, options):
         reaped = waitpid(pid, options)
-        live.discard(reaped[0])
+        calls[reaped[0]] = reaped[1]
         return reaped
     monkeypatch.setattr(cli.os, "fork", counted_fork)
     monkeypatch.setattr(cli.os, "waitpid", counted_waitpid)
 
-    def force_blocks(cpus):
+    def force_fork(cpus):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(cli, "FORK_CELLS", 1)
-    return calls, force_blocks
+    return calls, force_fork
 
 
 def _assert_no_children():
@@ -172,19 +172,22 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _exit_codes(calls):
+    return [os.waitstatus_to_exitcode(status) for status in calls.values()]
+
+
 @pytest.mark.parametrize("cpus, rows", [(1, 6), (2, 6), (3, 6), (4, 7), (16, 5)],
                          ids=["1 CPU", "2 CPUs", "3 CPUs", "4 CPUs", "more CPUs than rows"])
 def test_block_writer_matches_per_cell_format(cpus, rows, forks, tmp_path):
     """Whatever the CPU count, the file is the reference writer's byte for
-    byte and no part file or child process is left. One CPU forks nothing;
-    otherwise the parent formats at least the last block and workers take
-    the first cpus - 1 blocks at once, and then more as they finish."""
-    calls, force_blocks = forks
-    force_blocks(cpus)
+    byte and no temporary file or child process is left. One CPU forks
+    nothing; more fork one formatter, which exits 0."""
+    calls, force_fork = forks
+    force_fork(cpus)
     trace = _special_trace(rows)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_trace_csv(trace, got)
-    assert min(cpus - 1, rows - 1) <= len(calls) <= (rows - 1 if cpus > 1 else 0)
+    assert _exit_codes(calls) == ([0] if cpus > 1 else [])
     _reference_write_trace_csv(trace, want)
     assert got.read_bytes() == want.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
@@ -192,33 +195,35 @@ def test_block_writer_matches_per_cell_format(cpus, rows, forks, tmp_path):
 
 
 def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, monkeypatch):
-    """With the real floor, a table of 100 rows one row-width short of two
-    blocks' worth is one block on any CPU count; with one usable CPU, or
-    without os.fork, nothing is forked."""
+    """With the real floor, a table of 100 rows one row-width short of
+    FORK_CELLS cells forks nothing on any CPU count; one of FORK_CELLS
+    cells forks one formatter, but none with one usable CPU or without
+    os.fork. The file is the same in every case."""
     calls, _ = forks
-    width = 2 * cli.FORK_CELLS // 100  # cells per row, the time column included
-    for cells_per_row, cpus, has_fork, workers in ((width - 1, 8, True, 0), (width, 1, True, 0),
-                                                   (width, 8, True, 1), (width, 8, False, 0)):
+    width = cli.FORK_CELLS // 100  # cells per row, the time column included
+    for cells_per_row, cpus, has_fork, formatters in ((width - 1, 8, True, 0), (width, 1, True, 0),
+                                                      (width, 8, True, 1), (width, 8, False, 0)):
         calls.clear()
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         if not has_fork:
             monkeypatch.delattr(cli.os, "fork")
         cli._write_rows(tmp_path / "got.csv", "h", "%d", np.arange(100.0),
                         np.zeros((100, cells_per_row - 1), dtype=int))
-        assert len(calls) == workers
+        assert len(calls) == formatters
+        assert (tmp_path / "got.csv").read_text() == "h\n" + "".join(
+            f"{t}" + ",0" * (cells_per_row - 1) + "\n" for t in range(100))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("scenario", ["p5", "switching"])
 def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_file, tmp_path,
                                                      monkeypatch):
-    """simulate hands each final row block to a worker while it integrates,
-    with at most cpus - 1 running (the forks fixture checks it), and the
-    file is the reference writer's of the returned trace byte for byte.
-    The switching run puts its segment boundaries inside blocks."""
-    calls, force_blocks = forks
-    force_blocks(cpus)
-    monkeypatch.setattr(cli, "FORK_CELLS", 20 * 11)  # 20-row blocks of 11 cells per row
+    """simulate sends each final row to the formatter while it integrates:
+    by finish every row has been sent, and the file is the reference
+    writer's of the returned trace byte for byte. The switching run puts
+    segment boundaries in the middle of the sends."""
+    calls, force_fork = forks
+    force_fork(cpus)
     runs, during = [], []
 
     def recorded(*args, **kwargs):
@@ -226,7 +231,7 @@ def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_f
         return runs[-1]
 
     def finish(writer, *args):
-        during.append(len(calls))
+        during.append((len(calls), writer.sent))
         return finish_rows(writer, *args)
     finish_rows = cli._RowWriter.finish
     monkeypatch.setattr(cli, "simulate", recorded)
@@ -242,32 +247,32 @@ def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_f
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "messages.json", "trace.csv"]
     # The temporary file moved into place has the mode a plain open gives.
     assert (out / "trace.csv").stat().st_mode == (out / "messages.json").stat().st_mode
-    if cpus == 1:
-        assert calls == []
-    else:
-        assert 1 <= during[0] <= len(calls) <= trace.num_samples - 1
+    assert during == ([(1, trace.num_samples)] if cpus > 1 else [(0, 0)])
+    assert _exit_codes(calls) == ([0] if cpus > 1 else [])
     _assert_no_children()
 
 
 def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path, capsys):
-    """The spectrogram's %.8g and %d tables take the same writer: split into
-    blocks, they are the bytes one block writes."""
-    _, force_blocks = forks
+    """The spectrogram's %.8g and %d tables take the same writer: through a
+    formatter each, they are the bytes the parent writes."""
+    calls, force_fork = forks
     argv = ["spectrogram", traces["sw"], "--agent", "1", "--window-len", "64", "--hop", "8"]
     assert run([*argv, "--out-dir", tmp_path / "one"]) == 0
-    force_blocks(3)
+    assert calls == {}
+    force_fork(3)
     assert run([*argv, "--out-dir", tmp_path / "three"]) == 0
+    assert _exit_codes(calls) == [0, 0]
     for name in ("spectrogram.csv", "spectrogram_mask.csv"):
         assert (tmp_path / "three" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatch, capsys):
-    """A worker that raises gives the parent a named OSError with its reason,
-    which main prints as one error line; the worker exits without unwinding
-    into this process's frames, and no output, part or temporary file and
-    no child is left."""
-    _, force_blocks = forks
-    force_blocks(3)
+    """A formatter that raises gives the parent a named OSError with its
+    reason, which main prints as one error line; the formatter exits
+    without unwinding into this process's frames, and no output or
+    temporary file and no child is left."""
+    _, force_fork = forks
+    force_fork(3)
     parent, format_rows = os.getpid(), cli._format_rows
 
     def failing(fh, *args):
@@ -277,7 +282,7 @@ def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_format_rows", failing)
     got = tmp_path / "got" / "got.csv"
     got.parent.mkdir()
-    with pytest.raises(OSError, match=r"got\.csv: writing row block \d of 6 failed: "
+    with pytest.raises(OSError, match=r"got\.csv: the row formatter failed: "
                                       r"RuntimeError: disk on fire$"):
         write_trace_csv(_special_trace(), got)
     assert list(got.parent.iterdir()) == []
@@ -286,27 +291,66 @@ def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatc
     capsys.readouterr()
     assert run(["simulate", p5_file, "--out-dir", out]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: {re.escape(str(out / 'trace.csv'))}: writing row block \d+ of "
-                        r"796 failed: RuntimeError: disk on fire\n", err), err
+    assert re.fullmatch(rf"error: {re.escape(str(out / 'trace.csv'))}: the row formatter failed: "
+                        r"RuntimeError: disk on fire\n", err), err
     assert list(out.iterdir()) == []
     _assert_no_children()
 
 
 def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch):
-    """An interrupt in the parent's own block kills and reaps the workers and
-    removes their part files and the temporary file."""
-    _, force_blocks = forks
-    force_blocks(3)
-    parent, format_rows = os.getpid(), cli._format_rows
+    """An interrupt while the parent sends rows kills and reaps the
+    formatter and removes the temporary file."""
+    calls, force_fork = forks
+    force_fork(3)
 
-    def interrupted(fh, *args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        format_rows(fh, *args)
-    monkeypatch.setattr(cli, "_format_rows", interrupted)
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli._RowWriter, "rows_final", interrupted)
     with pytest.raises(KeyboardInterrupt):
         write_trace_csv(_special_trace(), tmp_path / "got.csv")
     assert list(tmp_path.iterdir()) == []
+    assert _exit_codes(calls) == [-signal.SIGKILL]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("old", [None, "an earlier trace\n"], ids=["no file", "earlier file"])
+@pytest.mark.parametrize("case", ["found in finish", "found by a send", "interrupt"])
+def test_formatter_failure_leaves_no_file(case, old, forks, tmp_path, monkeypatch):
+    """A formatter that fails is found in finish, or by the next send after
+    it closed its pipe, which a table larger than the pipe's buffer makes
+    mid-run; either way the parent raises the named error. An interrupt
+    kills the formatter. In each case it is reaped, no trace.csv or
+    temporary file is left and an earlier trace.csv is kept as it was."""
+    calls, force_fork = forks
+    force_fork(2)
+    path = tmp_path / "trace.csv"
+    if old is not None:
+        path.write_text(old)
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def failing(fh, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("disk on fire")
+        format_rows(fh, *args)
+    if case != "interrupt":
+        monkeypatch.setattr(cli, "_format_rows", failing)
+    # 6 rows of 3 agents go down the pipe in one short write; 256 rows of
+    # 2000 agents are 8 MB, more than a pipe's buffer holds.
+    rows, n = (6, 3) if case == "found in finish" else (256, 2000)
+    times, states, sent = np.arange(rows) * 0.5, np.ones((rows, 2 * n)), []
+    with pytest.raises(KeyboardInterrupt if case == "interrupt" else OSError,
+                       match=None if case == "interrupt" else
+                       r"trace\.csv: the row formatter failed: RuntimeError: disk on fire$"):
+        with cli._RowWriter(path, cli._trace_header(n), "%.17g") as writer:
+            writer.rows_final(times, states, 3 if case == "interrupt" else rows)
+            sent.append(rows)
+            if case == "interrupt":
+                raise KeyboardInterrupt
+            writer.finish(times, states)
+    assert sent == ([] if case == "found by a send" else [rows])
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == (
+        [] if old is None else [("trace.csv", old)])
+    assert _exit_codes(calls) == [-signal.SIGKILL if case == "interrupt" else 1]
     _assert_no_children()
 
 
@@ -314,12 +358,12 @@ def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch)
 @pytest.mark.parametrize("failure", ["overflow", "interrupt"])
 def test_simulate_failing_mid_run_leaves_no_trace(failure, old, p5_file, forks, tmp_path,
                                                   monkeypatch, capsys):
-    """A run that fails after a row block has gone to a worker, by a state
-    that overflows or by an interrupt, kills its workers and writes no
-    file: no trace.csv, part or temporary file is left, and an earlier
-    trace.csv is kept as it was."""
-    calls, force_blocks = forks
-    force_blocks(2)
+    """A run that fails after the formatter is forked, by a state that
+    overflows or by an interrupt, kills the formatter and writes no file:
+    no trace.csv or temporary file is left, and an earlier trace.csv is
+    kept as it was."""
+    calls, force_fork = forks
+    force_fork(2)
     out = tmp_path / "out"
     if old is not None:
         out.mkdir()
@@ -328,8 +372,7 @@ def test_simulate_failing_mid_run_leaves_no_trace(failure, old, p5_file, forks, 
         # The first RK4 step's stage sums overflow: a non-finite state at sample 1.
         monkeypatch.setattr(cli, "random_init",
                             lambda n, seed: tuple(1e308 * v for v in random_init(n, seed)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["simulate", p5_file, "--out-dir", out]) == 1
+        assert run(["simulate", p5_file, "--out-dir", out]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite state at t=0.0628319, ")
     else:
         def interrupted(*args, _on_rows):
@@ -341,7 +384,7 @@ def test_simulate_failing_mid_run_leaves_no_trace(failure, old, p5_file, forks, 
         monkeypatch.setattr(cli, "simulate", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(["simulate", p5_file, "--out-dir", out])
-    assert len(calls) == 1  # row 0's block went to a worker before the failure
+    assert _exit_codes(calls) == [-signal.SIGKILL]  # forked at row 0, killed at the failure
     assert [(p.name, p.read_text()) for p in out.iterdir()] == (
         [] if old is None else [("trace.csv", old)])
     _assert_no_children()

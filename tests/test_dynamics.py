@@ -247,14 +247,17 @@ def test_rk4_k2_closed_form():
 
 
 @pytest.mark.filterwarnings("error")
-def test_rk4_nonfinite_abort():
-    """A finite state that overflows mid-run aborts at the first sample."""
-    cfg = SimConfig(t_end=1.0, f_s=10.0, h=0.1)
-    init = (np.array([1e308, -1e308]), np.zeros(2))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        SimulationError, match="non-finite state at t=0.1, first at agent 0"
-    ):
-        simulate(TopologySchedule.single(K2, 1.0), cfg, init)
+@pytest.mark.parametrize("graph, cfg, init, t", [
+    (K2, SimConfig(t_end=1.0, f_s=10.0, h=0.1), (np.array([1e308, -1e308]), np.zeros(2)), "0.1"),
+    (path_graph(5), SimConfig(t_end=50.0), tuple(1e308 * v for v in random_init(5, 0)),
+     "0.0628319"),
+], ids=["K2", "P5"])
+def test_rk4_nonfinite_abort(graph, cfg, init, t):
+    """A finite state that overflows mid-run aborts at the first sample with
+    simulate's named error, under warnings as errors: numpy's overflow
+    warnings on the way there do not escape."""
+    with pytest.raises(SimulationError, match=f"non-finite state at t={t}, first at agent 0"):
+        simulate(TopologySchedule.single(graph, cfg.t_end), cfg, init)
 
 
 def test_simulate_rejects_run_shorter_than_one_sample():
