@@ -130,8 +130,9 @@ class _RowWriter:
     in finish. Either way the same line formats each row into a temporary
     file beside path, which os.replace moves onto path only once every row
     is written: a failure or an interrupt leaves path as it was. A failed
-    formatter raises OSError with its reason. On every exit a formatter
-    still running is killed and reaped, and the temporary file removed.
+    formatter, or a failed write in the parent, raises OSError naming path
+    and the reason. On every exit a formatter still running is killed and
+    reaped, and the temporary file removed.
     """
 
     def __init__(self, path: Path, header: str, cell: str) -> None:
@@ -243,8 +244,11 @@ class _RowWriter:
         if self.line is None:
             self._start(times, rows)
         if self.pid is None:
-            with self._open_tmp() as fh:
-                _format_rows(fh, self.line, times, rows)
+            try:
+                with self._open_tmp() as fh:
+                    _format_rows(fh, self.line, times, rows)
+            except OSError as exc:
+                raise OSError(f"{self.path}: {exc}") from exc
         else:
             self.rows_final(times, rows, len(times))
             self._reap()

@@ -16,11 +16,23 @@ rounds per step: in each stage every agent sends its current stage value to
 its neighbors, receives theirs, and evaluates the local rule. The dense
 system matrix is never formed here; it lives in the oracle
 (oracle.build_system_matrix). The state is one flat array w = [x, z], and
-Trace.states keeps one w row per sample: the trace CSV's columns after t. A
-stage round is one gather-difference over graph.directed_edges, one
-np.bincount into swapped slots, acc = [A_z, A_x], and one signed sum
-w[swap]*sgn + acc*sgn. The graph owns the (src, dst) order, the per-agent
-loop's ascending neighbor order, so both formulations agree bit for bit.
+Trace.states keeps one w row per sample: the trace CSV's columns after t.
+
+A stage round on v is six numpy calls: one gather, sw*sgn, one difference,
+one np.bincount into swapped slots, acc = [A_z, A_x], acc*sgn, and the sum
+k = sw*sgn + acc*sgn = [z + A_z, (-x) + (-A_x)]. Each segment's layout takes
+the pairs a < b of graph.directed_edges in its (src, dst) order, in both
+halves of v (a and b hold the x half's pairs, then the z half's), and
+gathers v at idx = [swap | b | a | b] into one buffer with fixed views
+sw = v[swap] = [z, x], lo = [v_b | v_a] and hi = [v_a | v_b]. So lo - hi =
+[v_b - v_a | v_a - v_b] holds every summand v_i - v_j of the local rule with
+the rule's own operands, and bins = [swap[b], swap[a]] sends each to its
+agent's swapped slot. np.bincount adds a bin's summands in input order, from
++0.0: agent i gets its lower neighbors first (the pairs (j, i), ascending in
+j) and then its higher ones (the pairs (i, j), ascending in j), the
+per-agent loop's ascending order, so both formulations add identical
+summands in identical order, bit for bit.
+
 One RK4 step is one loop body in simulate: the four stage rounds and the
 weighted sum, with no call per stage. Its step constants 0.5*h, h, h/6 and
 2.0 are arrays of length 2n built once per run, because at a dozen agents
@@ -196,14 +208,6 @@ def local_derivative(
     return z_i + sum_z, -x_i - sum_x
 
 
-def _flat_edges(g: Graph) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Stage-round arrays over [x, z] plus the degrees: s2 = [src, src + n], d2 =
-    [dst, dst + n], t2 = swap[s2], swap = [n..2n-1, 0..n-1], sgn = [+1]*n + [-1]*n."""
-    (src, dst, deg), n = directed_edges(g), g.n
-    s2, swap = np.concatenate((src, src + n)), np.roll(np.arange(2 * n), n)
-    return (s2, np.concatenate((dst, dst + n)), swap[s2], swap, np.repeat([1.0, -1.0], n)), deg
-
-
 def simulate(
     schedule: TopologySchedule,
     cfg: SimConfig,
@@ -257,35 +261,42 @@ def simulate(
         _on_rows(times, states, 1)
     sent = np.zeros(n, dtype=np.int64)
     half, full, sixth, two = (np.full(size, c) for c in (0.5 * h, h, h / 6.0, 2.0))
+    swap, sgn = np.roll(np.arange(size), n), np.repeat([1.0, -1.0], n)
 
     # Steps 1..total_steps write each of rows 1..num_samples-1 exactly once.
     # numpy's overflow warnings are off (set once per run, not per step): a state
     # that overflows is named by the non-finite check at its sample.
     with np.errstate(over="ignore", invalid="ignore"):
         for seg, first, last in zip(schedule.segments, bounds, bounds[1:]):
-            (s2, d2, t2, swap, sgn), deg = _flat_edges(seg.graph)
+            src, dst, deg = directed_edges(seg.graph)
+            a, b = (np.concatenate((ends, ends + n)) for ends in (src[src < dst], dst[src < dst]))
+            idx, bins = np.concatenate((swap, b, a, b)), np.concatenate((swap[b], swap[a]))
+            buf = np.empty(idx.size)
+            sw, lo, hi = buf[:size], buf[size : size + 2 * a.size], buf[size + a.size :]
             sent += 4 * deg * (last - first)  # one message per neighbor per stage round
             for step in range(first + 1, last + 1):
-                # Four stage rounds k = w[swap]*sgn + acc*sgn (not acc *= sgn: with
-                # no edges, bincount returns int zeros), each from v = w + c*k.
-                k1 = w[swap]
-                k1 *= sgn
-                k1 += np.bincount(t2, w[s2] - w[d2], minlength=size) * sgn
+                # Four stage rounds k = sw*sgn + acc*sgn (not acc *= sgn: with no
+                # edges, bincount returns int zeros), each from v = w + c*k. Every
+                # index is in range, so mode="clip" clips none; it spares the copy
+                # through a temporary that take(out=) makes in its default mode.
+                w.take(idx, out=buf, mode="clip")
+                k1 = sw * sgn
+                k1 += np.bincount(bins, lo - hi, minlength=size) * sgn
                 v = half * k1
                 v += w
-                k2 = v[swap]
-                k2 *= sgn
-                k2 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
+                v.take(idx, out=buf, mode="clip")
+                k2 = sw * sgn
+                k2 += np.bincount(bins, lo - hi, minlength=size) * sgn
                 v = half * k2
                 v += w
-                k3 = v[swap]
-                k3 *= sgn
-                k3 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
+                v.take(idx, out=buf, mode="clip")
+                k3 = sw * sgn
+                k3 += np.bincount(bins, lo - hi, minlength=size) * sgn
                 v = full * k3
                 v += w
-                k4 = v[swap]
-                k4 *= sgn
-                k4 += np.bincount(t2, v[s2] - v[d2], minlength=size) * sgn
+                v.take(idx, out=buf, mode="clip")
+                k4 = sw * sgn
+                k4 += np.bincount(bins, lo - hi, minlength=size) * sgn
                 # w + (h/6) * (k1 + 2*k2 + 2*k3 + k4), summed left to right in k1.
                 k1 += two * k2
                 k1 += two * k3

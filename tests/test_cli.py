@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -294,6 +295,37 @@ def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatc
     assert re.fullmatch(rf"error: {re.escape(str(out / 'trace.csv'))}: the row formatter failed: "
                         r"RuntimeError: disk on fire\n", err), err
     assert list(out.iterdir()) == []
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("old", [None, "an earlier trace\n"], ids=["no file", "earlier file"])
+def test_parent_write_failure_names_the_file(old, p5_file, forks, tmp_path, monkeypatch, capsys):
+    """With one usable CPU the parent formats every row itself. A write that
+    fails there (a file size limit) is an OSError naming the file and the
+    reason, which main prints as one error line; no trace.csv or temporary
+    file is left, and an earlier trace.csv is kept as it was."""
+    calls, force_fork = forks
+    force_fork(1)
+
+    def failing(fh, *args):
+        fh.write("1,2,3\n")
+        raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+    monkeypatch.setattr(cli, "_format_rows", failing)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "trace.csv"
+    if old is not None:
+        path.write_text(old)
+    left = [] if old is None else [("trace.csv", old)]
+    message = f"{path}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    with pytest.raises(OSError, match=f"^{re.escape(message)}$"):
+        write_trace_csv(_special_trace(), path)
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == left
+    capsys.readouterr()
+    assert run(["simulate", p5_file, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == left
+    assert calls == {}
     _assert_no_children()
 
 

@@ -30,7 +30,7 @@ from lapspec import (
     simulate,
     star_graph,
 )
-from lapspec.dynamics import DEFAULT_SAMPLE_RATE, _flat_edges
+from lapspec.dynamics import DEFAULT_SAMPLE_RATE
 from lapspec.graph import directed_edges
 from conftest import disjoint_union, random_connected_graph, simple_spectrum_graph
 
@@ -51,6 +51,16 @@ def matrix_rk4_reference(laplacian, x, z, h, steps):
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     n = len(x)
     return state[:n], state[n:]
+
+
+def _directed_layout(g: Graph) -> tuple[np.ndarray, ...]:
+    """The reference's own stage-round arrays over [x, z], from both directions
+    of every edge: s2 = [src, src + n], d2 = [dst, dst + n], t2 = swap[s2],
+    swap = [n..2n-1, 0..n-1], sgn = [+1]*n + [-1]*n. simulate builds its own
+    layout, so the reference checks it rather than sharing it."""
+    (src, dst, _), n = directed_edges(g), g.n
+    s2, swap = np.concatenate((src, src + n)), np.roll(np.arange(2 * n), n)
+    return s2, np.concatenate((dst, dst + n)), swap[s2], swap, np.repeat([1.0, -1.0], n)
 
 
 def _stage_rates(w: np.ndarray, edges: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -76,7 +86,7 @@ def _rk4_core(w: np.ndarray, edges: tuple[np.ndarray, ...], h: float) -> np.ndar
 def _reference_run(g: Graph, cfg: SimConfig, x0, z0) -> np.ndarray:
     """Reference simulate on one fixed graph: _rk4_core step by step, one
     [x, z] row per sample."""
-    edges, _ = _flat_edges(g)
+    edges = _directed_layout(g)
     h, m = cfg.step_size(), cfg.steps_per_sample()
     w = np.concatenate((x0, z0))
     rows = [w]
@@ -146,7 +156,9 @@ def test_local_derivative_consensus_point():
 
 def _stage_test_states(rng, n):
     """Random states, states built from exact zeros, -0.0 and +/-1 (so many
-    neighbor differences are exact zeros), and consensus points."""
+    neighbor differences are exact zeros), consensus points, and states whose
+    magnitudes span 1e-16 to 1e16 beside +/-0.0, where the order of a sum
+    decides its rounding."""
     for _ in range(50):
         yield rng.standard_normal(n), rng.standard_normal(n)
     values = np.array([0.0, -0.0, 1.0, -1.0])
@@ -154,6 +166,25 @@ def _stage_test_states(rng, n):
         yield rng.choice(values, size=n), rng.choice(values, size=n)
     for c, d in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.7, -0.3)):
         yield np.full(n, c), np.full(n, d)
+    yield from _wide_states(rng, n, 20)
+
+
+def _wide_states(rng, n, count):
+    """count states of magnitudes from 1e-16 to 1e16, half of them drawn from
+    +/-0.0 and +/-10^k, so that neighbors cancel exactly or swamp each other."""
+    values = np.array([0.0, -0.0, *(s * 10.0**k for k in (-16, -8, 0, 8, 16) for s in (1, -1))])
+    for i in range(count):
+        if i % 2:
+            yield rng.choice(values, size=n), rng.choice(values, size=n)
+        else:
+            yield tuple(rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-16, 16, size=n)
+                        for _ in range(2))
+
+
+def _middle_star(n):
+    """A star whose hub carries the middle label, so it has lower and higher
+    neighbors."""
+    return Graph.from_edges(n, [(n // 2, i) for i in range(n) if i != n // 2])
 
 
 def _ascending_neighbors(g):
@@ -174,8 +205,8 @@ def test_stage_rates_bitexact_with_local_rule():
     sparse = random_connected_graph(np.random.default_rng(7), 240)  # near the cli size
     h = 0.01
     cfg = SimConfig(t_end=h, f_s=1.0 / h, h=h)  # one step, sampled
-    for g in (P5, star_graph(6), complete_graph(5), sparse):
-        edges, _ = _flat_edges(g)
+    for g in (P5, star_graph(6), _middle_star(7), complete_graph(5), complete_graph(7), sparse):
+        edges = _directed_layout(g)
         neighbors = _ascending_neighbors(g)
         sched = TopologySchedule.single(g, h)
         for x, z in _stage_test_states(rng, g.n):
@@ -227,7 +258,7 @@ def test_rk4_zero_step_identity():
     """A step whose update h * rate is below half an ulp of every component
     leaves the state bit for bit, as a zero step would: simulate adds the
     weighted stage sum to w. The reference step at h = 0 is the identity."""
-    edges, _ = _flat_edges(K2)
+    edges = _directed_layout(K2)
     w = np.array([0.3, -0.7, 1.1, 0.0])
     assert np.array_equal(_rk4_core(w, edges, 0.0), w)
     w = np.array([0.3, -0.7, 1.1, -0.4])
@@ -350,6 +381,28 @@ def test_simulate_bitexact_with_per_agent_rk4():
             expected = _per_agent_rk4(steps, x0, z0, h, m)
             assert trace.x.tobytes() == expected[:, :n].tobytes()
             assert trace.z.tobytes() == expected[:, n:].tobytes()
+
+
+def test_simulate_bitexact_across_segment_layouts():
+    """Each segment gets its own stage-round layout: a switching schedule that
+    goes from a middle-labelled star to an edgeless segment (no summands, so
+    bincount's int-zero case) to K7 and then to a path, with 6, 0, 21 and 6
+    edges, equals the per-agent loop byte for byte, on states from +/-0.0
+    to magnitudes of 1e16."""
+    rng = np.random.default_rng(30)
+    h, m = 0.02, 5
+    cfg = SimConfig(t_end=1.0, f_s=10.0, h=h)
+    graphs = (_middle_star(7), Graph.from_edges(7, []), complete_graph(7), path_graph(7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the edgeless segment is disconnected
+        sched = TopologySchedule(segments=tuple(
+            Segment(t0, t1, g) for t0, t1, g in zip((0.0, 0.2, 0.5, 0.7), (0.2, 0.5, 0.7, 1.0), graphs)))
+    for x0, z0 in _wide_states(rng, 7, 6):
+        trace, _ = simulate(sched, cfg, (x0, z0))
+        steps = [seg.graph for seg in trace.segments
+                 for _ in range(round((seg.t_end - seg.t_start) / h))]
+        assert [len(seg.graph.edges) for seg in trace.segments] == [6, 0, 21, 6]
+        assert trace.states.tobytes() == _per_agent_rk4(steps, x0, z0, h, m).tobytes()
 
 
 def _full_run_inputs():
