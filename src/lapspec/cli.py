@@ -63,7 +63,10 @@ def _out_dir(args) -> Path:
 def _load_schedule(path: str, t_end: float | None) -> tuple[TopologySchedule, list[str]]:
     """Accept either a JSON schedule or a single edge-list file. Return it
     with the text of each warning its loading raised (a disconnected segment)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         if text.lstrip().startswith("["):
@@ -119,29 +122,27 @@ def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray) -> None:
 
 class _RowWriter:
     """The one CSV row writer: the header, then per row its time (%.17g) and
-    cells in printf format cell. Use it in a with block. While a table is
-    being filled, rows_final(times, rows, k) says that rows [0, k) are final
-    (simulate's per-sample hook); finish(times, rows) writes the file once
-    every row is.
-
-    A table of at least FORK_CELLS cells, with more than one usable CPU and
-    os.fork, gets one forked formatter at its first row, and each row is
-    sent to it as raw bytes once final; the parent formats any other table
-    in finish. Either way the same line formats each row into a temporary
-    file beside path, which os.replace moves onto path only once every row
-    is written: a failure or an interrupt leaves path as it was. A failed
-    formatter, or a failed write in the parent, raises OSError naming path
-    and the reason. On every exit a formatter still running is killed and
-    reaped, and the temporary file removed.
+    cells in printf format cell. Use it in a with block. finish(times, rows)
+    writes the file once every row is final, formatting the rows in the
+    parent unless the table was streamed: rows_final(times, rows, k),
+    simulate's per-sample hook, says rows [0, k) are final, and at its first
+    call a table of at least FORK_CELLS cells, with more than one usable CPU
+    and os.fork, gets one forked formatter, which inherits times (complete
+    from that call) and is sent each row's raw bytes once final. The same
+    line formats each row into a temporary file beside path, which
+    os.replace moves onto path only once every row is written: a failure or
+    an interrupt leaves path as it was. A failed formatter, or a failed
+    write in the parent, raises OSError naming path and the reason. On every
+    exit a running formatter is killed and reaped, and the temporary file
+    removed.
     """
 
     def __init__(self, path: Path, header: str, cell: str) -> None:
         self.path, self.header, self.cell = Path(path), header, cell
-        self.line: str | None = None
         self.tmp: str | None = None
         self.pid: int | None = None  # the formatter, until reaped
         self.rows = self.reason = None  # its pipes: rows to it, its failure reason back
-        self.sent = 0  # the rows sent to it
+        self.sent: int | None = None  # the rows sent to it, from the first rows_final
 
     def __enter__(self) -> "_RowWriter":
         return self
@@ -157,8 +158,12 @@ class _RowWriter:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.tmp)
 
+    def _line(self, rows: np.ndarray) -> str:
+        return ",".join(["%.17g"] + [self.cell] * rows.shape[1]) + "\n"
+
     def _open_tmp(self):
         """The temporary file beside path, holding the header."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, self.tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp",
                                         dir=self.path.parent)
         umask = os.umask(0)
@@ -168,43 +173,35 @@ class _RowWriter:
         fh.write(self.header + "\n")
         return fh
 
-    def _start(self, times: np.ndarray, rows: np.ndarray) -> None:
-        self.line = ",".join(["%.17g"] + [self.cell] * rows.shape[1]) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if (len(times) * (rows.shape[1] + 1) >= FORK_CELLS and _usable_cpus() > 1
-                and hasattr(os, "fork")):
-            self.record = np.dtype([("t", times.dtype), ("row", rows.dtype, rows.shape[1:])])
-            with self._open_tmp() as fh:
-                fh.flush()  # the header is the parent's: the formatter inherits no text
-                self._fork(fh)
-
-    def _fork(self, fh) -> None:
-        """Fork the formatter, which appends the line of each record read
-        from the rows pipe to fh and writes its failure reason, if any, to
-        the reason pipe. It calls only frombuffer, tolist, % formatting and
-        file writes, so no BLAS runs after the fork, and it leaves through
-        os._exit: it never unwinds into its caller's frames, and it flushes
-        no buffer but fh's."""
+    def _fork(self, times: np.ndarray, rows: np.ndarray) -> None:
+        """Fork the formatter, which appends the line of each row read from
+        the rows pipe to the temporary file, and its failure reason, if any,
+        to the reason pipe. It calls only frombuffer, tolist, % formatting
+        and file writes, so no BLAS runs after the fork, and leaves through
+        os._exit: it never unwinds into its caller's frames or flushes a
+        buffer but the file's."""
         rows_r, rows_w = os.pipe()
         reason_r, reason_w = os.pipe()
         self.rows, self.reason = open(rows_w, "wb", buffering=0), open(reason_r, "rb")
         try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                status = 1
-                try:
-                    self.rows.close()  # else the pipe never ends
-                    with open(rows_r, "rb") as src:
-                        while data := src.read(self.record.itemsize):
-                            block = np.frombuffer(data, self.record)
-                            _format_rows(fh, self.line, block["t"], block["row"])
-                    fh.flush()
-                    status = 0
-                except BaseException as exc:  # the formatter exits below, whatever it was
-                    # One short write: the pipe holds it without a reader.
-                    os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
-                finally:
-                    os._exit(status)
+            with self._open_tmp() as fh:
+                fh.flush()  # the header is the parent's: the formatter inherits no text
+                self.pid = os.fork()
+                if self.pid == 0:
+                    status = 1
+                    try:
+                        self.rows.close()  # else the pipe never ends
+                        with open(rows_r, "rb") as src:  # one row's bytes per read
+                            received = iter(lambda: src.read(rows[0].nbytes), b"")
+                            _format_rows(fh, self._line(rows), times,
+                                         (np.frombuffer(row, rows.dtype) for row in received))
+                        fh.flush()
+                        status = 0
+                    except BaseException as exc:  # the formatter exits below, whatever it was
+                        # One short write: the pipe holds it without a reader.
+                        os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
+                    finally:
+                        os._exit(status)
         finally:
             os.close(rows_r)
             os.close(reason_w)
@@ -221,15 +218,16 @@ class _RowWriter:
                           f"{reason or f'wait status {status}'}")
 
     def rows_final(self, times: np.ndarray, rows: np.ndarray, final: int) -> None:
-        """Rows [0, final) of times and rows are final: send the formatter,
-        if there is one, those not yet sent."""
-        if self.line is None:
-            self._start(times, rows)
+        """Rows [0, final) are final: at the first call, fork the formatter
+        if the table gets one; send it the rows not yet sent."""
+        if self.sent is None:
+            self.sent = 0
+            if (len(times) * (rows.shape[1] + 1) >= FORK_CELLS and _usable_cpus() > 1
+                    and hasattr(os, "fork")):
+                self._fork(times, rows)
         if self.pid is None:
             return
-        block = np.empty(final - self.sent, self.record)
-        block["t"], block["row"] = times[self.sent : final], rows[self.sent : final]
-        data = memoryview(block.view(np.uint8))
+        data = memoryview(rows[self.sent : final].reshape(-1).view(np.uint8))
         try:
             while data:  # a signal handler can cut a write short
                 data = data[self.rows.write(data) :]
@@ -241,12 +239,10 @@ class _RowWriter:
     def finish(self, times: np.ndarray, rows: np.ndarray) -> None:
         """Every row is final: format the rows, or send the formatter the
         rest and reap it, then move the file onto path."""
-        if self.line is None:
-            self._start(times, rows)
         if self.pid is None:
             try:
                 with self._open_tmp() as fh:
-                    _format_rows(fh, self.line, times, rows)
+                    _format_rows(fh, self._line(rows), times, rows)
             except OSError as exc:
                 raise OSError(f"{self.path}: {exc}") from exc
         else:
@@ -257,8 +253,7 @@ class _RowWriter:
 
 
 def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
-    """_RowWriter's CSV of a finished table, whose rows are all final at
-    once: a formatter, if the table gets one, is sent them all in finish."""
+    """_RowWriter's CSV of a finished table: the parent formats every row."""
     with _RowWriter(path, header, cell) as writer:
         writer.finish(times, rows)
 
@@ -298,7 +293,10 @@ def read_trace_csv(path: Path, agent: int | None = None):
     column.
     """
     with open(path) as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:  # later bytes fail in loadtxt, named below
+            raise ParseError(f"{path}: {exc}") from None
         cells = header.split(",")
         n = (len(cells) - 1) // 2
         if n < 1 or header != _trace_header(n):
@@ -642,7 +640,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimulationError, oracle.OracleError, OSError, ValueError, MemoryError) as exc:
+    except (SimulationError, oracle.OracleError, OSError, ValueError, MemoryError,
+            OverflowError) as exc:
+        if isinstance(exc, MemoryError) and not str(exc):
+            exc = "out of memory"  # Python's own allocator names no reason
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,12 +52,9 @@ Each setting is checked once, by its owner: SimConfig checks its fields when
 built, and simulate only what needs its other arguments: the Nyquist guard,
 t_end within the schedule, and the initial state.
 
-simulate's private hook _on_rows is told each time a sample row is final,
-so a caller can use the rows while the run goes on: the CLI sends each
-final row of a large trace to a forked process that formats its CSV line
-while the parent integrates the next. It is called once per sample, never
-per step, and a run without it (sweeps, in-process callers) only tests it
-for None.
+simulate's private hook _on_rows(times, states, k) is told, once per
+sample and never per step, that rows [0, k) are final, so a caller can use
+them while the run goes on; a run without it only tests it for None.
 """
 from __future__ import annotations
 

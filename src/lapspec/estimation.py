@@ -237,7 +237,8 @@ def spectrogram(
         raise EstimationError(f"window_len must be at least 4, got {window_len}")
     if hop < 1:
         raise EstimationError(f"hop must be at least 1, got {hop}")
-    starts = np.arange(0, n - window_len + 1, hop)
+    # A hop past the last start gives the one frame at 0; clamped, it stays an int64 step.
+    starts = np.arange(0, n - window_len + 1, min(hop, n))
     frames = sig.samples[starts[:, None] + np.arange(window_len)]
     omega, mag, res = _amplitude_spectrum(frames, sig.ts, STFT_ZERO_PAD, window)
     centers = sig.t0 + (starts + (window_len - 1) / 2.0) * sig.ts

@@ -292,7 +292,7 @@ def parse_schedule(text: str, base_dir: str | Path = ".") -> TopologySchedule:
             path = base / entry["edges_file"]
             try:
                 graph = parse_edge_list(path.read_text())
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"segment {k}: cannot read {path}: {exc}") from None
             except ParseError as exc:
                 raise ParseError(f"segment {k}: {path}: {exc}") from None

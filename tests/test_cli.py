@@ -26,11 +26,14 @@ from lapspec import (
     parse_schedule,
     path_graph,
     random_init,
+    SampledSignal,
     serialize_edge_list,
     simulate,
+    spectrogram,
     star_graph,
     TopologySchedule,
 )
+import lapspec.graph
 from lapspec import cli
 from lapspec.cli import build_parser, main, read_trace_csv, write_trace_csv
 from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace
@@ -177,27 +180,44 @@ def _exit_codes(calls):
     return [os.waitstatus_to_exitcode(status) for status in calls.values()]
 
 
+def _stream(path, header, cell, times, rows):
+    """Write the table as cmd_simulate does: rows_final after each row,
+    as simulate's hook, then finish."""
+    with cli._RowWriter(path, header, cell) as writer:
+        for final in range(1, len(times) + 1):
+            writer.rows_final(times, rows, final)
+        writer.finish(times, rows)
+
+
+def _stream_trace(trace, path):
+    _stream(path, cli._trace_header(trace.n), "%.17g", trace.times, trace.states)
+
+
 @pytest.mark.parametrize("cpus, rows", [(1, 6), (2, 6), (3, 6), (4, 7), (16, 5)],
                          ids=["1 CPU", "2 CPUs", "3 CPUs", "4 CPUs", "more CPUs than rows"])
 def test_block_writer_matches_per_cell_format(cpus, rows, forks, tmp_path):
-    """Whatever the CPU count, the file is the reference writer's byte for
-    byte and no temporary file or child process is left. One CPU forks
-    nothing; more fork one formatter, which exits 0."""
+    """Whatever the CPU count, a finished table and the same table streamed
+    row by row are the reference writer's bytes, and no temporary file or
+    child process is left. A finished table forks nothing; a streamed one
+    forks one formatter with more than one CPU, which exits 0."""
     calls, force_fork = forks
     force_fork(cpus)
     trace = _special_trace(rows)
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_trace_csv(trace, got)
+    _reference_write_trace_csv(trace, tmp_path / "want.csv")
+    write_trace_csv(trace, tmp_path / "finished.csv")
+    assert calls == {}
+    _stream_trace(trace, tmp_path / "streamed.csv")
     assert _exit_codes(calls) == ([0] if cpus > 1 else [])
-    _reference_write_trace_csv(trace, want)
-    assert got.read_bytes() == want.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
+    for name in ("finished.csv", "streamed.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["finished.csv", "streamed.csv",
+                                                          "want.csv"]
     _assert_no_children()
 
 
 def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, monkeypatch):
-    """With the real floor, a table of 100 rows one row-width short of
-    FORK_CELLS cells forks nothing on any CPU count; one of FORK_CELLS
+    """With the real floor, a streamed table of 100 rows one row-width short
+    of FORK_CELLS cells forks nothing on any CPU count; one of FORK_CELLS
     cells forks one formatter, but none with one usable CPU or without
     os.fork. The file is the same in every case."""
     calls, _ = forks
@@ -208,11 +228,25 @@ def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, mo
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         if not has_fork:
             monkeypatch.delattr(cli.os, "fork")
-        cli._write_rows(tmp_path / "got.csv", "h", "%d", np.arange(100.0),
-                        np.zeros((100, cells_per_row - 1), dtype=int))
+        _stream(tmp_path / "got.csv", "h", "%d", np.arange(100.0),
+                np.zeros((100, cells_per_row - 1), dtype=int))
         assert len(calls) == formatters
         assert (tmp_path / "got.csv").read_text() == "h\n" + "".join(
             f"{t}" + ",0" * (cells_per_row - 1) + "\n" for t in range(100))
+
+
+def test_block_writer_formats_a_finished_table_in_the_parent(forks, tmp_path, monkeypatch):
+    """A finished table of exactly FORK_CELLS cells, with 8 usable CPUs,
+    forks nothing: the parent formats every finished table."""
+    calls, _ = forks
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    width = cli.FORK_CELLS // 100  # cells per row, the time column included
+    cli._write_rows(tmp_path / "got.csv", "h", "%d", np.arange(100.0),
+                    np.zeros((100, width - 1), dtype=int))
+    assert calls == {}
+    assert (tmp_path / "got.csv").read_text() == "h\n" + "".join(
+        f"{t}" + ",0" * (width - 1) + "\n" for t in range(100))
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -254,17 +288,21 @@ def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_f
 
 
 def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path, capsys):
-    """The spectrogram's %.8g and %d tables take the same writer: through a
-    formatter each, they are the bytes the parent writes."""
+    """The spectrogram's %.8g and %d tables are finished tables: with the
+    cell floor at 1 and three usable CPUs the parent still formats each,
+    and every cell is its printf format of the STFT."""
     calls, force_fork = forks
-    argv = ["spectrogram", traces["sw"], "--agent", "1", "--window-len", "64", "--hop", "8"]
-    assert run([*argv, "--out-dir", tmp_path / "one"]) == 0
-    assert calls == {}
     force_fork(3)
-    assert run([*argv, "--out-dir", tmp_path / "three"]) == 0
-    assert _exit_codes(calls) == [0, 0]
-    for name in ("spectrogram.csv", "spectrogram_mask.csv"):
-        assert (tmp_path / "three" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    argv = ["spectrogram", traces["sw"], "--agent", "1", "--window-len", "64", "--hop", "8"]
+    assert run([*argv, "--out-dir", tmp_path]) == 0
+    assert calls == {}
+    data = spectrogram(SampledSignal.from_trace(read_trace_csv(traces["sw"]), 1), 64, 8)
+    header = "t_center," + ",".join(f"{w:.10g}" for w in data.omega)
+    for name, table, cell in (("spectrogram.csv", data.magnitude, "{:.8g}"),
+                              ("spectrogram_mask.csv", (data.magnitude > 0.1).astype(int), "{:d}")):
+        assert (tmp_path / name).read_text() == header + "\n" + "".join(
+            ",".join([f"{t:.17g}", *(cell.format(v) for v in row)]) + "\n"
+            for t, row in zip(data.time_centers.tolist(), table.tolist()))
 
 
 def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatch, capsys):
@@ -285,7 +323,7 @@ def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatc
     got.parent.mkdir()
     with pytest.raises(OSError, match=r"got\.csv: the row formatter failed: "
                                       r"RuntimeError: disk on fire$"):
-        write_trace_csv(_special_trace(), got)
+        _stream_trace(_special_trace(), got)
     assert list(got.parent.iterdir()) == []
     _assert_no_children()
     out = tmp_path / "out"
@@ -330,16 +368,29 @@ def test_parent_write_failure_names_the_file(old, p5_file, forks, tmp_path, monk
 
 
 def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch):
-    """An interrupt while the parent sends rows kills and reaps the
-    formatter and removes the temporary file."""
+    """An interrupt while the parent formats a finished table removes the
+    temporary file, and no formatter is forked. One at a send of a streamed
+    table kills and reaps the formatter forked at the first send too."""
     calls, force_fork = forks
     force_fork(3)
+    format_rows, rows_final = cli._format_rows, cli._RowWriter.rows_final
 
-    def interrupted(*args):
+    def interrupted_format(*args):
         raise KeyboardInterrupt
-    monkeypatch.setattr(cli._RowWriter, "rows_final", interrupted)
+    monkeypatch.setattr(cli, "_format_rows", interrupted_format)
     with pytest.raises(KeyboardInterrupt):
         write_trace_csv(_special_trace(), tmp_path / "got.csv")
+    assert list(tmp_path.iterdir()) == []
+    assert calls == {}
+    monkeypatch.setattr(cli, "_format_rows", format_rows)
+
+    def interrupted_send(writer, times, rows, final):
+        if final > 1:
+            raise KeyboardInterrupt
+        rows_final(writer, times, rows, final)
+    monkeypatch.setattr(cli._RowWriter, "rows_final", interrupted_send)
+    with pytest.raises(KeyboardInterrupt):
+        _stream_trace(_special_trace(), tmp_path / "got.csv")
     assert list(tmp_path.iterdir()) == []
     assert _exit_codes(calls) == [-signal.SIGKILL]
     _assert_no_children()
@@ -1089,6 +1140,57 @@ def test_spectrogram_mask_is_magnitude_above_threshold(p5_file, tmp_path, capsys
     assert cells == {"0", "1"}
     meta = json.loads((out / "spectrogram_meta.json").read_text())
     assert (meta["threshold"], meta["window"], meta["window_len"], meta["hop"]) == (0.3, "rect", 128, 16)
+
+
+def test_spectrogram_hop_past_int64_gives_one_slice(traces, tmp_path, capsys):
+    """A hop past the last start, also one past int64, gives the one slice
+    at 0; the meta records the hop as given."""
+    hop = 10**20
+    assert run(["spectrogram", traces["p5"], "--agent", "0", "--hop", hop,
+                "--out-dir", tmp_path]) == 0
+    meta = json.loads((tmp_path / "spectrogram_meta.json").read_text())
+    assert (meta["hop"], meta["slices"]) == (hop, 1)
+    assert len((tmp_path / "spectrogram.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["rounds", "simulate", "validate"])
+def test_agent_count_failures_are_one_named_line(command, tmp_path, monkeypatch, capsys):
+    """An agent count past a C integer (an OverflowError), or one whose
+    arrays cannot be allocated (a MemoryError with no message), is one named
+    error line, not a traceback or a bare "error: "."""
+    huge = tmp_path / "huge.txt"
+    huge.write_text("n 99999999999999999999999\n0 1\n")
+    argv = [command, huge] + ([] if command == "rounds" else ["--out-dir", tmp_path / "out"])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]*too large[^\n]*\n", err), err
+
+    def exhausted(graph):
+        raise MemoryError()
+    monkeypatch.setattr(lapspec.graph, "is_connected", exhausted)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader", ["schedule", "edges_file", "trace"])
+def test_input_that_is_not_utf8_names_its_file(reader, tmp_path, capsys):
+    """A schedule, a segment's edges_file or a trace CSV that is not UTF-8
+    is one error line naming the file (and the segment), as every other
+    read error is."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    if reader == "schedule":
+        argv, message = ["rounds", bad], f"{bad}: {decode}"
+    elif reader == "edges_file":
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text('[{"t_start": 0, "t_end": 1, "edges_file": "bad.txt"}]')
+        argv, message = ["rounds", schedule], f"segment 0: cannot read {bad}: {decode}"
+    else:
+        argv, message = ["estimate", bad, "--agent", "0"], f"{bad}: {decode}"
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_spectrogram_window_too_long(p5_file, tmp_path, capsys):

@@ -1245,6 +1245,17 @@ def test_spectrogram_window_longer_than_signal():
         spectrogram(sig, window_len=10000, hop=16)
 
 
+@pytest.mark.parametrize("hop", [2**63 - 1, 2**63, 10**20])
+def test_spectrogram_hop_past_the_last_start_gives_one_frame(hop):
+    """Any hop past the last window start gives the one frame at 0, also a
+    hop past int64, which np.arange would take as an object step."""
+    sig = tone(3.0, 10.0)
+    data, one = spectrogram(sig, 64, hop), spectrogram(sig, 64, len(sig.samples))
+    assert len(data.time_centers) == 1
+    assert data.time_centers.tobytes() == one.time_centers.tobytes()
+    assert data.magnitude.tobytes() == one.magnitude.tobytes()
+
+
 def test_per_segment_spectra_differ():
     """The three-segment run's per-segment estimates expose three different
     spectra (consumed downstream by the sliding-window display)."""
