@@ -6,11 +6,17 @@ display threshold 0.1, 50 s estimation window) so a reproduction run needs
 no flags. Every simulate run writes a manifest capturing the resolved
 configuration; re-running the same invocation reproduces outputs byte for
 byte.
+
+simulate writes the trace CSV from the simulator's row stream as the rows
+come, so it holds one state row and the writer, never the trace. Every CSV
+goes through one writer, _RowWriter, which takes the time column and any
+iterable of rows: a stream, or a finished table's array.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -27,10 +33,10 @@ from . import __version__
 from .dynamics import (
     DEFAULT_SAMPLE_RATE,
     ConfigError,
-    MessageCounter,
     SimConfig,
     SimulationError,
     Trace,
+    _samples,
     random_init,
     round_bound,
     simulate,
@@ -114,27 +120,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _format_rows(fh, line: str, times: np.ndarray, rows: np.ndarray) -> None:
+def _format_rows(fh, line: str, times: np.ndarray, rows) -> None:
     # Row by row, so a large table is never held as Python numbers at once.
     for t, row in zip(times.tolist(), rows):
         fh.write(line % (t, *row.tolist()))
 
 
 class _RowWriter:
-    """The one CSV row writer: the header, then per row its time (%.17g) and
-    cells in printf format cell. Use it in a with block. finish(times, rows)
-    writes the file once every row is final, formatting the rows in the
-    parent unless the table was streamed: rows_final(times, rows, k),
-    simulate's per-sample hook, says rows [0, k) are final, and at its first
-    call a table of at least FORK_CELLS cells, with more than one usable CPU
-    and os.fork, gets one forked formatter, which inherits times (complete
-    from that call) and is sent each row's raw bytes once final. The same
-    line formats each row into a temporary file beside path, which
-    os.replace moves onto path only once every row is written: a failure or
-    an interrupt leaves path as it was. A failed formatter, or a failed
-    write in the parent, raises OSError naming path and the reason. On every
-    exit a running formatter is killed and reaped, and the temporary file
-    removed.
+    """The one CSV row writer: write(times, rows) writes the header, then per
+    row its time (%.17g) and cells in printf format cell. rows is any
+    iterable of 1-D rows: a finished table's 2-D array, or a stream such as
+    simulate's, which the writer pulls row by row and never holds. A stream
+    of at least FORK_CELLS cells, with more than one usable CPU and os.fork,
+    gets one forked formatter at its first row, which inherits times and is
+    sent each row's raw bytes as the stream yields it; the parent formats
+    every other table, a finished one included. Either way the same line
+    formats each row into a temporary file beside path, which os.replace
+    moves onto path only once every row is written: a failure or an
+    interrupt, in the stream too, leaves path as it was. A failed formatter,
+    or a failed write in the parent, raises OSError naming path and the
+    reason. Use it in a with block: on every exit a running formatter is
+    killed and reaped, and the temporary file removed.
     """
 
     def __init__(self, path: Path, header: str, cell: str) -> None:
@@ -142,7 +148,6 @@ class _RowWriter:
         self.tmp: str | None = None
         self.pid: int | None = None  # the formatter, until reaped
         self.rows = self.reason = None  # its pipes: rows to it, its failure reason back
-        self.sent: int | None = None  # the rows sent to it, from the first rows_final
 
     def __enter__(self) -> "_RowWriter":
         return self
@@ -158,9 +163,6 @@ class _RowWriter:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.tmp)
 
-    def _line(self, rows: np.ndarray) -> str:
-        return ",".join(["%.17g"] + [self.cell] * rows.shape[1]) + "\n"
-
     def _open_tmp(self):
         """The temporary file beside path, holding the header."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -173,38 +175,47 @@ class _RowWriter:
         fh.write(self.header + "\n")
         return fh
 
-    def _fork(self, times: np.ndarray, rows: np.ndarray) -> None:
+    def _fork(self, fh, line: str, times: np.ndarray, first: np.ndarray) -> None:
         """Fork the formatter, which appends the line of each row read from
-        the rows pipe to the temporary file, and its failure reason, if any,
-        to the reason pipe. It calls only frombuffer, tolist, % formatting
-        and file writes, so no BLAS runs after the fork, and leaves through
-        os._exit: it never unwinds into its caller's frames or flushes a
-        buffer but the file's."""
+        the rows pipe (first's size and dtype) to fh, and its failure
+        reason, if any, to the reason pipe. It calls only frombuffer,
+        tolist, % formatting and file writes, so no BLAS runs after the
+        fork, and leaves through os._exit: it never unwinds into its
+        caller's frames or flushes a buffer but the file's."""
         rows_r, rows_w = os.pipe()
         reason_r, reason_w = os.pipe()
         self.rows, self.reason = open(rows_w, "wb", buffering=0), open(reason_r, "rb")
         try:
-            with self._open_tmp() as fh:
-                fh.flush()  # the header is the parent's: the formatter inherits no text
-                self.pid = os.fork()
-                if self.pid == 0:
-                    status = 1
-                    try:
-                        self.rows.close()  # else the pipe never ends
-                        with open(rows_r, "rb") as src:  # one row's bytes per read
-                            received = iter(lambda: src.read(rows[0].nbytes), b"")
-                            _format_rows(fh, self._line(rows), times,
-                                         (np.frombuffer(row, rows.dtype) for row in received))
-                        fh.flush()
-                        status = 0
-                    except BaseException as exc:  # the formatter exits below, whatever it was
-                        # One short write: the pipe holds it without a reader.
-                        os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
-                    finally:
-                        os._exit(status)
+            fh.flush()  # the header is the parent's: the formatter inherits no text
+            self.pid = os.fork()
+            if self.pid == 0:
+                status = 1
+                try:
+                    self.rows.close()  # else the pipe never ends
+                    with open(rows_r, "rb") as src:  # one row's bytes per read
+                        received = iter(lambda: src.read(first.nbytes), b"")
+                        _format_rows(fh, line, times,
+                                     (np.frombuffer(row, first.dtype) for row in received))
+                    fh.flush()
+                    status = 0
+                except BaseException as exc:  # the formatter exits below, whatever it was
+                    # One short write: the pipe holds it without a reader.
+                    os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
+                finally:
+                    os._exit(status)
         finally:
             os.close(rows_r)
             os.close(reason_w)
+
+    def _send(self, row: np.ndarray) -> None:
+        """Send the formatter one row's bytes; if it has left, raise its reason."""
+        data = memoryview(row).cast("B")
+        try:
+            while data:  # a signal handler can cut a write short
+                data = data[self.rows.write(data) :]
+        except BrokenPipeError:
+            self._reap()  # the formatter left early: raise its reason
+            raise
 
     def _reap(self) -> None:
         """End the rows pipe, wait for the formatter, and raise OSError with
@@ -217,45 +228,34 @@ class _RowWriter:
             raise OSError(f"{self.path}: the row formatter failed: "
                           f"{reason or f'wait status {status}'}")
 
-    def rows_final(self, times: np.ndarray, rows: np.ndarray, final: int) -> None:
-        """Rows [0, final) are final: at the first call, fork the formatter
-        if the table gets one; send it the rows not yet sent."""
-        if self.sent is None:
-            self.sent = 0
-            if (len(times) * (rows.shape[1] + 1) >= FORK_CELLS and _usable_cpus() > 1
-                    and hasattr(os, "fork")):
-                self._fork(times, rows)
-        if self.pid is None:
-            return
-        data = memoryview(rows[self.sent : final].reshape(-1).view(np.uint8))
+    def write(self, times: np.ndarray, rows) -> None:
+        """Write times with rows, then move the file onto path."""
+        streamed = not isinstance(rows, np.ndarray)
+        rows = iter(rows)
+        first = next(rows)  # every table has a row: a trace 2 or more, a spectrogram 1 or more
+        line = ",".join(["%.17g"] + [self.cell] * first.size) + "\n"
+        rows = itertools.chain((first,), rows)
         try:
-            while data:  # a signal handler can cut a write short
-                data = data[self.rows.write(data) :]
-        except BrokenPipeError:
-            self._reap()  # the formatter left early: raise its reason
-            raise
-        self.sent = final
-
-    def finish(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Every row is final: format the rows, or send the formatter the
-        rest and reap it, then move the file onto path."""
-        if self.pid is None:
-            try:
-                with self._open_tmp() as fh:
-                    _format_rows(fh, self._line(rows), times, rows)
-            except OSError as exc:
-                raise OSError(f"{self.path}: {exc}") from exc
-        else:
-            self.rows_final(times, rows, len(times))
+            with self._open_tmp() as fh:
+                if (streamed and len(times) * (first.size + 1) >= FORK_CELLS
+                        and _usable_cpus() > 1 and hasattr(os, "fork")):
+                    self._fork(fh, line, times, first)
+                else:
+                    _format_rows(fh, line, times, rows)
+        except OSError as exc:
+            raise OSError(f"{self.path}: {exc}") from exc
+        if self.pid is not None:
+            for row in rows:
+                self._send(row)
             self._reap()
         os.replace(self.tmp, self.path)
         self.tmp = None
 
 
-def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows: np.ndarray) -> None:
-    """_RowWriter's CSV of a finished table: the parent formats every row."""
+def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows) -> None:
+    """_RowWriter's CSV of times and rows, a finished table or a stream."""
     with _RowWriter(path, header, cell) as writer:
-        writer.finish(times, rows)
+        writer.write(times, rows)
 
 
 def _trace_header(n: int) -> str:
@@ -279,6 +279,23 @@ def _counted_rows(lines, path: Path, cells: int):
         yield line
 
 
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for the first byte of path that exc's codec cannot decode.
+    The text reader's exc gives its offset in a decoded block, so the file
+    is read again as bytes, one line at a time: past the header the byte is
+    named by its file line and column, as every cell error is."""
+    with open(path, "rb") as fh:
+        for k, raw in enumerate(fh, start=1):
+            try:
+                raw.decode(exc.encoding)
+            except UnicodeDecodeError as bad:
+                if k == 1:  # the offset in the header is its offset in the file
+                    return ParseError(f"{path}: {bad}")
+                return ParseError(f"{path}: byte 0x{raw[bad.start]:02x} at line {k}, column "
+                                  f"{raw[: bad.start].count(b',') + 1} is not {exc.encoding}")
+    return ParseError(f"{path}: {exc}")
+
+
 def read_trace_csv(path: Path, agent: int | None = None):
     """Load a trace written by write_trace_csv. The file must be what it
     writes: its header exactly, then one data row per line, with no comment
@@ -287,16 +304,16 @@ def read_trace_csv(path: Path, agent: int | None = None):
     With an agent, return (n, trace): the header's agent count and a
     one-agent trace of that agent's x and z columns, the only cells parsed
     besides t. An agent outside the header's [0, n) is rejected before any
-    data row is read. Both reads take one route: the cell count of every row
-    and the time grid are checked over the whole file, and an unparsable or
-    non-finite cell among the columns parsed is named by its file line and
-    column.
+    data row is read. Both reads take one route: the cell count of every row,
+    the text encoding and the time grid are checked over the whole file, and
+    an unparsable or non-finite cell among the columns parsed, or a byte
+    past the header that is not text, is named by its file line and column.
     """
     with open(path) as fh:
         try:
             header = fh.readline().strip()
-        except UnicodeDecodeError as exc:  # later bytes fail in loadtxt, named below
-            raise ParseError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its block can reach past the header
+            raise _undecodable(path, exc) from None
         cells = header.split(",")
         n = (len(cells) - 1) // 2
         if n < 1 or header != _trace_header(n):
@@ -313,6 +330,8 @@ def read_trace_csv(path: Path, agent: int | None = None):
                                   comments=None, usecols=columns, ndmin=2)
             except ParseError:
                 raise
+            except UnicodeDecodeError as exc:
+                raise _undecodable(path, exc) from None
             except ValueError as exc:
                 found = re.search(r"string (.*) to \w+ at row (\d+), column (\d+)", str(exc))
                 if found is None:
@@ -347,23 +366,21 @@ def _emit(payload: dict, args, name: str) -> None:
         _write_json(payload, _out_dir(args) / name)
 
 
-def _run(args, schedule: TopologySchedule, on_rows=None) -> tuple[SimConfig, Trace, MessageCounter]:
-    """Simulate the schedule up to --t-end (default: the schedule's end)
-    from the --init state, calling on_rows as simulate's per-sample hook."""
+def _sim_inputs(args, schedule: TopologySchedule) -> tuple[SimConfig, tuple]:
+    """The run up to --t-end (default: the schedule's end) and the --init state."""
     t_end = args.t_end if args.t_end is not None else schedule.t_end
     n = schedule.n
     init = (np.ones(n), np.ones(n)) if args.init == "ones" else random_init(n, args.seed)
-    cfg = SimConfig(t_end=t_end, f_s=args.fs, h=args.step)
-    return (cfg, *simulate(schedule, cfg, init, _on_rows=on_rows))
+    return SimConfig(t_end=t_end, f_s=args.fs, h=args.step), init
 
 
 def cmd_simulate(args) -> int:
     schedule = _schedule(args.schedule, args.t_end)
+    cfg, init = _sim_inputs(args, schedule)
+    times, segments, counter, rows = _samples(schedule, cfg, init)
     trace_path = Path(args.out_dir or ".") / "trace.csv"
-    # The trace CSV is write_trace_csv's; a large one's rows are formatted as they become final.
-    with _RowWriter(trace_path, _trace_header(schedule.n), "%.17g") as writer:
-        cfg, trace, counter = _run(args, schedule, writer.rows_final)
-        writer.finish(trace.times, trace.states)
+    # write_trace_csv's file, written from simulate's rows as they come: no trace is held.
+    _write_rows(trace_path, _trace_header(schedule.n), "%.17g", times, rows)
     out = _out_dir(args)
     messages_path = out / "messages.json"
     manifest_path = out / "manifest.json"
@@ -387,8 +404,8 @@ def cmd_simulate(args) -> int:
     }
     _write_json(manifest, manifest_path)
     print(
-        f"simulated {trace.num_samples} samples over [0, {cfg.t_end:g}] s "
-        f"({schedule.n} agents, {len(trace.segments)} segment(s)) -> {trace_path}"
+        f"simulated {len(times)} samples over [0, {cfg.t_end:g}] s "
+        f"({schedule.n} agents, {len(segments)} segment(s)) -> {trace_path}"
     )
     return 0
 
@@ -480,7 +497,7 @@ def cmd_validate(args) -> int:
     # The schedule's own warnings (a disconnected segment) go in the report.
     schedule, notes = _load_schedule(args.schedule, args.t_end)
     _agent(args.agent, schedule.n)
-    _, trace, _ = _run(args, schedule)
+    trace, _ = simulate(schedule, *_sim_inputs(args, schedule))
 
     energy = trace.x**2 + trace.z**2
     total = energy.sum(axis=1)

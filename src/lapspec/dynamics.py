@@ -49,21 +49,27 @@ place in k1 gives the textbook w + (h/6) * (k1 + 2*k2 + 2*k3 + k4) bit for
 bit.
 
 Each setting is checked once, by its owner: SimConfig checks its fields when
-built, and simulate only what needs its other arguments: the Nyquist guard,
-t_end within the schedule, and the initial state.
+built, and _samples (so simulate) only what needs its other arguments: the
+Nyquist guard, t_end within the schedule, and the initial state.
 
-simulate's private hook _on_rows(times, states, k) is told, once per
-sample and never per step, that rows [0, k) are final, so a caller can use
-them while the run goes on; a run without it only tests it for None.
+The step loop is one private row stream, _samples. Before the first row it
+makes every check and builds the time axis, the snapped segments and the
+message counts, none of which depends on the state. Then it yields each
+sample's w = [x | z] once that sample passed the non-finite check, the
+initial state first. simulate stacks the rows into Trace.states; a caller
+that only writes them (lapspec simulate) holds one row at a time, whatever
+the horizon.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import TIME_TOL, Graph, Segment, TopologySchedule, _integer, directed_edges
+from .graph import (TIME_TOL, Graph, Segment, TopologySchedule, _agent_count, _integer,
+                    directed_edges)
 
 
 class ConfigError(ValueError):
@@ -179,8 +185,7 @@ def random_init(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Independent uniform +/-1 initial values, deterministic given seed.
     A non-integer n or seed raises TypeError (True would read as 1)."""
     n, seed = _integer(n, "n"), _integer(seed, "seed")
-    if n < 1:
-        raise ValueError(f"agent count must be positive, got {n}")
+    _agent_count(n)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -209,18 +214,29 @@ def simulate(
     schedule: TopologySchedule,
     cfg: SimConfig,
     init: tuple[np.ndarray, np.ndarray],
-    *,
-    _on_rows=None,
 ) -> tuple[Trace, MessageCounter]:
     """Integrate across all schedule segments, sampling at f_s.
 
     State carries unchanged across topology switches; segment boundaries are
     snapped to the RK4 step grid so no switch lands mid-step (documented
     behavior). The run is bit-deterministic given (schedule, cfg, init).
+    """
+    times, spans, counter, rows = _samples(schedule, cfg, init)
+    states = np.empty((len(times), 2 * schedule.n))
+    for k, row in enumerate(rows):
+        states[k] = row
+    return Trace(times=times, states=states, f_s=cfg.f_s, segments=spans), counter
 
-    _on_rows, when given, is called as _on_rows(times, states, k) once rows
-    [0, k) of the returned trace's arrays are final: after the initial state
-    and after each sample, never for a row that failed the non-finite check.
+
+def _samples(
+    schedule: TopologySchedule, cfg: SimConfig, init: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, tuple[Segment, ...], MessageCounter, Iterator[np.ndarray]]:
+    """simulate's run as (times, segments, counter, rows).
+
+    Every check runs, and the time axis, the snapped segments and the
+    message counts are built, before it returns. rows then yields each
+    sample's w = [x | z] as an array of its own, the initial state first,
+    and raises SimulationError at the first sample whose state is not finite.
     """
     top = 2.0 * (1.0 + 2.0 * schedule.max_degree())
     if not 2.0 * math.pi * cfg.f_s > top:
@@ -239,6 +255,7 @@ def simulate(
     m = cfg.steps_per_sample()
     num_samples = cfg.num_samples()
     total_steps = (num_samples - 1) * m
+    times = np.arange(num_samples) * (m * h)
 
     # Snap segment boundaries to the step grid.
     inner = [min(total_steps, round(seg.t_end / h)) for seg in schedule.segments[:-1]]
@@ -248,72 +265,68 @@ def simulate(
         for seg, first, last in zip(schedule.segments, bounds, bounds[1:])
         if last > first
     )
-
-    w = np.concatenate((x, z))
-    size = w.size
-    states = np.empty((num_samples, size))
-    states[0] = w
-    times = np.arange(num_samples) * (m * h)
-    if _on_rows is not None:
-        _on_rows(times, states, 1)
+    edges = [directed_edges(seg.graph) for seg in schedule.segments]
     sent = np.zeros(n, dtype=np.int64)
+    for (_, _, deg), first, last in zip(edges, bounds, bounds[1:]):
+        sent += 4 * deg * (last - first)  # one message per neighbor per stage round
+    counter = MessageCounter(total=int(sent.sum()), per_agent=sent, per_sample_rounds=4 * m)
+    return times, spans, counter, _steps(np.concatenate((x, z)), edges, bounds[1:], h, m)
+
+
+def _steps(w: np.ndarray, edges: list, stops: list, h: float, m: int) -> Iterator[np.ndarray]:
+    """_samples' rows: w, then the state after each m-th RK4 step, segment k
+    stepping with edges[k] (directed_edges of its graph) up to step stops[k]."""
+    yield w
+    size = w.size
+    n = size // 2
     half, full, sixth, two = (np.full(size, c) for c in (0.5 * h, h, h / 6.0, 2.0))
     swap, sgn = np.roll(np.arange(size), n), np.repeat([1.0, -1.0], n)
-
-    # Steps 1..total_steps write each of rows 1..num_samples-1 exactly once.
-    # numpy's overflow warnings are off (set once per run, not per step): a state
-    # that overflows is named by the non-finite check at its sample.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seg, first, last in zip(schedule.segments, bounds, bounds[1:]):
-            src, dst, deg = directed_edges(seg.graph)
-            a, b = (np.concatenate((ends, ends + n)) for ends in (src[src < dst], dst[src < dst]))
-            idx, bins = np.concatenate((swap, b, a, b)), np.concatenate((swap[b], swap[a]))
-            buf = np.empty(idx.size)
-            sw, lo, hi = buf[:size], buf[size : size + 2 * a.size], buf[size + a.size :]
-            sent += 4 * deg * (last - first)  # one message per neighbor per stage round
-            for step in range(first + 1, last + 1):
-                # Four stage rounds k = sw*sgn + acc*sgn (not acc *= sgn: with no
-                # edges, bincount returns int zeros), each from v = w + c*k. Every
-                # index is in range, so mode="clip" clips none; it spares the copy
-                # through a temporary that take(out=) makes in its default mode.
-                w.take(idx, out=buf, mode="clip")
-                k1 = sw * sgn
-                k1 += np.bincount(bins, lo - hi, minlength=size) * sgn
-                v = half * k1
-                v += w
-                v.take(idx, out=buf, mode="clip")
-                k2 = sw * sgn
-                k2 += np.bincount(bins, lo - hi, minlength=size) * sgn
-                v = half * k2
-                v += w
-                v.take(idx, out=buf, mode="clip")
-                k3 = sw * sgn
-                k3 += np.bincount(bins, lo - hi, minlength=size) * sgn
-                v = full * k3
-                v += w
-                v.take(idx, out=buf, mode="clip")
-                k4 = sw * sgn
-                k4 += np.bincount(bins, lo - hi, minlength=size) * sgn
-                # w + (h/6) * (k1 + 2*k2 + 2*k3 + k4), summed left to right in k1.
-                k1 += two * k2
-                k1 += two * k3
-                k1 += k4
-                k1 *= sixth
-                k1 += w
-                w = k1
-                if step % m == 0:
-                    bad = np.flatnonzero(~np.isfinite(w))
-                    if len(bad):
-                        raise SimulationError(
-                            f"non-finite state at t={step * h:g}, first at agent "
-                            f"{bad[0] % n}"
-                        )
-                    states[step // m] = w
-                    if _on_rows is not None:
-                        _on_rows(times, states, step // m + 1)
-
-    counter = MessageCounter(total=int(sent.sum()), per_agent=sent, per_sample_rounds=4 * m)
-    return Trace(times=times, states=states, f_s=cfg.f_s, segments=spans), counter
+    step = 0
+    for (src, dst, _), last in zip(edges, stops):
+        a, b = (np.concatenate((ends, ends + n)) for ends in (src[src < dst], dst[src < dst]))
+        idx, bins = np.concatenate((swap, b, a, b)), np.concatenate((swap[b], swap[a]))
+        buf = np.empty(idx.size)
+        sw, lo, hi = buf[:size], buf[size : size + 2 * a.size], buf[size + a.size :]
+        while step < last:
+            # Up to the next sample or the segment's end. numpy's overflow warnings
+            # are off there, never at a yield, so the caller's settings hold between
+            # rows: a state that overflows is named by the non-finite check below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in range(step + 1, min(last, (step // m + 1) * m) + 1):
+                    # Four stage rounds k = sw*sgn + acc*sgn (not acc *= sgn: with no
+                    # edges, bincount returns int zeros), each from v = w + c*k. Every
+                    # index is in range, so mode="clip" clips none; it spares the copy
+                    # through a temporary that take(out=) makes in its default mode.
+                    w.take(idx, out=buf, mode="clip")
+                    k1 = sw * sgn
+                    k1 += np.bincount(bins, lo - hi, minlength=size) * sgn
+                    v = half * k1
+                    v += w
+                    v.take(idx, out=buf, mode="clip")
+                    k2 = sw * sgn
+                    k2 += np.bincount(bins, lo - hi, minlength=size) * sgn
+                    v = half * k2
+                    v += w
+                    v.take(idx, out=buf, mode="clip")
+                    k3 = sw * sgn
+                    k3 += np.bincount(bins, lo - hi, minlength=size) * sgn
+                    v = full * k3
+                    v += w
+                    v.take(idx, out=buf, mode="clip")
+                    k4 = sw * sgn
+                    k4 += np.bincount(bins, lo - hi, minlength=size) * sgn
+                    # w + (h/6) * (k1 + 2*k2 + 2*k3 + k4), summed left to right in k1.
+                    k1 += two * k2
+                    k1 += two * k3
+                    k1 += k4
+                    k1 *= sixth
+                    k1 += w
+                    w = k1
+            if step % m == 0:
+                if not np.isfinite(w).all():  # the index only when needed: a sample is short
+                    raise SimulationError(f"non-finite state at t={step * h:g}, first at agent "
+                                          f"{np.flatnonzero(~np.isfinite(w))[0] % n}")
+                yield w
 
 
 def round_bound(delta_max: int, t_min: float, f_s: float) -> int:

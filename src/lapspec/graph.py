@@ -42,10 +42,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         pairs = [(_integer(i, "edges"), _integer(j, "edges")) for i, j in self.edges]
-        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "n", _agent_count(_integer(self.n, "n")))
         object.__setattr__(self, "edges", frozenset((min(p), max(p)) for p in pairs))
-        if self.n < 1:
-            raise ValueError(f"agent count must be positive, got {self.n}")
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-loop on agent {i}")
@@ -63,6 +61,17 @@ def _integer(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"field '{field}': {json.dumps(value, default=repr)} is not an integer")
     return int(value)
+
+
+def _agent_count(n: int) -> int:
+    """An integer agent count, checked: positive, and no more than numpy's
+    largest index, past which no per-agent array can be built."""
+    if n < 1:
+        raise ValueError(f"agent count must be positive, got {n}")
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"agent count {n} exceeds the largest array index "
+                         f"{np.iinfo(np.intp).max}")
+    return n
 
 
 def _agent(value, n: int) -> int:
@@ -129,7 +138,10 @@ def max_degree(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """Union-find connectivity check."""
+    """Union-find connectivity check. A graph of fewer than n - 1 edges is
+    disconnected: that is answered before the per-agent list is built."""
+    if len(g.edges) < g.n - 1:
+        return False
     parent = list(range(g.n))
 
     def find(a: int) -> int:
@@ -167,8 +179,10 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: agent count {parts[1]!r} is not an integer") from None
-            if n < 1:
-                raise ParseError(f"line {lineno}: agent count must be positive")
+            try:
+                _agent_count(n)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<i> <j>', got {raw!r}")

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -181,12 +182,9 @@ def _exit_codes(calls):
 
 
 def _stream(path, header, cell, times, rows):
-    """Write the table as cmd_simulate does: rows_final after each row,
-    as simulate's hook, then finish."""
-    with cli._RowWriter(path, header, cell) as writer:
-        for final in range(1, len(times) + 1):
-            writer.rows_final(times, rows, final)
-        writer.finish(times, rows)
+    """Write the table as cmd_simulate does: from a stream of its rows, not
+    the finished array."""
+    cli._write_rows(path, header, cell, times, iter(rows))
 
 
 def _stream_trace(trace, path):
@@ -253,28 +251,35 @@ def test_block_writer_formats_a_finished_table_in_the_parent(forks, tmp_path, mo
 @pytest.mark.parametrize("scenario", ["p5", "switching"])
 def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_file, tmp_path,
                                                      monkeypatch):
-    """simulate sends each final row to the formatter while it integrates:
-    by finish every row has been sent, and the file is the reference
-    writer's of the returned trace byte for byte. The switching run puts
-    segment boundaries in the middle of the sends."""
+    """cmd_simulate writes simulate's row stream as it comes: with more than
+    one CPU the formatter is forked at the first row, and each row is sent
+    before the next is integrated. The file is the reference writer's of
+    simulate's trace from the same inputs byte for byte. The switching run
+    puts segment boundaries in the middle of the sends."""
     calls, force_fork = forks
     force_fork(cpus)
-    runs, during = [], []
+    runs, sends, during = [], [], []
+    samples, send = cli._samples, cli._RowWriter._send
 
-    def recorded(*args, **kwargs):
-        runs.append(simulate(*args, **kwargs))
-        return runs[-1]
+    def recorded(*args):
+        runs.append(args)
+        times, segments, counter, rows = samples(*args)
 
-    def finish(writer, *args):
-        during.append((len(calls), writer.sent))
-        return finish_rows(writer, *args)
-    finish_rows = cli._RowWriter.finish
-    monkeypatch.setattr(cli, "simulate", recorded)
-    monkeypatch.setattr(cli._RowWriter, "finish", finish)
+        def watched():
+            for row in rows:
+                during.append((len(calls), len(sends)))  # as each row is yielded
+                yield row
+        return times, segments, counter, watched()
+
+    def counted_send(writer, row):
+        sends.append(row.size)
+        send(writer, row)
+    monkeypatch.setattr(cli, "_samples", recorded)
+    monkeypatch.setattr(cli._RowWriter, "_send", counted_send)
     schedule = p5_file if scenario == "p5" else SCENARIOS / "switching.json"
     out = tmp_path / "out"
     assert run(["simulate", schedule, "--seed", "7", "--out-dir", out]) == 0
-    trace = runs[0][0]
+    trace, _ = simulate(*runs[0])
     if scenario == "switching":
         assert len(trace.segments) == 3
     _reference_write_trace_csv(trace, tmp_path / "want.csv")
@@ -282,8 +287,36 @@ def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_f
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "messages.json", "trace.csv"]
     # The temporary file moved into place has the mode a plain open gives.
     assert (out / "trace.csv").stat().st_mode == (out / "messages.json").stat().st_mode
-    assert during == ([(1, trace.num_samples)] if cpus > 1 else [(0, 0)])
+    rows = trace.num_samples
+    assert during == ([(0, 0)] + [(1, k) for k in range(1, rows)] if cpus > 1 else
+                      [(0, 0)] * rows)
     assert _exit_codes(calls) == ([0] if cpus > 1 else [])
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["parent formats", "forked formatter"])
+def test_simulate_holds_no_trace(cpus, forks, tmp_path):
+    """lapspec simulate holds one state row and the writer, never the trace:
+    on a 300-agent ring, the peak of what Python and numpy allocate stays
+    below a quarter of the trace's samples * 2n * 8 bytes, whether the
+    parent formats the rows or a forked formatter does."""
+    calls, force_fork = forks
+    force_fork(cpus)
+    for n in (5, 300):
+        (tmp_path / f"ring{n}.txt").write_text(serialize_edge_list(cycle_graph(n)))
+    # The 5-agent run imports what a run needs (numpy.random alone is 0.8 MB).
+    assert run(["simulate", tmp_path / "ring5.txt", "--out-dir", tmp_path / "warm"]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["simulate", tmp_path / "ring300.txt", "--seed", "1",
+                    "--out-dir", tmp_path / "out"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = len((tmp_path / "out" / "trace.csv").read_text().splitlines()) - 1
+    assert samples == 796
+    assert peak < samples * 2 * 300 * 8 / 4, peak
+    assert _exit_codes(calls) == ([0, 0] if cpus > 1 else [])
     _assert_no_children()
 
 
@@ -369,11 +402,11 @@ def test_parent_write_failure_names_the_file(old, p5_file, forks, tmp_path, monk
 
 def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch):
     """An interrupt while the parent formats a finished table removes the
-    temporary file, and no formatter is forked. One at a send of a streamed
-    table kills and reaps the formatter forked at the first send too."""
+    temporary file, and no formatter is forked. One in a stream, after its
+    first row, kills and reaps the formatter forked at that row too."""
     calls, force_fork = forks
     force_fork(3)
-    format_rows, rows_final = cli._format_rows, cli._RowWriter.rows_final
+    format_rows = cli._format_rows
 
     def interrupted_format(*args):
         raise KeyboardInterrupt
@@ -384,26 +417,27 @@ def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch)
     assert calls == {}
     monkeypatch.setattr(cli, "_format_rows", format_rows)
 
-    def interrupted_send(writer, times, rows, final):
-        if final > 1:
-            raise KeyboardInterrupt
-        rows_final(writer, times, rows, final)
-    monkeypatch.setattr(cli._RowWriter, "rows_final", interrupted_send)
+    def interrupted(rows):
+        yield rows[0]
+        raise KeyboardInterrupt
+    trace = _special_trace()
     with pytest.raises(KeyboardInterrupt):
-        _stream_trace(_special_trace(), tmp_path / "got.csv")
+        cli._write_rows(tmp_path / "got.csv", cli._trace_header(trace.n), "%.17g", trace.times,
+                        interrupted(trace.states))
     assert list(tmp_path.iterdir()) == []
     assert _exit_codes(calls) == [-signal.SIGKILL]
     _assert_no_children()
 
 
 @pytest.mark.parametrize("old", [None, "an earlier trace\n"], ids=["no file", "earlier file"])
-@pytest.mark.parametrize("case", ["found in finish", "found by a send", "interrupt"])
+@pytest.mark.parametrize("case", ["found when reaped", "found by a send", "interrupt"])
 def test_formatter_failure_leaves_no_file(case, old, forks, tmp_path, monkeypatch):
-    """A formatter that fails is found in finish, or by the next send after
-    it closed its pipe, which a table larger than the pipe's buffer makes
-    mid-run; either way the parent raises the named error. An interrupt
-    kills the formatter. In each case it is reaped, no trace.csv or
-    temporary file is left and an earlier trace.csv is kept as it was."""
+    """A formatter that fails is found when it is reaped after the last row,
+    or by the next send after it closed its pipe, which a table larger than
+    the pipe's buffer makes mid-stream; either way the parent raises the
+    named error. An interrupt in the stream kills the formatter. In each
+    case it is reaped, no trace.csv or temporary file is left and an
+    earlier trace.csv is kept as it was."""
     calls, force_fork = forks
     force_fork(2)
     path = tmp_path / "trace.csv"
@@ -417,20 +451,21 @@ def test_formatter_failure_leaves_no_file(case, old, forks, tmp_path, monkeypatc
         format_rows(fh, *args)
     if case != "interrupt":
         monkeypatch.setattr(cli, "_format_rows", failing)
-    # 6 rows of 3 agents go down the pipe in one short write; 256 rows of
-    # 2000 agents are 8 MB, more than a pipe's buffer holds.
-    rows, n = (6, 3) if case == "found in finish" else (256, 2000)
-    times, states, sent = np.arange(rows) * 0.5, np.ones((rows, 2 * n)), []
+    # 6 rows of 3 agents go down the pipe in one short write each; 256 rows
+    # of 2000 agents are 8 MB, more than a pipe's buffer holds.
+    rows, n = (6, 3) if case == "found when reaped" else (256, 2000)
+    times, states, streamed = np.arange(rows) * 0.5, np.ones((rows, 2 * n)), []
+
+    def stream():
+        yield from states[: 3 if case == "interrupt" else rows]
+        if case == "interrupt":
+            raise KeyboardInterrupt
+        streamed.append(rows)  # the writer asked for a row past the last
     with pytest.raises(KeyboardInterrupt if case == "interrupt" else OSError,
                        match=None if case == "interrupt" else
                        r"trace\.csv: the row formatter failed: RuntimeError: disk on fire$"):
-        with cli._RowWriter(path, cli._trace_header(n), "%.17g") as writer:
-            writer.rows_final(times, states, 3 if case == "interrupt" else rows)
-            sent.append(rows)
-            if case == "interrupt":
-                raise KeyboardInterrupt
-            writer.finish(times, states)
-    assert sent == ([] if case == "found by a send" else [rows])
+        cli._write_rows(path, cli._trace_header(n), "%.17g", times, stream())
+    assert streamed == ([rows] if case == "found when reaped" else [])
     assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == (
         [] if old is None else [("trace.csv", old)])
     assert _exit_codes(calls) == [-signal.SIGKILL if case == "interrupt" else 1]
@@ -458,13 +493,16 @@ def test_simulate_failing_mid_run_leaves_no_trace(failure, old, p5_file, forks, 
         assert run(["simulate", p5_file, "--out-dir", out]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite state at t=0.0628319, ")
     else:
-        def interrupted(*args, _on_rows):
-            def hook(times, states, final):
-                if final > 1:
-                    raise KeyboardInterrupt
-                _on_rows(times, states, final)
-            return simulate(*args, _on_rows=hook)
-        monkeypatch.setattr(cli, "simulate", interrupted)
+        samples = cli._samples
+
+        def interrupted(*args):
+            times, segments, counter, rows = samples(*args)
+
+            def stream():
+                yield next(rows)
+                raise KeyboardInterrupt
+            return times, segments, counter, stream()
+        monkeypatch.setattr(cli, "_samples", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(["simulate", p5_file, "--out-dir", out])
     assert _exit_codes(calls) == [-signal.SIGKILL]  # forked at row 0, killed at the failure
@@ -1155,20 +1193,24 @@ def test_spectrogram_hop_past_int64_gives_one_slice(traces, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["rounds", "simulate", "validate"])
 def test_agent_count_failures_are_one_named_line(command, tmp_path, monkeypatch, capsys):
-    """An agent count past a C integer (an OverflowError), or one whose
-    arrays cannot be allocated (a MemoryError with no message), is one named
-    error line, not a traceback or a bare "error: "."""
+    """An agent count past numpy's largest index is one error line naming
+    its line and the count, and one whose arrays cannot be allocated (a
+    MemoryError with no message) is one named error line, not a traceback
+    or a bare "error: "."""
     huge = tmp_path / "huge.txt"
     huge.write_text("n 99999999999999999999999\n0 1\n")
-    argv = [command, huge] + ([] if command == "rounds" else ["--out-dir", tmp_path / "out"])
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: [^\n]*too large[^\n]*\n", err), err
+    out = [] if command == "rounds" else ["--out-dir", tmp_path / "out"]
+    assert run([command, huge, *out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 1: agent count 99999999999999999999999 exceeds the largest array "
+        f"index {np.iinfo(np.intp).max}\n")
 
     def exhausted(graph):
         raise MemoryError()
     monkeypatch.setattr(lapspec.graph, "is_connected", exhausted)
-    assert run(argv) == 1
+    many = tmp_path / "many.txt"
+    many.write_text("n 1000000\n0 1\n")
+    assert run([command, many, *out]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
     assert not (tmp_path / "out").exists()
 
@@ -1191,6 +1233,25 @@ def test_input_that_is_not_utf8_names_its_file(reader, tmp_path, capsys):
         argv, message = ["estimate", bad, "--agent", "0"], f"{bad}: {decode}"
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("agent", [None, 1], ids=["full read", "one-agent read"])
+def test_trace_byte_that_is_not_utf8_is_named_by_line_and_column(agent, traces, tmp_path, capsys):
+    """A 0xff past the header of the P5 trace, in the text decoder's first
+    block or far past it, is named by its file line and column, as every
+    other cell error is, not by its offset in the decoder's block."""
+    path = tmp_path / "bad.csv"
+    for offset, line, column in ((100, 3, 2), (100_000, 457, 1)):
+        data = bytearray(traces["p5"].read_bytes())
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        message = f"{path}: byte 0xff at line {line}, column {column} is not utf-8"
+        error = _read_error(path, agent)
+        assert type(error) is ParseError and str(error) == message
+        if agent is not None:
+            capsys.readouterr()
+            assert run(["estimate", path, "--agent", agent]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_spectrogram_window_too_long(p5_file, tmp_path, capsys):

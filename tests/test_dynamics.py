@@ -30,7 +30,7 @@ from lapspec import (
     simulate,
     star_graph,
 )
-from lapspec.dynamics import DEFAULT_SAMPLE_RATE
+from lapspec.dynamics import DEFAULT_SAMPLE_RATE, Trace, _samples
 from lapspec.graph import directed_edges
 from conftest import disjoint_union, random_connected_graph, simple_spectrum_graph
 
@@ -563,6 +563,51 @@ def test_simulate_golden_digest_switching():
         "88da66cbb21a4af3809499d8494a4bd0d9ee5d37cf8e1774f133dbe8e6209978"
     )
     assert counter.total == 159544
+
+
+@pytest.mark.parametrize("scenario, digest", [
+    ("p5", "3a9f99f8cf8a0dd89b82f6f9d0e938a03cc89c060c495399b65370b8ab285cbf"),
+    ("switching", "88da66cbb21a4af3809499d8494a4bd0d9ee5d37cf8e1774f133dbe8e6209978"),
+])
+def test_simulate_stacks_the_row_stream(scenario, digest):
+    """simulate's trace is its row stream stacked, byte for byte, with the
+    golden digests: each row is an array of its own, never overwritten by a
+    later step, and numpy's error settings between rows are the caller's."""
+    if scenario == "p5":
+        sched = TopologySchedule.single(parse_edge_list((SCENARIOS / "p5.txt").read_text()), 50.0)
+        cfg, init = SimConfig(t_end=50.0), random_init(5, 12345)
+    else:
+        sched = parse_schedule((SCENARIOS / "switching.json").read_text(), base_dir=SCENARIOS)
+        cfg, init = SimConfig(t_end=20.0), random_init(sched.n, 11)
+    trace, counter = simulate(sched, cfg, init)
+    times, segments, streamed_counter, rows = _samples(sched, cfg, init)
+    settings, kept = np.geterr(), []
+    for row in rows:
+        assert np.geterr() == settings
+        kept.append(row)
+    assert len({id(row) for row in kept}) == len(kept) == trace.num_samples
+    assert np.stack(kept).tobytes() == trace.states.tobytes()
+    assert _trace_digest(Trace(times, np.stack(kept), cfg.f_s, segments)) == digest
+    assert _trace_digest(trace) == digest
+    assert times.tobytes() == trace.times.tobytes() and segments == trace.segments
+    assert streamed_counter.to_dict() == counter.to_dict()
+
+
+@pytest.mark.parametrize("case", ["nyquist", "span", "shape", "non-finite"])
+def test_row_stream_checks_before_its_first_row(case):
+    """Every check of a run is made when the stream is built, before any row
+    is asked for."""
+    sched, cfg, init = TopologySchedule.single(K2, 5.0), SimConfig(t_end=5.0), (np.ones(2),) * 2
+    if case == "nyquist":
+        cfg = SimConfig(t_end=5.0, f_s=0.5, h=0.1)
+    elif case == "span":
+        cfg = SimConfig(t_end=6.0)
+    elif case == "shape":
+        init = (np.ones(3), np.ones(3))
+    else:
+        init = (np.ones(2), np.array([1.0, np.nan]))
+    with pytest.raises(ConfigError):
+        _samples(sched, cfg, init)
 
 
 def test_simulate_energy_conservation_short():

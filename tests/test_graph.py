@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_connectivity():
     assert is_connected(path_graph(4))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph.from_edges(1, []))
+
+
+def test_connectivity_of_too_few_edges_builds_no_per_agent_list():
+    """Fewer than n - 1 edges cannot connect n agents: is_connected answers
+    before its union-find list, whose n entries take about 36 MB here."""
+    g = Graph.from_edges(10**6, [(0, 1), (5, 999_999)])
+    tracemalloc.start()
+    try:
+        assert not is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
@@ -345,6 +359,13 @@ def _schedule_reading(tmp_path, edges_file_text):
     (lambda tmp: parse_edge_list("n five\n"), ParseError,
      "line 1: agent count 'five' is not an integer"),
     (lambda tmp: parse_edge_list("n 0\n"), ParseError, "line 1: agent count must be positive"),
+    (lambda tmp: parse_edge_list("# big\nn 99999999999999999999999\n0 1\n"), ParseError,
+     f"line 2: agent count 99999999999999999999999 exceeds the largest array index "
+     f"{np.iinfo(np.intp).max}"),
+    (lambda tmp: Graph(n=2**63, edges=frozenset()), ValueError,
+     f"agent count {2**63} exceeds the largest array index {np.iinfo(np.intp).max}"),
+    (lambda tmp: parse_schedule(f'[{{"t_start": 0, "t_end": 1, "n": {10**30}, "edges": []}}]'),
+     ParseError, f"segment 0: agent count {10**30} exceeds the largest array index"),
     (lambda tmp: parse_edge_list("n 3\n0 b\n"), ParseError,
      "line 2: endpoints must be integers, got '0 b'"),
     (lambda tmp: Segment(2.0, 2.0, K2), ScheduleError, "[2.0, 2.0] has non-positive duration"),
@@ -358,7 +379,8 @@ def _schedule_reading(tmp_path, edges_file_text):
     (lambda tmp: parse_schedule('[{"t_start": 0, "t_end": 1, "edges": [[0, 1]]}]'), ParseError,
      "segment 0: inline 'edges' requires 'n'"),
 ], ids=["zero agents", "fractional endpoint", "bool endpoint", "count not integer",
-        "count zero", "endpoint not integer", "empty segment", "no segments", "not an array",
+        "count zero", "count past intp", "Graph count past intp", "inline count past intp",
+        "endpoint not integer", "empty segment", "no segments", "not an array",
         "segment not object", "edges file missing", "edges file malformed", "edges without n"])
 def test_graph_errors_are_named(call, kind, message, tmp_path):
     with pytest.raises(kind) as exc:
