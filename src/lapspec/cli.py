@@ -68,7 +68,8 @@ def _out_dir(args) -> Path:
 
 def _load_schedule(path: str, t_end: float | None) -> tuple[TopologySchedule, list[str]]:
     """Accept either a JSON schedule or a single edge-list file. Return it
-    with the text of each warning its loading raised (a disconnected segment)."""
+    with the text of each warning its loading raised (a disconnected segment).
+    An edge list's ParseError is prefixed with its path, as an edges_file's is."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -78,7 +79,10 @@ def _load_schedule(path: str, t_end: float | None) -> tuple[TopologySchedule, li
         if text.lstrip().startswith("["):
             schedule = parse_schedule(text, base_dir=Path(path).parent)
         else:
-            graph = parse_edge_list(text)
+            try:
+                graph = parse_edge_list(text)
+            except ParseError as exc:
+                raise ParseError(f"{path}: {exc}") from None
             schedule = TopologySchedule.single(graph, t_end if t_end is not None else 50.0)
     return schedule, [str(w.message) for w in caught]
 

@@ -33,20 +33,30 @@ j) and then its higher ones (the pairs (i, j), ascending in j), the
 per-agent loop's ascending order, so both formulations add identical
 summands in identical order, bit for bit.
 
-One RK4 step is one loop body in simulate: the four stage rounds and the
-weighted sum, with no call per stage. Its step constants 0.5*h, h, h/6 and
-2.0 are arrays of length 2n built once per run, because at a dozen agents
-numpy's per-call overhead, larger for a Python float times an array than
-for two arrays, sets the step's time.
+One RK4 step is one loop body in _steps: the four stage rounds and the
+weighted sum, 35 numpy calls. At a dozen agents numpy's per-call overhead
+sets the step's time, so the step makes as few calls as keep the textbook's
+bits. Its constants 0.25*h, 0.5*h and h/6 are arrays of length 2n built once
+per run (a Python float times an array costs more than two arrays). Stages
+2 and 3 take the signs sgn2 = 2*sgn, so k2 and k3 come doubled and the
+weighted sum needs no 2*k call. np.bincount is called as its _implementation,
+NEP 18's undispatched C function: the same call and bytes, no dispatch.
 
 Numerical notes: the sign goes on each summand, never on the sum. IEEE a - b
 is a + (-b) and a product with +/-1 is exact, so (-x) + (-A_x) is the rule's
 (-x) - A_x bit for bit; -(x + A_x) would turn an exact +0.0 rate into -0.0.
-The step keeps every IEEE operation's operands and order: an array filled
-with c times k is c * k elementwise, IEEE sums and products commute exactly,
-and k1 += 2*k2 is k1 + 2*k2, so accumulating ((k1 + 2*k2) + 2*k3) + k4 in
-place in k1 gives the textbook w + (h/6) * (k1 + 2*k2 + 2*k3 + k4) bit for
-bit.
+A product with +/-2 is exact and 2*(a + b) is 2*a + 2*b, signed zeros and
+subnormals included, so sw*sgn2 + acc*sgn2 is 2*k2 bit for bit, and
+(0.25*h)*(2*k2) is (0.5*h)*k2, (0.5*h)*(2*k3) is h*k3: the same real
+product rounded once (0.25*h and 0.5*h are exact for h >= 2**-1020). Every
+other IEEE operation keeps its operands and order: an array filled with c
+times k is c * k elementwise, and IEEE sums and products commute exactly,
+so accumulating ((k1 + 2*k2) + 2*k3) + k4 in place in k1 gives the textbook
+w + (h/6) * (k1 + 2*k2 + 2*k3 + k4) bit for bit while no value overflows.
+A doubled k2 or k3 that overflows reaches the next stage's input, where the
+textbook's 2*k reached only the weighted sum: every entry the textbook makes
+non-finite is non-finite here too, so such a run aborts at the same sample
+or earlier, and its error may name another agent.
 
 Each setting is checked once, by its owner: SimConfig checks its fields when
 built, and _samples (so simulate) only what needs its other arguments: the
@@ -279,8 +289,10 @@ def _steps(w: np.ndarray, edges: list, stops: list, h: float, m: int) -> Iterato
     yield w
     size = w.size
     n = size // 2
-    half, full, sixth, two = (np.full(size, c) for c in (0.5 * h, h, h / 6.0, 2.0))
+    quarter, half, sixth = (np.full(size, c) for c in (0.25 * h, 0.5 * h, h / 6.0))
     swap, sgn = np.roll(np.arange(size), n), np.repeat([1.0, -1.0], n)
+    sgn2 = 2.0 * sgn
+    bincount = np.bincount._implementation  # NEP 18's undispatched C function
     step = 0
     for (src, dst, _), last in zip(edges, stops):
         a, b = (np.concatenate((ends, ends + n)) for ends in (src[src < dst], dst[src < dst]))
@@ -294,30 +306,31 @@ def _steps(w: np.ndarray, edges: list, stops: list, h: float, m: int) -> Iterato
             with np.errstate(over="ignore", invalid="ignore"):
                 for step in range(step + 1, min(last, (step // m + 1) * m) + 1):
                     # Four stage rounds k = sw*sgn + acc*sgn (not acc *= sgn: with no
-                    # edges, bincount returns int zeros), each from v = w + c*k. Every
-                    # index is in range, so mode="clip" clips none; it spares the copy
-                    # through a temporary that take(out=) makes in its default mode.
+                    # edges, bincount returns int zeros), each from v = w + c*k; k2 and
+                    # k3 come doubled, from sgn2. Every index is in range, so mode="clip"
+                    # clips none; it spares the copy through a temporary that take(out=)
+                    # makes in its default mode.
                     w.take(idx, out=buf, mode="clip")
                     k1 = sw * sgn
-                    k1 += np.bincount(bins, lo - hi, minlength=size) * sgn
+                    k1 += bincount(bins, lo - hi, minlength=size) * sgn
                     v = half * k1
                     v += w
                     v.take(idx, out=buf, mode="clip")
-                    k2 = sw * sgn
-                    k2 += np.bincount(bins, lo - hi, minlength=size) * sgn
-                    v = half * k2
+                    k2 = sw * sgn2
+                    k2 += bincount(bins, lo - hi, minlength=size) * sgn2
+                    v = quarter * k2
                     v += w
                     v.take(idx, out=buf, mode="clip")
-                    k3 = sw * sgn
-                    k3 += np.bincount(bins, lo - hi, minlength=size) * sgn
-                    v = full * k3
+                    k3 = sw * sgn2
+                    k3 += bincount(bins, lo - hi, minlength=size) * sgn2
+                    v = half * k3
                     v += w
                     v.take(idx, out=buf, mode="clip")
                     k4 = sw * sgn
-                    k4 += np.bincount(bins, lo - hi, minlength=size) * sgn
+                    k4 += bincount(bins, lo - hi, minlength=size) * sgn
                     # w + (h/6) * (k1 + 2*k2 + 2*k3 + k4), summed left to right in k1.
-                    k1 += two * k2
-                    k1 += two * k3
+                    k1 += k2
+                    k1 += k3
                     k1 += k4
                     k1 *= sixth
                     k1 += w

@@ -2,10 +2,11 @@
 
 Agents are 0-indexed. Graphs are unweighted and simple: no self-loops, each
 undirected edge stored once as a canonical (i, j) pair with i < j. The graph
-owns the neighbor order and the degrees (directed_edges) that the simulator,
-the Laplacian and every max degree read. The Laplacian is dense (desk-scale
-networks): degree on the diagonal, -1 per edge, so every row sums to zero
-and the spectrum lies in [0, 2 * max_degree] by Gershgorin.
+owns the neighbor order and the degrees (directed_edges) that the simulator
+and the Laplacian read; max_degree counts the edges' endpoints alone. The
+Laplacian is dense (desk-scale networks): degree on the diagonal, -1 per
+edge, so every row sums to zero and the spectrum lies in [0, 2 * max_degree]
+by Gershgorin.
 """
 from __future__ import annotations
 
@@ -133,8 +134,11 @@ def build_laplacian(g: Graph) -> np.ndarray:
 
 
 def max_degree(g: Graph) -> int:
-    """Largest agent degree; 2*max_degree bounds every Laplacian eigenvalue."""
-    return int(directed_edges(g)[2].max())
+    """Largest agent degree, 0 with no edges; 2*max_degree bounds every
+    Laplacian eigenvalue. Counted over the edges' endpoints alone, so no
+    array has an entry per agent."""
+    ends = np.array(list(g.edges), dtype=np.intp).ravel()
+    return int(np.unique(ends, return_counts=True)[1].max(initial=0))
 
 
 def is_connected(g: Graph) -> bool:

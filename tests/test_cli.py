@@ -1194,15 +1194,15 @@ def test_spectrogram_hop_past_int64_gives_one_slice(traces, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["rounds", "simulate", "validate"])
 def test_agent_count_failures_are_one_named_line(command, tmp_path, monkeypatch, capsys):
     """An agent count past numpy's largest index is one error line naming
-    its line and the count, and one whose arrays cannot be allocated (a
-    MemoryError with no message) is one named error line, not a traceback
-    or a bare "error: "."""
+    its file, its line and the count, and one whose arrays cannot be
+    allocated (a MemoryError with no message) is one named error line, not a
+    traceback or a bare "error: "."""
     huge = tmp_path / "huge.txt"
     huge.write_text("n 99999999999999999999999\n0 1\n")
     out = [] if command == "rounds" else ["--out-dir", tmp_path / "out"]
     assert run([command, huge, *out]) == 1
     assert capsys.readouterr().err == (
-        f"error: line 1: agent count 99999999999999999999999 exceeds the largest array "
+        f"error: {huge}: line 1: agent count 99999999999999999999999 exceeds the largest array "
         f"index {np.iinfo(np.intp).max}\n")
 
     def exhausted(graph):

@@ -291,6 +291,22 @@ def test_rk4_nonfinite_abort(graph, cfg, init, t):
         simulate(TopologySchedule.single(graph, cfg.t_end), cfg, init)
 
 
+def test_doubled_stage_overflow_aborts_at_the_same_sample():
+    """Where a state overflows, a doubled k2 that overflows reaches stage 3's
+    input, where the textbook's 2*k2 reached only the final sum. Both abort at
+    the same sample, t=0.1 on this P3, but simulate finds agent 0 not finite
+    and the reference loop agent 1 first."""
+    g, cfg = path_graph(3), SimConfig(t_end=1.0, f_s=10.0, h=0.1)
+    x0 = np.array([3.8201645662146904e307, -1.2058147272359928e307, -3.5672905452824774e307])
+    z0 = np.array([-9.902852851210832e306, -2.0184656265948462e307, 2.175276995771445e307])
+    with pytest.raises(SimulationError, match=r"^non-finite state at t=0\.1, first at agent 0$"):
+        simulate(TopologySchedule.single(g, 1.0), cfg, (x0, z0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _reference_run(g, cfg, x0, z0)
+    assert np.isfinite(expected[0]).all()
+    assert np.flatnonzero(~np.isfinite(expected[1]))[0] % g.n == 1
+
+
 def test_simulate_rejects_run_shorter_than_one_sample():
     """A one-sample trace is no trace: simulate rejects it up front."""
     sched, init = TopologySchedule.single(K2, 1.0), ([1.0, 0.0], [0.0, 0.0])
@@ -407,7 +423,10 @@ def test_simulate_bitexact_across_segment_layouts():
 
 def _full_run_inputs():
     """Simple-spectrum graphs with n = 3..12, the 240-agent sparse graph and
-    an edgeless agent, each from a random and a signed-zero (+/-0, +/-1) init."""
+    an edgeless agent, each from a random and a signed-zero (+/-0, +/-1) init;
+    and a 4-agent path beside an isolated agent, from +/-0.0 alone, from
+    +/-0.0 and +/-1, and from subnormal and tiny normal states, where
+    simulate's doubled k2 and k3 must keep every sign and every low bit."""
     rng = np.random.default_rng(20)
     graphs = [simple_spectrum_graph(rng, n) for n in range(3, 13)]
     graphs += [random_connected_graph(np.random.default_rng(7), 240), Graph.from_edges(1, [])]
@@ -417,6 +436,14 @@ def _full_run_inputs():
             g, rng.standard_normal(g.n), rng.standard_normal(g.n), id=f"n{g.n}-random")
         yield pytest.param(
             g, rng.choice(values, size=g.n), rng.choice(values, size=g.n), id=f"n{g.n}-signed")
+    isolated = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    for name, x0, z0 in (
+        ("zeros", [-0.0, 0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0, 0.0]),
+        ("signed", [-0.0, 1.0, 0.0, -1.0, -0.0], [0.0, -0.0, -1.0, -0.0, 0.0]),
+        ("subnormal", [5e-324, -1e-310, 2.2e-308, -5e-324, 1e-310],
+         [-2.2e-308, 5e-324, -0.0, 1e-310, -5e-324]),
+    ):
+        yield pytest.param(isolated, np.array(x0), np.array(z0), id=f"isolated-{name}")
 
 
 @pytest.mark.parametrize("g, x0, z0", _full_run_inputs())
@@ -424,7 +451,10 @@ def test_simulate_full_run_bitexact_with_reference_loop(g, x0, z0):
     """A whole default 50 s run (7950 steps, 796 samples) of simulate equals
     the reference loop of _rk4_core byte for byte."""
     cfg = SimConfig(t_end=50.0)
-    trace, _ = simulate(TopologySchedule.single(g, 50.0), cfg, (x0, z0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an isolated agent disconnects its graph
+        sched = TopologySchedule.single(g, 50.0)
+    trace, _ = simulate(sched, cfg, (x0, z0))
     assert trace.num_samples == 796
     assert trace.states.tobytes() == _reference_run(g, cfg, x0, z0).tobytes()
 

@@ -141,6 +141,20 @@ def test_connectivity_of_too_few_edges_builds_no_per_agent_list():
     assert peak < 100_000, peak
 
 
+def test_max_degree_builds_no_per_agent_array():
+    """max_degree counts the edges' endpoints: one edge among 10**7 agents
+    allocates nothing near the 80 MB of a per-agent degree array."""
+    g = Graph.from_edges(10**7, [(3, 9_999_999)])
+    tracemalloc.start()
+    try:
+        assert max_degree(g) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert max_degree(Graph.from_edges(10**7, [])) == 0
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
 def test_laplacian_nullvector_property(n, seed):
