@@ -9,8 +9,8 @@ byte.
 
 simulate writes the trace CSV from the simulator's row stream as the rows
 come, so it holds one state row and the writer, never the trace. Every CSV
-goes through one writer, _RowWriter, which takes the time column and any
-iterable of rows: a stream, or a finished table's array.
+goes through one writer function, _write_rows, which takes the time column
+and any iterable of rows: a stream, or a finished table's array.
 """
 from __future__ import annotations
 
@@ -130,136 +130,115 @@ def _format_rows(fh, line: str, times: np.ndarray, rows) -> None:
         fh.write(line % (t, *row.tolist()))
 
 
-class _RowWriter:
-    """The one CSV row writer: write(times, rows) writes the header, then per
-    row its time (%.17g) and cells in printf format cell. rows is any
-    iterable of 1-D rows: a finished table's 2-D array, or a stream such as
-    simulate's, which the writer pulls row by row and never holds. A stream
-    of at least FORK_CELLS cells, with more than one usable CPU and os.fork,
-    gets one forked formatter at its first row, which inherits times and is
-    sent each row's raw bytes as the stream yields it; the parent formats
-    every other table, a finished one included. Either way the same line
-    formats each row into a temporary file beside path, which os.replace
-    moves onto path only once every row is written: a failure or an
-    interrupt, in the stream too, leaves path as it was. A failed formatter,
-    or a failed write in the parent, raises OSError naming path and the
-    reason. Use it in a with block: on every exit a running formatter is
-    killed and reaped, and the temporary file removed.
-    """
+def _send(pipe, row: np.ndarray) -> None:
+    """Write row's bytes to pipe, an unbuffered binary file."""
+    data = memoryview(row).cast("B")
+    while data:  # a signal handler can cut a write short
+        data = data[pipe.write(data) :]
 
-    def __init__(self, path: Path, header: str, cell: str) -> None:
-        self.path, self.header, self.cell = Path(path), header, cell
-        self.tmp: str | None = None
-        self.pid: int | None = None  # the formatter, until reaped
-        self.rows = self.reason = None  # its pipes: rows to it, its failure reason back
 
-    def __enter__(self) -> "_RowWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        for pipe in (self.rows, self.reason):
-            if pipe is not None:
-                pipe.close()
-        if self.tmp is not None:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.tmp)
-
-    def _open_tmp(self):
-        """The temporary file beside path, holding the header."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self.tmp = tempfile.mkstemp(prefix=f".{self.path.name}.", suffix=".tmp",
-                                        dir=self.path.parent)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-        fh = open(fd, "w")
-        fh.write(self.header + "\n")
-        return fh
-
-    def _fork(self, fh, line: str, times: np.ndarray, first: np.ndarray) -> None:
-        """Fork the formatter, which appends the line of each row read from
-        the rows pipe (first's size and dtype) to fh, and its failure
-        reason, if any, to the reason pipe. It calls only frombuffer,
-        tolist, % formatting and file writes, so no BLAS runs after the
-        fork, and leaves through os._exit: it never unwinds into its
-        caller's frames or flushes a buffer but the file's."""
-        rows_r, rows_w = os.pipe()
-        reason_r, reason_w = os.pipe()
-        self.rows, self.reason = open(rows_w, "wb", buffering=0), open(reason_r, "rb")
-        try:
-            fh.flush()  # the header is the parent's: the formatter inherits no text
-            self.pid = os.fork()
-            if self.pid == 0:
-                status = 1
-                try:
-                    self.rows.close()  # else the pipe never ends
-                    with open(rows_r, "rb") as src:  # one row's bytes per read
-                        received = iter(lambda: src.read(first.nbytes), b"")
-                        _format_rows(fh, line, times,
-                                     (np.frombuffer(row, first.dtype) for row in received))
-                    fh.flush()
-                    status = 0
-                except BaseException as exc:  # the formatter exits below, whatever it was
-                    # One short write: the pipe holds it without a reader.
-                    os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
-                finally:
-                    os._exit(status)
-        finally:
-            os.close(rows_r)
-            os.close(reason_w)
-
-    def _send(self, row: np.ndarray) -> None:
-        """Send the formatter one row's bytes; if it has left, raise its reason."""
-        data = memoryview(row).cast("B")
-        try:
-            while data:  # a signal handler can cut a write short
-                data = data[self.rows.write(data) :]
-        except BrokenPipeError:
-            self._reap()  # the formatter left early: raise its reason
-            raise
-
-    def _reap(self) -> None:
-        """End the rows pipe, wait for the formatter, and raise OSError with
-        its reason if it failed."""
-        self.rows.close()
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        reason = self.reason.read().decode(errors="replace")
-        if status or reason:
-            raise OSError(f"{self.path}: the row formatter failed: "
-                          f"{reason or f'wait status {status}'}")
-
-    def write(self, times: np.ndarray, rows) -> None:
-        """Write times with rows, then move the file onto path."""
-        streamed = not isinstance(rows, np.ndarray)
-        rows = iter(rows)
-        first = next(rows)  # every table has a row: a trace 2 or more, a spectrogram 1 or more
-        line = ",".join(["%.17g"] + [self.cell] * first.size) + "\n"
-        rows = itertools.chain((first,), rows)
-        try:
-            with self._open_tmp() as fh:
-                if (streamed and len(times) * (first.size + 1) >= FORK_CELLS
-                        and _usable_cpus() > 1 and hasattr(os, "fork")):
-                    self._fork(fh, line, times, first)
-                else:
-                    _format_rows(fh, line, times, rows)
-        except OSError as exc:
-            raise OSError(f"{self.path}: {exc}") from exc
-        if self.pid is not None:
-            for row in rows:
-                self._send(row)
-            self._reap()
-        os.replace(self.tmp, self.path)
-        self.tmp = None
+def _formatter(fh, line: str, times: np.ndarray, first: np.ndarray, pipe, rows_r: int,
+               reason_w: int) -> None:
+    """The forked formatter: append the line of each row read from rows_r
+    (first's size and dtype) to fh, and its failure reason, if any, to
+    reason_w; pipe is the parent's end of the rows pipe. It calls only
+    frombuffer, tolist, % formatting and file writes, so no BLAS runs after
+    the fork, and leaves through os._exit: it never unwinds into its
+    caller's frames or flushes a buffer but the file's."""
+    status = 1
+    try:
+        pipe.close()  # else the rows pipe never ends
+        with open(rows_r, "rb") as src:  # one row's bytes per read
+            received = iter(lambda: src.read(first.nbytes), b"")
+            _format_rows(fh, line, times, (np.frombuffer(row, first.dtype) for row in received))
+        fh.flush()
+        status = 0
+    except BaseException as exc:  # the formatter exits below, whatever it was
+        # One short write: the pipe holds it without a reader.
+        os.write(reason_w, f"{type(exc).__name__}: {exc}".encode()[:4000])
+    finally:
+        os._exit(status)
 
 
 def _write_rows(path: Path, header: str, cell: str, times: np.ndarray, rows) -> None:
-    """_RowWriter's CSV of times and rows, a finished table or a stream."""
-    with _RowWriter(path, header, cell) as writer:
-        writer.write(times, rows)
+    """The one CSV row writer: write the header, then per row its time
+    (%.17g) and cells in printf format cell. rows is any iterable of 1-D
+    rows: a finished table's 2-D array, or a stream such as simulate's,
+    which is pulled row by row and never held. A stream of at least
+    FORK_CELLS cells, with more than one usable CPU and os.fork, gets one
+    forked formatter at its first row, which inherits times and is sent
+    each row's raw bytes as the stream yields it; the parent formats every
+    other table, a finished one included. Either way the same line formats
+    each row into a temporary file beside path, which os.replace moves onto
+    path only once every row is written: a failure or an interrupt, in the
+    stream too, leaves path as it was. A failed formatter, or a failed
+    write or fork in the parent, raises OSError naming path and the reason.
+    On every exit a running formatter is killed and reaped, the pipes are
+    closed and the temporary file is removed.
+    """
+    path = Path(path)
+    streamed = not isinstance(rows, np.ndarray)
+    rows = iter(rows)
+    first = next(rows)  # every table has a row: a trace 2 or more, a spectrogram 1 or more
+    line = ",".join(["%.17g"] + [cell] * first.size) + "\n"
+    rows = itertools.chain((first,), rows)
+    tmp = pid = None  # the temporary file; the formatter, until reaped
+    pipe = reason = None  # the formatter's pipes: rows to it, its failure reason back
+    try:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+            with open(fd, "w") as fh:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+                fh.write(header + "\n")
+                if (streamed and len(times) * (first.size + 1) >= FORK_CELLS
+                        and _usable_cpus() > 1 and hasattr(os, "fork")):
+                    rows_r, rows_w = os.pipe()
+                    reason_r, reason_w = os.pipe()
+                    pipe, reason = open(rows_w, "wb", buffering=0), open(reason_r, "rb")
+                    try:
+                        fh.flush()  # the header is the parent's: the formatter inherits no text
+                        pid = os.fork()
+                        if pid == 0:
+                            _formatter(fh, line, times, first, pipe, rows_r, reason_w)
+                    finally:  # the formatter's ends, closed whether or not it was forked
+                        os.close(rows_r)
+                        os.close(reason_w)
+                else:
+                    _format_rows(fh, line, times, rows)
+        except OSError as exc:
+            raise OSError(f"{path}: {exc}") from exc
+        if pid is not None:
+            try:
+                for row in rows:
+                    _send(pipe, row)
+            except BrokenPipeError:  # the formatter left early: it failed, or times ran out
+                pass
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            failure = reason.read().decode(errors="replace")
+            if status or failure:
+                code = os.waitstatus_to_exitcode(status)
+                # Signals has no member for the real-time signals past SIGRTMIN.
+                names = {s.value: s.name for s in signal.Signals}
+                how = (f"killed by {names.get(-code, f'signal {-code}')}" if code < 0
+                       else f"exit code {code}")
+                raise OSError(f"{path}: the row formatter failed: {failure or how}")
+        os.replace(tmp, path)
+        tmp = None
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for end in (pipe, reason):
+            if end is not None:
+                end.close()
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _trace_header(n: int) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -193,7 +194,7 @@ def _stream_trace(trace, path):
 
 @pytest.mark.parametrize("cpus, rows", [(1, 6), (2, 6), (3, 6), (4, 7), (16, 5)],
                          ids=["1 CPU", "2 CPUs", "3 CPUs", "4 CPUs", "more CPUs than rows"])
-def test_block_writer_matches_per_cell_format(cpus, rows, forks, tmp_path):
+def test_finished_and_streamed_tables_match_per_cell_format(cpus, rows, forks, tmp_path):
     """Whatever the CPU count, a finished table and the same table streamed
     row by row are the reference writer's bytes, and no temporary file or
     child process is left. A finished table forks nothing; a streamed one
@@ -213,7 +214,7 @@ def test_block_writer_matches_per_cell_format(cpus, rows, forks, tmp_path):
     _assert_no_children()
 
 
-def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, monkeypatch):
+def test_only_streams_over_the_cell_floor_fork_a_formatter(forks, tmp_path, monkeypatch):
     """With the real floor, a streamed table of 100 rows one row-width short
     of FORK_CELLS cells forks nothing on any CPU count; one of FORK_CELLS
     cells forks one formatter, but none with one usable CPU or without
@@ -233,7 +234,7 @@ def test_block_writer_splits_only_tables_over_the_cell_floor(forks, tmp_path, mo
             f"{t}" + ",0" * (cells_per_row - 1) + "\n" for t in range(100))
 
 
-def test_block_writer_formats_a_finished_table_in_the_parent(forks, tmp_path, monkeypatch):
+def test_parent_formats_a_finished_table_of_fork_cells(forks, tmp_path, monkeypatch):
     """A finished table of exactly FORK_CELLS cells, with 8 usable CPUs,
     forks nothing: the parent formats every finished table."""
     calls, _ = forks
@@ -249,8 +250,8 @@ def test_block_writer_formats_a_finished_table_in_the_parent(forks, tmp_path, mo
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("scenario", ["p5", "switching"])
-def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_file, tmp_path,
-                                                     monkeypatch):
+def test_simulate_formats_rows_while_it_integrates(scenario, cpus, forks, p5_file, tmp_path,
+                                                   monkeypatch):
     """cmd_simulate writes simulate's row stream as it comes: with more than
     one CPU the formatter is forked at the first row, and each row is sent
     before the next is integrated. The file is the reference writer's of
@@ -259,7 +260,7 @@ def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_f
     calls, force_fork = forks
     force_fork(cpus)
     runs, sends, during = [], [], []
-    samples, send = cli._samples, cli._RowWriter._send
+    samples, send = cli._samples, cli._send
 
     def recorded(*args):
         runs.append(args)
@@ -271,11 +272,11 @@ def test_simulate_formats_blocks_while_it_integrates(scenario, cpus, forks, p5_f
                 yield row
         return times, segments, counter, watched()
 
-    def counted_send(writer, row):
+    def counted_send(pipe, row):
         sends.append(row.size)
-        send(writer, row)
+        send(pipe, row)
     monkeypatch.setattr(cli, "_samples", recorded)
-    monkeypatch.setattr(cli._RowWriter, "_send", counted_send)
+    monkeypatch.setattr(cli, "_send", counted_send)
     schedule = p5_file if scenario == "p5" else SCENARIOS / "switching.json"
     out = tmp_path / "out"
     assert run(["simulate", schedule, "--seed", "7", "--out-dir", out]) == 0
@@ -320,7 +321,7 @@ def test_simulate_holds_no_trace(cpus, forks, tmp_path):
     _assert_no_children()
 
 
-def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path, capsys):
+def test_spectrogram_tables_are_formatted_in_the_parent(traces, forks, tmp_path, capsys):
     """The spectrogram's %.8g and %d tables are finished tables: with the
     cell floor at 1 and three usable CPUs the parent still formats each,
     and every cell is its printf format of the STFT."""
@@ -338,7 +339,7 @@ def test_block_writer_spectrogram_files_match_one_block(traces, forks, tmp_path,
             for t, row in zip(data.time_centers.tolist(), table.tolist()))
 
 
-def test_block_writer_names_a_failed_worker(p5_file, forks, tmp_path, monkeypatch, capsys):
+def test_failed_formatter_is_one_named_error(p5_file, forks, tmp_path, monkeypatch, capsys):
     """A formatter that raises gives the parent a named OSError with its
     reason, which main prints as one error line; the formatter exits
     without unwinding into this process's frames, and no output or
@@ -400,7 +401,7 @@ def test_parent_write_failure_names_the_file(old, p5_file, forks, tmp_path, monk
     _assert_no_children()
 
 
-def test_block_writer_cleans_up_after_an_interrupt(forks, tmp_path, monkeypatch):
+def test_interrupt_leaves_no_file_and_no_formatter(forks, tmp_path, monkeypatch):
     """An interrupt while the parent formats a finished table removes the
     temporary file, and no formatter is forked. One in a stream, after its
     first row, kills and reaps the formatter forked at that row too."""
@@ -469,6 +470,86 @@ def test_formatter_failure_leaves_no_file(case, old, forks, tmp_path, monkeypatc
     assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == (
         [] if old is None else [("trace.csv", old)])
     assert _exit_codes(calls) == [-signal.SIGKILL if case == "interrupt" else 1]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("end", ["SIGTERM", "SIGRTMIN+1", "exit code 3"])
+def test_formatter_leaving_without_a_reason_is_named_by_its_end(end, forks, tmp_path,
+                                                                monkeypatch):
+    """A formatter that a signal kills, or that exits nonzero, before it can
+    send a reason is named by the signal (by its number where Python has no
+    name for it) or by its exit code, not by a raw wait status. No file,
+    temporary file or child is left."""
+    if end == "SIGRTMIN+1" and not hasattr(signal, "SIGRTMIN"):
+        pytest.skip("no real-time signals")
+    calls, force_fork = forks
+    force_fork(2)
+    signum = {"SIGTERM": signal.SIGTERM, "SIGRTMIN+1": getattr(signal, "SIGRTMIN", 0) + 1}.get(end)
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def leaving(fh, *args):
+        if os.getpid() != parent:
+            if signum is None:
+                os._exit(3)
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+        format_rows(fh, *args)
+    monkeypatch.setattr(cli, "_format_rows", leaving)
+    named = {"SIGTERM": "killed by SIGTERM", "SIGRTMIN+1": f"killed by signal {signum}",
+             "exit code 3": "exit code 3"}[end]
+    with pytest.raises(OSError, match=rf"got\.csv: the row formatter failed: {named}$"):
+        _stream_trace(_special_trace(), tmp_path / "got.csv")
+    assert list(tmp_path.iterdir()) == []
+    assert _exit_codes(calls) == [3 if signum is None else -signum]
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("case", ["finished table", "parent formats a stream", "forked formatter",
+                                  "formatter failure", "interrupt", "fork fails"])
+def test_writer_closes_every_descriptor_it_opens(case, forks, tmp_path, monkeypatch):
+    """On every exit the writer closes each descriptor it opened: the
+    temporary file's and both pipes' ends, the formatter's included when
+    os.fork raises. A fork that fails is an OSError naming the file, and
+    leaves no temporary file and no child."""
+    calls, force_fork = forks
+    force_fork(1 if case == "parent formats a stream" else 2)
+    parent, format_rows = os.getpid(), cli._format_rows
+
+    def failing(fh, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("disk on fire")
+        format_rows(fh, *args)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    if case == "formatter failure":
+        monkeypatch.setattr(cli, "_format_rows", failing)
+    elif case == "fork fails":
+        monkeypatch.setattr(cli.os, "fork", no_fork)
+    trace = _special_trace()
+    path = tmp_path / "got.csv"
+
+    def stream():
+        yield from trace.states[:3]
+        if case == "interrupt":
+            raise KeyboardInterrupt
+        yield from trace.states[3:]
+    raised = {
+        "formatter failure": pytest.raises(OSError, match=re.escape(
+            f"{path}: the row formatter failed: RuntimeError: disk on fire") + "$"),
+        "interrupt": pytest.raises(KeyboardInterrupt),
+        "fork fails": pytest.raises(OSError, match=re.escape(
+            f"{path}: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}") + "$"),
+    }
+    before = sorted(os.listdir("/proc/self/fd"))
+    with raised.get(case, contextlib.nullcontext()):
+        cli._write_rows(path, cli._trace_header(trace.n), "%.17g", trace.times,
+                        trace.states if case == "finished table" else stream())
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert [p.name for p in tmp_path.iterdir()] == ([] if case in raised else ["got.csv"])
+    assert len(calls) == (0 if case in ("finished table", "parent formats a stream", "fork fails")
+                          else 1)
     _assert_no_children()
 
 
